@@ -136,7 +136,10 @@ def _build(args) -> int:
         partitions = []
         for bd in ingredients:
             partition = find_partition(as_multipart(bd), c, budget=args.budget)
-            if partition is None or partition is UNKNOWN:
+            if partition is UNKNOWN:
+                print("partition search budget exhausted", file=sys.stderr)
+                return EXIT_BUDGET
+            if partition is None:
                 print(f"ingredient is not {c}-partitionable", file=sys.stderr)
                 return EXIT_INVALID
             partitions.append(partition)
@@ -150,7 +153,10 @@ def _build(args) -> int:
         theta = _load_design(args.design[0])
         c = args.classes
         partition = find_partition(theta, c, budget=args.budget)
-        if partition is None or partition is UNKNOWN:
+        if partition is UNKNOWN:
+            print("partition search budget exhausted", file=sys.stderr)
+            return EXIT_BUDGET
+        if partition is None:
             print(f"design is not {c}-partitionable", file=sys.stderr)
             return EXIT_INVALID
         delta = ing.get_bibd(*_triple(args.ingredient[0]))
@@ -253,7 +259,8 @@ def _make_parser() -> _Parser:
 
     def common(p):
         p.add_argument("--format", choices=("text", "json"), default="text")
-        p.add_argument("--budget", type=int, default=10_000_000)
+        p.add_argument("--budget", type=int, default=10_000_000,
+                       help="search-tree node limit; exit 4 when it runs out")
         p.add_argument("--seed", type=int, default=0)
 
     p = sub.add_parser("build", help="run a construction and write the design")

@@ -5,7 +5,8 @@ of the blocks; weak isomorphism additionally lets factors of compatible
 shape trade places.  The canonical form is the lexicographically least
 sorted block list over all per-factor relabelings, found by iterative
 refinement on level invariants (replication, concurrence fingerprints,
-cross fingerprints) with backtracking over the residual permutations.
+cross fingerprints) with backtracking over the residual permutations,
+pruned by the automorphisms the search finds.
 Two designs are isomorphic iff their certificates are equal.
 """
 
@@ -53,15 +54,33 @@ def _fingerprint(design: MultipartDesign) -> tuple:
     return (design.v, size_profiles, tuple(reps), tuple(meets))
 
 
+@dataclass(frozen=True)
+class _Leaf:
+    """A leaf of the search tree: its path, its discrete coloring and candidate."""
+
+    path: tuple[int, ...]
+    colors: tuple[int, ...]
+    candidate: list
+
+
 class _Canonicalizer:
     """Individualization-refinement search for the least sorted block list.
 
     Refinement colors points by replication, colored concurrence/cross
     profiles and the multiset of their block colors; blocks by their
     size profile and point colors.  Branching individualizes one point
-    of the first non-singleton class in canonical color order, with
-    orbits under already-discovered automorphisms (those fixing the
-    individualized points) explored only once.
+    of the first non-singleton class in canonical color order.
+
+    Automorphisms prune the tree as in McKay & Piperno, "Practical graph
+    isomorphism, II" (2014).  A leaf whose candidate equals the first
+    leaf's or the best leaf's gives an automorphism mapping it onto that
+    leaf.  The search then jumps back to the node where the two paths
+    part: the rest of that node's branch is the image of a sibling
+    branch already explored.  Within a node, a point in the orbit of an
+    earlier sibling, under the automorphisms found so far that fix the
+    individualized points, is not branched on.  Pruning skips only
+    images of explored subtrees, whose leaves have the same candidates,
+    so the least candidate found is that of the whole tree.
     """
 
     def __init__(self, design: MultipartDesign, budget: int):
@@ -89,8 +108,8 @@ class _Canonicalizer:
         for t, points in enumerate(self.block_points):
             Z[list(points), t] = 1
         self.pair = [tuple(int(x) for x in row) for row in (Z @ Z.T)]
-        self.best: list | None = None
-        self.best_position: list[int] | None = None
+        self.first: _Leaf | None = None
+        self.best: _Leaf | None = None
         self.autos: list[tuple[int, ...]] = []
 
     def _refine(self, colors: tuple[int, ...]) -> tuple[int, ...]:
@@ -115,18 +134,7 @@ class _Canonicalizer:
                 return colors
             n_colors = len(rank)
 
-    def _positions(self, colors: tuple[int, ...]) -> list[int]:
-        """Discrete coloring -> canonical position of every point."""
-        offsets = self.design.offsets
-        position = [0] * self.total
-        for i in range(self.m):
-            pts = sorted((p for p in range(self.total) if self.factor_of[p] == i),
-                         key=lambda p: colors[p])
-            for new, p in enumerate(pts):
-                position[p] = offsets[i] + new
-        return position
-
-    def _candidate(self, position: list[int]) -> list:
+    def _candidate(self, position: tuple[int, ...]) -> list:
         offsets = self.design.offsets
         return sorted(
             tuple(tuple(sorted(position[p] - offsets[i] for p in part))
@@ -134,49 +142,50 @@ class _Canonicalizer:
             for parts in self.parts
         )
 
-    def _leaf(self, colors: tuple[int, ...]):
-        position = self._positions(colors)
-        candidate = self._candidate(position)
-        if self.best is None or candidate < self.best:
-            self.best = candidate
-            self.best_position = position
-        elif candidate == self.best and self.best_position is not None:
-            inverse = [0] * self.total
-            for p, pos in enumerate(self.best_position):
-                inverse[pos] = p
-            sigma = tuple(inverse[position[p]] for p in range(self.total))
-            if any(sigma[p] != p for p in range(self.total)) and len(self.autos) < 64:
-                self.autos.append(sigma)
+    def _leaf(self, colors: tuple[int, ...], path: tuple[int, ...]) -> int | None:
+        """Record a leaf; return the depth to jump back to, if any.
 
-    def _orbit_representatives(self, cell: list[int],
-                               fixed: tuple[int, ...]) -> list[int]:
-        useful = [g for g in self.autos if all(g[x] == x for x in fixed)]
-        if not useful:
-            return cell
-        reps = []
-        seen: set[int] = set()
-        for p in cell:
-            if p in seen:
-                continue
-            reps.append(p)
-            orbit = {p}
-            stack = [p]
-            while stack:
-                q = stack.pop()
-                for g in useful:
-                    r = g[q]
-                    if r not in orbit:
-                        orbit.add(r)
-                        stack.append(r)
-            seen |= orbit
-        return reps
+        Refinement and branching keep the order of the colors, which start
+        as the factor index, so a discrete coloring is already every
+        point's canonical position.
+        """
+        candidate = self._candidate(colors)
+        if self.first is None:
+            self.first = self.best = _Leaf(path, colors, candidate)
+            return None
+        for leaf in (self.first, self.best):
+            if candidate == leaf.candidate:
+                return self._automorphism(colors, path, leaf)
+        if candidate < self.best.candidate:
+            self.best = _Leaf(path, colors, candidate)
+        return None
 
-    def _search(self, colors: tuple[int, ...], fixed: tuple[int, ...]):
+    def _automorphism(self, colors: tuple[int, ...], path: tuple[int, ...],
+                      leaf: _Leaf) -> int | None:
+        """Store the automorphism taking this leaf onto ``leaf``; return the
+        depth at which their paths part.
+
+        The automorphism maps this leaf's path onto ``leaf``'s, so it fixes
+        the shared prefix and carries the branch below the parting node
+        onto the sibling branch that holds ``leaf``, explored earlier.
+        """
+        inverse = [0] * self.total
+        for p, position in enumerate(leaf.colors):
+            inverse[position] = p
+        self.autos.append(tuple(inverse[colors[p]] for p in range(self.total)))
+        depth = 0
+        while path[depth] == leaf.path[depth]:
+            depth += 1
+        return depth
+
+    def _search(self, colors: tuple[int, ...], fixed: tuple[int, ...]) -> int | None:
+        """Explore the subtree below ``fixed``; return the depth to jump back
+        to when an automorphism leaf ends it early."""
         self.nodes += 1
         if self.nodes > self.budget:
             raise BudgetExceededError(
                 f"canonical labeling exceeded {self.budget} nodes",
-                partial=self.best)
+                partial=self.best.candidate if self.best else None)
         colors = self._refine(colors)
         cells: dict[int, list[int]] = {}
         for p, color in enumerate(colors):
@@ -187,31 +196,65 @@ class _Canonicalizer:
                 target = cells[color]
                 break
         if target is None:
-            self._leaf(colors)
-            return
-        for p in self._orbit_representatives(target, fixed):
+            return self._leaf(colors, fixed)
+        depth = len(fixed)
+        # Generators that fix the individualized points, and the orbits of
+        # the siblings explored so far under them; both grow as the
+        # siblings' subtrees find automorphisms.
+        fixing: list[tuple[int, ...]] = []
+        seen_autos = 0
+        covered: set[int] = set()
+        for p in target:
+            if len(self.autos) > seen_autos:
+                fixing += [g for g in self.autos[seen_autos:]
+                           if all(g[x] == x for x in fixed)]
+                seen_autos = len(self.autos)
+                _close(covered, list(covered), fixing)
+            if p in covered:
+                continue
+            covered.add(p)
+            _close(covered, [p], fixing)
             branched = [2 * c + 1 for c in colors]
             branched[p] -= 1
             rank = {c: i for i, c in enumerate(sorted(set(branched)))}
-            self._search(tuple(rank[c] for c in branched), fixed + (p,))
+            jump = self._search(tuple(rank[c] for c in branched), fixed + (p,))
+            if jump is not None and jump < depth:
+                return jump
+        return None
 
     def run(self) -> list:
         self._search(tuple(self.factor_of), ())
         assert self.best is not None
-        return self.best
+        return self.best.candidate
 
 
-def canonical_form(design: MultipartDesign, budget: int = 10_000_000) -> CanonicalForm:
+def _close(orbit: set[int], start: list[int], generators: list[tuple[int, ...]]):
+    """Add to ``orbit`` every image of ``start``'s points under ``generators``."""
+    stack = start
+    while stack:
+        q = stack.pop()
+        for g in generators:
+            r = g[q]
+            if r not in orbit:
+                orbit.add(r)
+                stack.append(r)
+
+
+def canonical_form(design: MultipartDesign, budget: int = 10_000_000,
+                   fingerprint: tuple | None = None) -> CanonicalForm:
     """Deterministic canonical representative of a design.
 
     Invariant under any per-factor level permutation and any block
     permutation.  Raises BudgetExceededError (carrying the best partial
     certificate) if the search does not finish within ``budget`` nodes.
+    ``fingerprint``, when given, must be ``_fingerprint(design)``.
     """
     blocks = _Canonicalizer(design, budget).run()
     canonical = MultipartDesign(v=design.v, blocks=tuple(blocks),
                                 factor_names=design.factor_names)
-    certificate = repr((_fingerprint(design), blocks)).encode()
+    if fingerprint is None:
+        fingerprint = _fingerprint(design)
+    certificate = repr((fingerprint, blocks)).encode()
     return CanonicalForm(design=canonical, certificate=certificate)
 
 
@@ -224,24 +267,41 @@ def are_isomorphic(d1: MultipartDesign, d2: MultipartDesign,
     """
     if d1.m != d2.m or d1.v != d2.v:
         return False
-    if _fingerprint(d1) != _fingerprint(d2):
+    fingerprint1 = _fingerprint(d1)
+    fingerprint2 = _fingerprint(d2)
+    if fingerprint1 != fingerprint2:
         return False
-    c1 = canonical_form(d1, budget=budget)
-    c2 = canonical_form(d2, budget=budget)
+    c1 = canonical_form(d1, budget=budget, fingerprint=fingerprint1)
+    c2 = canonical_form(d2, budget=budget, fingerprint=fingerprint2)
     return c1.certificate == c2.certificate
 
 
 def are_weakly_isomorphic(d1: MultipartDesign, d2: MultipartDesign,
                           budget: int = 10_000_000) -> bool:
-    """Isomorphism up to exchanging the roles of compatible factors."""
+    """Isomorphism up to exchanging the roles of compatible factors.
+
+    ``d1``'s fingerprint and certificate are computed at most once, on
+    first use, however many factor exchanges are tried.
+    """
     if d1.m != d2.m:
         return False
     profile1 = [tuple(sorted(len(b[i]) for b in d1.blocks)) for i in range(d1.m)]
     profile2 = [tuple(sorted(len(b[i]) for b in d2.blocks)) for i in range(d2.m)]
+    fingerprint1 = certificate1 = None
     for sigma in permutations(range(d2.m)):
         if any(d1.v[j] != d2.v[sigma[j]] or profile1[j] != profile2[sigma[j]]
                for j in range(d1.m)):
             continue
-        if are_isomorphic(d1, permute_factors(d2, sigma), budget=budget):
+        exchanged = permute_factors(d2, sigma)
+        if fingerprint1 is None:
+            fingerprint1 = _fingerprint(d1)
+        fingerprint2 = _fingerprint(exchanged)
+        if fingerprint1 != fingerprint2:
+            continue
+        if certificate1 is None:
+            certificate1 = canonical_form(d1, budget=budget,
+                                          fingerprint=fingerprint1).certificate
+        form2 = canonical_form(exchanged, budget=budget, fingerprint=fingerprint2)
+        if form2.certificate == certificate1:
             return True
     return False

@@ -159,6 +159,57 @@ def test_build_class_matched(capsys):
     assert d.m == 3 and d.b == 20
 
 
+def _had16_path(tmp_path) -> str:
+    from mpart.constructions import hadamard_2part
+    from mpart.files import serialize_concise
+    from mpart.ingredients import hadamard_matrix
+
+    path = tmp_path / "had16.design"
+    path.write_text(serialize_concise(hadamard_2part(hadamard_matrix(16), 1)))
+    return str(path)
+
+
+def test_build_class_matched_budget_exhausted(tmp_path, capsys):
+    # Hadamard 16 is 7-partitionable, but the search needs more than 20 nodes
+    assert cli_main(["build", "class-matched", "--design", _had16_path(tmp_path),
+                     "--classes", "7", "--ingredient", "7,3,1", "--budget", "20"]) == 4
+    assert "partition search budget exhausted" in capsys.readouterr().err
+
+
+def test_build_oa_budget_exhausted_and_not_partitionable(capsys):
+    args = ["build", "oa", "--ingredient", "4,2,1", "--ingredient", "4,2,1"]
+    assert cli_main(args + ["--classes", "3", "--budget", "1"]) == 4
+    assert "partition search budget exhausted" in capsys.readouterr().err
+    assert cli_main(args + ["--classes", "4"]) == 2
+    assert "not 4-partitionable" in capsys.readouterr().err
+
+
+def test_successive_calls_share_no_state(tmp_path, fig1_path, capsys):
+    pairs = tmp_path / "pairs.design"
+    assert cli_main(["build", "cartesian", "--ingredient", "3,2,1",
+                     "--ingredient", "3,2,1", "-o", str(pairs)]) == 0
+    assert parse_concise(pairs.read_text()).v == (3, 3)
+    # repeated options start empty again on every call
+    assert cli_main(["build", "cartesian", "--ingredient", "4,2,1"]) == 0
+    assert parse_concise(capsys.readouterr().out).v == (4,)
+    for _ in range(2):
+        assert cli_main(["build", "product", "--design", fig1_path,
+                         "--design", str(pairs)]) == 0
+        assert parse_concise(capsys.readouterr().out).m == 4
+    # options of one call do not carry into the next
+    assert cli_main(["verify", fig1_path, "--format", "json"]) == 0
+    assert json.loads(capsys.readouterr().out)["valid"] is True
+    assert cli_main(["verify", fig1_path]) == 0
+    assert "verdict: valid" in capsys.readouterr().out
+    assert cli_main(["params", "10", "6"]) == 1
+    assert cli_main(["iso", "fixture:fig1", "fixture:fig1"]) == 0
+    assert capsys.readouterr().out == "isomorphic\n"
+    # an output file given once is not written again by a later call
+    assert cli_main(["canon", "fixture:fig9", "-o", str(tmp_path / "canon.design")]) == 0
+    assert cli_main(["canon", "fixture:fig9"]) == 0
+    assert parse_concise(capsys.readouterr().out).v == load_design("fig9").v
+
+
 def test_canon_selfcheck(capsys):
     assert cli_main(["canon", "fixture:fig5a", "--selfcheck", "3", "--seed", "9"]) == 0
     out = capsys.readouterr().out

@@ -115,3 +115,42 @@ def test_isomorphic_implies_weakly_isomorphic():
     other = random_relabeled(rng, d)
     assert are_isomorphic(d, other)
     assert are_weakly_isomorphic(d, other)
+
+
+def test_weak_iso_canonicalizes_the_first_design_once(monkeypatch):
+    import mpart.isomorphism as iso
+    from mpart.model import MultipartDesign
+
+    # two factor exchanges pass the fingerprint check, neither matches
+    d1 = MultipartDesign(v=(4, 4, 4), blocks=(
+        ((0, 1), (1, 2), (2, 3)), ((1, 3), (0, 2), (1, 3)),
+        ((0, 2), (0, 3), (0, 1)), ((1, 2), (2, 3), (0, 3))))
+    d2 = MultipartDesign(v=(4, 4, 4), blocks=(
+        ((0, 1), (0, 3), (1, 2)), ((1, 3), (1, 3), (1, 3)),
+        ((2, 3), (2, 3), (0, 3)), ((0, 3), (1, 2), (0, 1))))
+    canonicalized = []
+
+    def counting(design, *args, **kwargs):
+        canonicalized.append(design)
+        return canonical_form(design, *args, **kwargs)
+
+    monkeypatch.setattr(iso, "canonical_form", counting)
+    assert not are_weakly_isomorphic(d1, d2)
+    assert sum(design is d1 for design in canonicalized) == 1
+    assert len(canonicalized) == 3
+
+
+def test_iso_fingerprints_each_design_once(monkeypatch):
+    import mpart.isomorphism as iso
+
+    fingerprinted = []
+    fingerprint = iso._fingerprint
+
+    def counting(design):
+        fingerprinted.append(design)
+        return fingerprint(design)
+
+    monkeypatch.setattr(iso, "_fingerprint", counting)
+    d = load_design("fig8b")
+    assert are_isomorphic(d, random_relabeled(random.Random(5), d))
+    assert len(fingerprinted) == 2

@@ -4,15 +4,22 @@ The oracle tries every combination of per-factor level permutations and
 compares block multisets, which is exact (if slow) for small designs.
 This pins down the search-based implementation: equal certificates must
 mean a permutation exists, different certificates must mean none does,
-and automorphism orbit pruning must not change any certificate.
+and automorphism pruning must not change any certificate.  Designs too
+big for brute force are checked against networkx's graph isomorphism on
+their point-block incidence graphs.
 """
 
+import hashlib
 import random
 from itertools import permutations
 
+import pytest
+
+from mpart.constructions import cartesian_product, hadamard_2part
 from mpart.fixtures import DESIGN_FIXTURES, load_design
+from mpart.ingredients import get_bibd, hadamard_matrix
 from mpart.isomorphism import _Canonicalizer, are_isomorphic, canonical_form
-from mpart.model import MultipartDesign
+from mpart.model import MultipartDesign, select_factors
 
 from helpers import random_design, random_relabeled
 
@@ -67,16 +74,71 @@ def test_three_factor_pairs_agree_with_brute_force():
 
 
 class _NoPruning(_Canonicalizer):
-    def _orbit_representatives(self, cell, fixed):
-        return cell
+    """The whole search tree: no automorphism is stored, so no orbit is
+    skipped, and no leaf ends a branch early."""
+
+    def _automorphism(self, colors, path, leaf):
+        return None
+
+
+def _design(name: str) -> MultipartDesign:
+    if name.startswith("had"):
+        return hadamard_2part(hadamard_matrix(int(name[3:])), 1)
+    if name == "fig4b|CD":
+        return select_factors(load_design("fig4b"), (0, 1))
+    if "x" in name:
+        return cartesian_product([get_bibd(*map(int, part.split(",")))
+                                  for part in name.split("x")])
+    return load_design(name)
 
 
 def test_orbit_pruning_never_changes_the_certificate():
-    for name in DESIGN_FIXTURES:
-        design = load_design(name)
+    # the whole tree of (7,3,1)^2 has 36674 nodes, most of this test's time
+    for name in DESIGN_FIXTURES + ("had12", "had16", "7,3,1x7,3,1"):
+        design = _design(name)
         pruned = _Canonicalizer(design, 10_000_000)
         plain = _NoPruning(design, 10_000_000)
         assert pruned.run() == plain.run(), name
+        assert pruned.nodes <= plain.nodes, name
+
+
+# SHA-256 of canonical_form(design).certificate, recorded with the search
+# that preceded automorphism pruning, which pruned by orbits alone
+# (Hadamard 32 took 96 s there on a 2-vCPU Xeon virtual machine).
+GOLDEN = {
+    "fig1": "848e21533315b7b4de6717487683463e0fa1ba4d48b3aed2ddc65828d51d2fa1",
+    "fig3": "108bc2522b31561dcd4193e93469074664e13c677627bcd561811444449705d1",
+    "fig4a": "124f86d9b7b39f6d23c3eebbeecd78d5796d582af6817bfbd02bd54dccd16434",
+    "fig4b": "d469fbe6a688a5ec7eb7e13bd23bbe1146cfa8bdaf3f26875668daa232748deb",
+    "fig5a": "39e889941d2d3dd88e6d75aa92cd4b359ffdad7f8a75698cb336e90268bf63f5",
+    "fig5b": "7c0c3144c1cfc28b3fabf354d100c7e94beb1b8664772496bead6651af5a890c",
+    "fig8a": "223946adff8bb22c2d77a24a89a9d0516d52b236f8fbb380b3db42811a03dde1",
+    "fig8b": "3c72d1d96a0667a591e7d891e035363f38e1683a49fe0403f71193d6743ca01e",
+    "fig9": "8abcea4ee71195c9d3e112f4e10302ee24a29ff4da4903fcfd8f84b687f4c514",
+    "had12": "1604a04a07c070b8f7287a6e4078a2a7d4f6cdeaab14d51f94e8ff1e925ed0d9",
+    "had16": "cd9f86d4e79a3c7c6c8718f9a172b83d2fdd5a07ef4955498a7e5ebbe8507c89",
+    "had20": "9bfc49957b81f45a33545f371f801a99031edb122514d215ed4dde71e56834f5",
+    "had24": "4071f665befed0e324dfaa588ce1e8102e9f498be16dead3690b4e7f895c6cb7",
+    "had32": "cd9afda720af89a390646c124f9cc1323d3fdd2306966ad0a561c627c5502c32",
+    "7,3,1x7,3,1": "e15a5589325a19e21266dd1b1cdf82d1504d22f4c0a34e96564da6987cdec6a9",
+    "13,4,1x7,3,1": "fbc4bb71a0b531c114972f5fd44ff1976bebb1e9e10923b9881d70bd47723c13",
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN))
+def test_certificate_matches_the_recorded_digest(name):
+    certificate = canonical_form(_design(name)).certificate
+    assert hashlib.sha256(certificate).hexdigest() == GOLDEN[name]
+
+
+# Node counts are deterministic, unlike wall time.  With orbit pruning
+# alone, Hadamard 20 and 24 and 13,4,1x7,3,1 took 821, 1465 and 5545 nodes.
+@pytest.mark.parametrize("name, ceiling", [
+    ("had20", 200), ("had24", 250), ("had32", 100), ("13,4,1x7,3,1", 100)])
+def test_pruned_search_stays_small(name, ceiling):
+    search = _Canonicalizer(_design(name), 10_000_000)
+    search.run()
+    assert search.nodes <= ceiling
 
 
 def test_orbit_pruning_never_changes_random_certificates():
@@ -96,3 +158,56 @@ def test_certificates_equal_iff_brute_force_isomorphic():
         for j in range(i + 1, len(designs)):
             expected = brute_force_isomorphic(designs[i], designs[j])
             assert (forms[i] == forms[j]) == expected, (i, j)
+
+
+def _incidence_graph(design: MultipartDesign):
+    """Points colored by factor, blocks by one more color, edges for incidence."""
+    import networkx as nx
+
+    graph = nx.Graph()
+    for i, size in enumerate(design.v):
+        graph.add_nodes_from(((i, x) for x in range(size)), color=i)
+    for t, block in enumerate(design.blocks):
+        graph.add_node(("block", t), color=-1)
+        graph.add_edges_from((("block", t), (i, x))
+                             for i, part in enumerate(block) for x in part)
+    return graph
+
+
+def _moved(rng: random.Random, design: MultipartDesign) -> MultipartDesign:
+    """The design with one level of one block's part replaced by another."""
+    blocks = list(design.blocks)
+    t = rng.randrange(len(blocks))
+    i = next(i for i in rng.sample(range(design.m), design.m)
+             if len(blocks[t][i]) < design.v[i])
+    part = blocks[t][i]
+    old = rng.choice(part)
+    new = rng.choice([x for x in range(design.v[i]) if x not in part])
+    block = list(blocks[t])
+    block[i] = tuple(sorted(set(part) - {old} | {new}))
+    blocks[t] = tuple(block)
+    return MultipartDesign(v=design.v, blocks=tuple(blocks))
+
+
+def test_large_designs_agree_with_networkx():
+    nx = pytest.importorskip("networkx")
+
+    def same_color(a, b):
+        return a["color"] == b["color"]
+
+    rng = random.Random(0x1505)
+    names = ("had16", "7,3,1x7,3,1", "fig4a", "fig4b|CD")
+    pairs = [(_design("fig4a"), _design("fig4b|CD")),
+             (_design("had12"), random_relabeled(rng, _design("fig4b|CD")))]
+    for name in names:
+        design = _design(name)
+        pairs.append((design, random_relabeled(rng, design)))
+        for _ in range(2):
+            pairs.append((design, random_relabeled(rng, _moved(rng, design))))
+    verdicts = []
+    for d1, d2 in pairs:
+        expected = nx.is_isomorphic(_incidence_graph(d1), _incidence_graph(d2),
+                                    node_match=same_color)
+        assert are_isomorphic(d1, d2) == expected
+        verdicts.append(expected)
+    assert verdicts.count(True) == len(names) + 1
