@@ -27,7 +27,9 @@ from .files import (
 from .isomorphism import are_isomorphic, are_weakly_isomorphic, canonical_form
 from .model import (
     BlockDesign,
+    BlockPartition,
     MultipartDesign,
+    as_multipart,
     relabel_levels,
     reorder_blocks,
 )
@@ -45,6 +47,14 @@ EXIT_BUDGET = 4
 
 class _UsageError(Exception):
     pass
+
+
+class _Exit(Exception):
+    """Ends a command with a message on stderr and an exit code."""
+
+    def __init__(self, code: int, message: str):
+        super().__init__(message)
+        self.code = code
 
 
 class _Parser(argparse.ArgumentParser):
@@ -91,6 +101,18 @@ def _triple(text: str) -> tuple[int, int, int]:
     return parts[0], parts[1], parts[2]
 
 
+def _partition_for(design: MultipartDesign, c: int, budget: int,
+                   what: str) -> BlockPartition:
+    """The partition a construction needs; exit 4 when the search runs out
+    of budget, 2 when no partition exists."""
+    partition = find_partition(design, c, budget=budget)
+    if partition is UNKNOWN:
+        raise _Exit(EXIT_BUDGET, "partition search budget exhausted")
+    if partition is None:
+        raise _Exit(EXIT_INVALID, f"{what} is not {c}-partitionable")
+    return partition
+
+
 def _build(args) -> int:
     fmt = args.format
     name = args.construction
@@ -102,15 +124,8 @@ def _build(args) -> int:
             raise _UsageError("subcartesian needs exactly two --ingredient")
         d1 = ing.get_bibd(*_triple(args.ingredient[0]))
         d2 = ing.get_bibd(*_triple(args.ingredient[1]))
-        c = args.classes or 1
-        from .model import as_multipart
-        partition = find_partition(as_multipart(d2), c, budget=args.budget)
-        if partition is UNKNOWN:
-            print("partition search budget exhausted", file=sys.stderr)
-            return EXIT_BUDGET
-        if partition is None:
-            print(f"second ingredient is not {c}-partitionable", file=sys.stderr)
-            return EXIT_INVALID
+        partition = _partition_for(as_multipart(d2), args.classes or 1, args.budget,
+                                   "second ingredient")
         design = cons.subcartesian_product(d1, d2, partition)
     elif name == "hadamard":
         H = ing.hadamard_matrix(args.order)
@@ -132,17 +147,8 @@ def _build(args) -> int:
     elif name == "oa":
         ingredients = [ing.get_bibd(*_triple(t)) for t in args.ingredient]
         c = args.classes or 1
-        from .model import as_multipart
-        partitions = []
-        for bd in ingredients:
-            partition = find_partition(as_multipart(bd), c, budget=args.budget)
-            if partition is UNKNOWN:
-                print("partition search budget exhausted", file=sys.stderr)
-                return EXIT_BUDGET
-            if partition is None:
-                print(f"ingredient is not {c}-partitionable", file=sys.stderr)
-                return EXIT_INVALID
-            partitions.append(partition)
+        partitions = [_partition_for(as_multipart(bd), c, args.budget, "ingredient")
+                      for bd in ingredients]
         oa = ing.orthogonal_array([bd.b // c for bd in ingredients], args.strength)
         design = cons.oa_compose(ingredients, partitions, oa)
     elif name == "meet-filter":
@@ -151,14 +157,7 @@ def _build(args) -> int:
         design = cons.meet_filter(host, special, args.t)
     elif name == "class-matched":
         theta = _load_design(args.design[0])
-        c = args.classes
-        partition = find_partition(theta, c, budget=args.budget)
-        if partition is UNKNOWN:
-            print("partition search budget exhausted", file=sys.stderr)
-            return EXIT_BUDGET
-        if partition is None:
-            print(f"design is not {c}-partitionable", file=sys.stderr)
-            return EXIT_INVALID
+        partition = _partition_for(theta, args.classes, args.budget, "design")
         delta = ing.get_bibd(*_triple(args.ingredient[0]))
         design = cons.class_matched_product(theta, partition, delta)
     else:  # pragma: no cover - argparse restricts choices
@@ -347,6 +346,9 @@ def cli_main(argv=None) -> int:
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except _Exit as exc:
+        print(exc, file=sys.stderr)
+        return exc.code
     except BudgetExceededError as exc:
         print(f"budget exhausted: {exc}", file=sys.stderr)
         return EXIT_BUDGET

@@ -9,7 +9,7 @@ filtering construction.
 
 from __future__ import annotations
 
-from collections import Counter, deque
+from collections import deque
 from dataclasses import dataclass
 from itertools import product
 from typing import Sequence
@@ -37,7 +37,9 @@ from .model import (
     BlockPartition,
     MultipartDesign,
     default_factor_names,
+    replicates_equally,
 )
+from .verify import verify_partition
 
 
 @dataclass(frozen=True)
@@ -75,19 +77,11 @@ def _require_2_design(bd: BlockDesign, role: str) -> int:
     return lam
 
 
-def _class_replications(bd: BlockDesign, cls: Sequence[int]) -> tuple[int, ...]:
-    counts: Counter = Counter()
-    for t in cls:
-        counts.update(bd.blocks[t])
-    return tuple(counts.get(x, 0) for x in range(bd.v))
-
-
 def _require_uniform_classes(bd: BlockDesign, partition: BlockPartition, role: str):
     if partition.b != bd.b:
         raise ClassCountMismatchError(
             f"{role}: partition covers {partition.b} blocks, design has {bd.b}")
-    reps = {_class_replications(bd, cls) for cls in partition.classes}
-    if len(reps) != 1:
+    if not replicates_equally(bd.incidence, partition):
         raise ClassNotUniformError(
             f"{role}: classes do not replicate every point equally")
 
@@ -456,8 +450,6 @@ def class_matched_product(theta: MultipartDesign, p: BlockPartition,
     a verified equal-replication grouping and delta must have exactly
     one block per class.
     """
-    from .verify import verify_partition
-
     if p.b != theta.b:
         raise ClassCountMismatchError(
             f"partition covers {p.b} blocks, design has {theta.b}")

@@ -22,7 +22,7 @@ from .errors import (
     NotConstructibleError,
     NotInCatalogError,
 )
-from .model import BlockDesign, BlockPartition, complement_design
+from .model import BlockDesign, BlockPartition, complement_design, constant_count
 
 # --------------------------------------------------------------------------
 # balance checking
@@ -37,16 +37,9 @@ def check_t_design(design: BlockDesign, t: int) -> int | None:
     """
     if t < 1:
         raise InvalidInputError(f"t must be >= 1, got {t}")
-    sizes = {len(b) for b in design.blocks}
-    if len(sizes) != 1:
+    if len({len(b) for b in design.blocks}) != 1:
         return None
-    counts: Counter = Counter()
-    for block in design.blocks:
-        counts.update(combinations(block, t))
-    values = {counts.get(c, 0) for c in combinations(range(design.v), t)}
-    if len(values) != 1:
-        return None
-    return values.pop()
+    return constant_count(design.incidence, [slice(0, design.v)] * t)
 
 
 # --------------------------------------------------------------------------

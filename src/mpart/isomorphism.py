@@ -44,14 +44,9 @@ def _fingerprint(design: MultipartDesign) -> tuple:
         tuple((a[i] & b[i]).bit_count() for i in range(m))
         for a, b in combinations(masks, 2)
     )
-    reps = []
-    for i in range(m):
-        counts = [0] * design.v[i]
-        for block in design.blocks:
-            for x in block[i]:
-                counts[x] += 1
-        reps.append(tuple(sorted(counts)))
-    return (design.v, size_profiles, tuple(reps), tuple(meets))
+    replication = np.diagonal(design.gram).tolist()
+    reps = tuple(tuple(sorted(replication[span])) for span in design.spans)
+    return (design.v, size_profiles, reps, tuple(meets))
 
 
 @dataclass(frozen=True)
@@ -96,18 +91,12 @@ class _Canonicalizer:
             tuple(tuple(offsets[i] + x for x in block[i]) for i in range(self.m))
             for block in design.blocks
         ]
-        self.block_points = [tuple(p for part in parts for p in part)
-                             for parts in self.parts]
+        self.block_points = design.zipped_blocks
         self.size_profiles = [tuple(len(part) for part in parts)
                               for parts in self.parts]
-        self.point_blocks: list[tuple[int, ...]] = [() for _ in range(self.total)]
-        for t, points in enumerate(self.block_points):
-            for p in points:
-                self.point_blocks[p] += (t,)
-        Z = np.zeros((self.total, self.b), dtype=np.int64)
-        for t, points in enumerate(self.block_points):
-            Z[list(points), t] = 1
-        self.pair = [tuple(int(x) for x in row) for row in (Z @ Z.T)]
+        self.point_blocks = [tuple(np.flatnonzero(row).tolist())
+                             for row in design.incidence]
+        self.pair = [tuple(row) for row in design.gram.tolist()]
         self.first: _Leaf | None = None
         self.best: _Leaf | None = None
         self.autos: list[tuple[int, ...]] = []

@@ -16,9 +16,8 @@ preserved through serialization.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
-from itertools import combinations, product
+from functools import cached_property
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -34,6 +33,18 @@ def default_factor_names(m: int) -> tuple[str, ...]:
     while len(names) < m:
         names.append(f"F{len(names) + 1}")
     return tuple(names)
+
+
+def _incidence(n: int, blocks: Sequence[Sequence[int]]) -> np.ndarray:
+    """The read-only n x b 0/1 matrix of points against blocks; the one
+    function that builds incidence counts."""
+    sizes = np.fromiter(map(len, blocks), dtype=np.intp, count=len(blocks))
+    rows = np.fromiter((p for points in blocks for p in points), dtype=np.intp,
+                       count=int(sizes.sum()))
+    Z = np.zeros((n, len(blocks)), dtype=np.int64)
+    Z[rows, np.repeat(np.arange(len(blocks)), sizes)] = 1
+    Z.flags.writeable = False
+    return Z
 
 
 def _normalize_part(part: Iterable[int], size: int, what: str) -> tuple[int, ...]:
@@ -98,6 +109,32 @@ class MultipartDesign:
             total += size
         return tuple(out)
 
+    @property
+    def spans(self) -> tuple[slice, ...]:
+        """The rows of each factor's levels in the zipped point set."""
+        return tuple(slice(o, o + size) for o, size in zip(self.offsets, self.v))
+
+    @property
+    def zipped_blocks(self) -> tuple[tuple[int, ...], ...]:
+        """Each block's levels as sorted points of the zipped point set."""
+        offsets = self.offsets
+        return tuple(tuple(offsets[i] + x for i, part in enumerate(block) for x in part)
+                     for block in self.blocks)
+
+    @cached_property
+    def incidence(self) -> np.ndarray:
+        """The read-only sum(v) x b 0/1 matrix Z of zipped points against
+        blocks; every count of the design is read from Z or :attr:`gram`."""
+        return _incidence(sum(self.v), self.zipped_blocks)
+
+    @cached_property
+    def gram(self) -> np.ndarray:
+        """The read-only Gram matrix Z Z^T: replications on the diagonal,
+        within-factor pair counts and cross-factor counts off it."""
+        G = self.incidence @ self.incidence.T
+        G.flags.writeable = False
+        return G
+
     def __eq__(self, other) -> bool:
         if not isinstance(other, MultipartDesign):
             return NotImplemented
@@ -135,6 +172,11 @@ class BlockDesign:
     @property
     def b(self) -> int:
         return len(self.blocks)
+
+    @cached_property
+    def incidence(self) -> np.ndarray:
+        """The read-only v x b 0/1 matrix of points against blocks."""
+        return _incidence(self.v, self.blocks)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, BlockDesign):
@@ -211,48 +253,72 @@ class MultipartParams:
         return all(x is not None for row in self.lam for x in row)
 
 
+def _constant(values: np.ndarray) -> int | None:
+    """The value of a non-empty array whose entries are all equal, else None."""
+    low = values.min()
+    return int(low) if low == values.max() else None
+
+
 def derive_parameters(design: MultipartDesign) -> MultipartParams:
     """Count k, r and the full concurrence table of a design.
 
-    Counting is multiset over blocks; never fails.  A quantity that
-    varies across the design is reported as ``None``.
+    Every value is read from the design's cached incidence matrix and its
+    Gram matrix; counting is multiset over blocks and never fails.  A
+    quantity that varies across the design is reported as ``None``.
     """
-    m, b, v = design.m, design.b, design.v
-
-    def constant(values):
-        vals = set(values)
-        return vals.pop() if len(vals) == 1 else None
-
-    k = tuple(constant(len(block[i]) for block in design.blocks) for i in range(m))
-
-    r = []
-    per_level: list[Counter] = []
-    for i in range(m):
-        counts: Counter = Counter()
-        for block in design.blocks:
-            counts.update(block[i])
-        per_level.append(counts)
-        r.append(constant(counts.get(x, 0) for x in range(v[i])))
-
+    m, v, spans = design.m, design.v, design.spans
+    Z, G = design.incidence, design.gram
+    k = tuple(_constant(Z[span].sum(axis=0)) for span in spans)
+    r = tuple(_constant(np.diagonal(G)[span]) for span in spans)
     lam: list[list[int | None]] = [[None] * m for _ in range(m)]
-    for i in range(m):
-        if v[i] == 1:
-            lam[i][i] = 0
-            continue
-        pair_counts: Counter = Counter()
-        for block in design.blocks:
-            pair_counts.update(combinations(block[i], 2))
-        lam[i][i] = constant(pair_counts.get(p, 0) for p in combinations(range(v[i]), 2))
-    for i in range(m):
+    for i, si in enumerate(spans):
+        within = G[si, si]
+        lam[i][i] = 0 if v[i] == 1 else _constant(within[~np.eye(v[i], dtype=bool)])
         for j in range(i + 1, m):
-            cross: Counter = Counter()
-            for block in design.blocks:
-                cross.update(product(block[i], block[j]))
-            value = constant(cross.get(p, 0) for p in product(range(v[i]), range(v[j])))
-            lam[i][j] = lam[j][i] = value
-
-    return MultipartParams(b=b, v=v, k=k, r=tuple(r),
+            lam[i][j] = lam[j][i] = _constant(G[si, spans[j]])
+    return MultipartParams(b=design.b, v=v, k=k, r=r,
                            lam=tuple(tuple(row) for row in lam))
+
+
+def constant_count(Z: np.ndarray, spans: Sequence[slice]) -> int | None:
+    """The number of columns (blocks) of the incidence matrix ``Z`` that
+    contain rows x_1 < ... < x_t, each x_d in ``spans[d]``, when it is the
+    same for every such tuple.
+
+    None when the count varies or no tuple exists.  Each step keeps only
+    the blocks that contain the rows chosen so far, and the last two rows
+    are counted together as one product of incidence rows, so no temporary
+    outgrows Z or its Gram matrix.
+    """
+    values: set[int] = set()
+
+    def record(counts: np.ndarray) -> bool:
+        if counts.size:
+            values.update((int(counts.min()), int(counts.max())))
+        return len(values) <= 1
+
+    def count(depth: int, start: int, blocks: np.ndarray) -> bool:
+        lo, hi = max(spans[depth].start, start), spans[depth].stop
+        if depth == len(spans) - 1:
+            return record(Z[lo:hi, blocks].sum(axis=1))
+        if depth == len(spans) - 2:
+            last = spans[-1]
+            pairs = Z[lo:hi, blocks] @ Z[last, blocks].T
+            later = np.arange(lo, hi)[:, None] < np.arange(last.start, last.stop)
+            return record(pairs[later])
+        return all(count(depth + 1, x + 1, blocks[Z[x, blocks] == 1]) for x in range(lo, hi))
+
+    if not count(0, 0, np.arange(Z.shape[1])) or not values:
+        return None
+    return values.pop()
+
+
+def replicates_equally(Z: np.ndarray, partition: BlockPartition) -> bool:
+    """True iff every row of the incidence matrix ``Z`` has the same sum over
+    the columns of each class of ``partition``."""
+    first = Z[:, partition.classes[0]].sum(axis=1)
+    return all(np.array_equal(Z[:, cls].sum(axis=1), first)
+               for cls in partition.classes[1:])
 
 
 def zip_design(design: MultipartDesign) -> BlockDesign:
@@ -261,12 +327,7 @@ def zip_design(design: MultipartDesign) -> BlockDesign:
     Factor i's levels are offset by v_1 + ... + v_{i-1}; the result has
     one point set of size sum(v) and block sizes k_1 + ... + k_m.
     """
-    offsets = design.offsets
-    blocks = tuple(
-        tuple(sorted(x + offsets[i] for i, part in enumerate(block) for x in part))
-        for block in design.blocks
-    )
-    return BlockDesign(v=sum(design.v), blocks=blocks)
+    return BlockDesign(v=sum(design.v), blocks=design.zipped_blocks)
 
 
 def unzip_design(bd: BlockDesign, group_sizes: Sequence[int]) -> MultipartDesign:
@@ -305,15 +366,16 @@ def unzip_design(bd: BlockDesign, group_sizes: Sequence[int]) -> MultipartDesign
     return MultipartDesign(v=sizes, blocks=tuple(split_blocks))
 
 
-def incidence_matrix(design: MultipartDesign, factor: int) -> np.ndarray:
-    """The v_i x b 0/1 matrix of factor levels against blocks."""
+def factor_rows(design: MultipartDesign, factor: int) -> slice:
+    """The rows of ``factor``'s levels in the design's incidence matrix."""
     if not 0 <= factor < design.m:
         raise InvalidInputError(f"factor {factor} out of range for m={design.m}")
-    out = np.zeros((design.v[factor], design.b), dtype=np.int64)
-    for t, block in enumerate(design.blocks):
-        for x in block[factor]:
-            out[x, t] = 1
-    return out
+    return design.spans[factor]
+
+
+def incidence_matrix(design: MultipartDesign, factor: int) -> np.ndarray:
+    """The read-only v_i x b 0/1 matrix of factor levels against blocks."""
+    return design.incidence[factor_rows(design, factor)]
 
 
 def as_multipart(bd: BlockDesign) -> MultipartDesign:

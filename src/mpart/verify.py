@@ -7,10 +7,9 @@ an unbalanced design: the report carries the failures.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations, product
+from itertools import combinations
 from typing import Sequence
 
 import numpy as np
@@ -19,21 +18,41 @@ from .errors import UNKNOWN, InvalidInputError
 from .model import (
     BlockPartition,
     MultipartDesign,
-    incidence_matrix,
+    MultipartParams,
+    constant_count,
+    derive_parameters,
+    factor_rows,
+    replicates_equally,
 )
 
 
 def concurrence_matrix(design: MultipartDesign, factor: int) -> np.ndarray:
-    """v_i x v_i matrix: off-diagonal pair concurrences, diagonal replications."""
-    N = incidence_matrix(design, factor)
-    return N @ N.T
+    """Read-only v_i x v_i matrix: off-diagonal pair concurrences, diagonal
+    replications."""
+    rows = factor_rows(design, factor)
+    return design.gram[rows, rows]
 
 
 def cross_matrix(design: MultipartDesign, i: int, j: int) -> np.ndarray:
-    """v_i x v_j matrix counting blocks containing each cross-factor level pair."""
+    """Read-only v_i x v_j matrix counting blocks containing each cross-factor
+    level pair."""
     if i == j:
         raise InvalidInputError("cross_matrix needs two distinct factors")
-    return incidence_matrix(design, i) @ incidence_matrix(design, j).T
+    return design.gram[factor_rows(design, i), factor_rows(design, j)]
+
+
+def _level_table(design: MultipartDesign, params: MultipartParams,
+                 t: int) -> dict[tuple[int, ...], int] | None:
+    """The constant count of every t-subset of factors, or None: pairs are
+    the cross counts of ``params``, larger subsets are counted once here."""
+    table: dict[tuple[int, ...], int] = {}
+    for factors in combinations(range(design.m), t):
+        value = (params.lam[factors[0]][factors[1]] if t == 2 else
+                 constant_count(design.incidence, [design.spans[i] for i in factors]))
+        if value is None:
+            return None
+        table[factors] = value
+    return table
 
 
 def check_strength(design: MultipartDesign, t: int) -> dict[tuple[int, ...], int] | None:
@@ -44,31 +63,24 @@ def check_strength(design: MultipartDesign, t: int) -> dict[tuple[int, ...], int
     """
     if not 2 <= t <= design.m:
         raise InvalidInputError(f"t must be in 2..{design.m}, got {t}")
-    table: dict[tuple[int, ...], int] = {}
+    params = derive_parameters(design)
     for tt in range(2, t + 1):
-        level: dict[tuple[int, ...], int] = {}
-        for factors in combinations(range(design.m), tt):
-            counts: Counter = Counter()
-            for block in design.blocks:
-                counts.update(product(*(block[i] for i in factors)))
-            full = product(*(range(design.v[i]) for i in factors))
-            values = {counts.get(combo, 0) for combo in full}
-            if len(values) != 1:
-                return None
-            level[factors] = values.pop()
-        if tt == t:
-            table = level
+        table = _level_table(design, params, tt)
+        if table is None:
+            return None
     return table
+
+
+def _strength(design: MultipartDesign, params: MultipartParams) -> int:
+    t = 1
+    while t < design.m and _level_table(design, params, t + 1) is not None:
+        t += 1
+    return t
 
 
 def design_strength(design: MultipartDesign) -> int:
     """Largest t with strength t; 1 when even pairs are unbalanced or m = 1."""
-    best = 1
-    for t in range(2, design.m + 1):
-        if check_strength(design, t) is None:
-            break
-        best = t
-    return best
+    return _strength(design, derive_parameters(design))
 
 
 @dataclass(frozen=True)
@@ -127,45 +139,16 @@ def check_multipart(design: MultipartDesign,
     concurrence) is reported but not fatal.
     """
     m = design.m
-    sizes_uniform = []
-    k: list[int | None] = []
-    for i in range(m):
-        sizes = {len(block[i]) for block in design.blocks}
-        uniform = len(sizes) == 1
-        sizes_uniform.append(uniform)
-        k.append(sizes.pop() if uniform else None)
-
-    r: list[int | None] = []
-    within_lambda: list[int | None] = []
-    within_balance = []
-    within_nonzero = []
-    for i in range(m):
-        conc = concurrence_matrix(design, i)
-        reps = set(np.diag(conc).tolist())
-        r.append(reps.pop() if len(reps) == 1 else None)
-        if design.v[i] == 1:
-            within_lambda.append(0)
-            within_balance.append(True)
-            within_nonzero.append(False)
-            continue
-        off = conc[~np.eye(design.v[i], dtype=bool)]
-        values = set(off.tolist())
-        balanced = len(values) == 1
-        within_balance.append(balanced)
-        within_lambda.append(values.pop() if balanced else None)
-        within_nonzero.append(balanced and within_lambda[i] > 0)
-
-    cross_lambda: list[list[int | None]] = [[None] * m for _ in range(m)]
-    cross_balance = [[i == j for j in range(m)] for i in range(m)]
-    for i in range(m):
-        for j in range(i + 1, m):
-            values = set(cross_matrix(design, i, j).ravel().tolist())
-            if len(values) == 1:
-                cross_balance[i][j] = cross_balance[j][i] = True
-                cross_lambda[i][j] = cross_lambda[j][i] = values.pop()
-
+    params = derive_parameters(design)
+    k, lam = params.k, params.lam
+    sizes_uniform = [x is not None for x in k]
+    within_lambda = [lam[i][i] for i in range(m)]
+    within_balance = [x is not None for x in within_lambda]
+    within_nonzero = [x is not None and x > 0 for x in within_lambda]
+    cross_lambda = [[None if i == j else lam[i][j] for j in range(m)] for i in range(m)]
+    cross_balance = [[i == j or lam[i][j] is not None for j in range(m)] for i in range(m)]
     incomplete = [k[i] is not None and k[i] < design.v[i] for i in range(m)]
-    strength = design_strength(design)
+    strength = _strength(design, params)
 
     valid = True
     for i in range(m):
@@ -181,7 +164,7 @@ def check_multipart(design: MultipartDesign,
         valid = valid and strength >= 2
 
     return VerificationReport(
-        b=design.b, v=design.v, k=tuple(k), r=tuple(r),
+        b=design.b, v=design.v, k=k, r=params.r,
         sizes_uniform=tuple(sizes_uniform), incomplete=tuple(incomplete),
         within_lambda=tuple(within_lambda), within_balance=tuple(within_balance),
         within_nonzero=tuple(within_nonzero),
@@ -285,16 +268,7 @@ def verify_partition(design: MultipartDesign, partition: BlockPartition) -> bool
     if partition.b != design.b:
         raise InvalidInputError(
             f"partition covers {partition.b} blocks, design has {design.b}")
-    for i in range(design.m):
-        per_class = []
-        for cls in partition.classes:
-            counts: Counter = Counter()
-            for t in cls:
-                counts.update(design.blocks[t][i])
-            per_class.append(tuple(counts.get(x, 0) for x in range(design.v[i])))
-        if len(set(per_class)) != 1:
-            return False
-    return True
+    return replicates_equally(design.incidence, partition)
 
 
 def find_partition(design: MultipartDesign, c: int,
@@ -302,11 +276,13 @@ def find_partition(design: MultipartDesign, c: int,
     """A c-class partition witness, None (none exists), or UNKNOWN.
 
     Exact backtracking over class assignments in block-index order with
-    per-factor occurrence quotas; block 0 is pinned to class 0 and a
+    per-level occurrence quotas; block 0 is pinned to class 0 and a
     block may only open class j once classes below j are open, so the
     witness returned is the lexicographically least canonical one.
+    Every class tried for a block counts as one node against ``budget``.
     Divisibility failures (c not dividing b or some level count) decide
-    "none exists" immediately.
+    "none exists" immediately.  The search keeps its own stack, so a
+    design of any size cannot overflow Python's.
     """
     if c < 1:
         raise InvalidInputError(f"class count must be positive, got {c}")
@@ -315,67 +291,44 @@ def find_partition(design: MultipartDesign, c: int,
         return BlockPartition((tuple(range(b)),))
     if b % c:
         return None
+    replication = np.diagonal(design.gram)
+    if (replication % c).any():
+        return None
 
-    quotas: list[dict[int, int]] = []
-    for i in range(design.m):
-        counts: Counter = Counter()
-        for block in design.blocks:
-            counts.update(block[i])
-        for x in range(design.v[i]):
-            if counts.get(x, 0) % c:
-                return None
-        quotas.append({x: counts.get(x, 0) // c for x in range(design.v[i])})
-
+    quota = (replication // c).tolist()
+    points = design.zipped_blocks
     class_size = b // c
     fill = [0] * c
-    usage = [[dict.fromkeys(q, 0) for q in quotas] for _ in range(c)]
-    assign = [-1] * b
-    nodes = 0
-    exhausted = False
+    usage = [[0] * len(quota) for _ in range(c)]
+    # A placed block t is in class tried[t] - 1; blocks before t open opened[t] classes.
+    tried = [0] * b
+    opened = [0] * (b + 1)
+    nodes = t = 0
+    while t < b:
+        j = tried[t]
+        if j == min(c, opened[t] + 1):
+            if t == 0:
+                return None
+            tried[t] = 0
+            t -= 1
+            j = tried[t] - 1
+            fill[j] -= 1
+            for p in points[t]:
+                usage[j][p] -= 1
+            continue
+        nodes += 1
+        if nodes > budget:
+            return UNKNOWN
+        tried[t] = j + 1
+        use = usage[j]
+        if fill[j] < class_size and all(use[p] < quota[p] for p in points[t]):
+            fill[j] += 1
+            for p in points[t]:
+                use[p] += 1
+            opened[t + 1] = max(opened[t], j + 1)
+            t += 1
 
-    def feasible(t: int, j: int) -> bool:
-        if fill[j] >= class_size:
-            return False
-        block = design.blocks[t]
-        for i in range(design.m):
-            use = usage[j][i]
-            quota = quotas[i]
-            for x in block[i]:
-                if use[x] + 1 > quota[x]:
-                    return False
-        return True
-
-    def place(t: int, j: int, sign: int):
-        fill[j] += sign
-        for i in range(design.m):
-            use = usage[j][i]
-            for x in design.blocks[t][i]:
-                use[x] += sign
-
-    def extend(t: int) -> bool:
-        nonlocal nodes, exhausted
-        if t == b:
-            return True
-        opened = max(assign[:t], default=-1) + 1
-        limit = 1 if t == 0 else min(c, opened + 1)
-        for j in range(limit):
-            nodes += 1
-            if nodes > budget:
-                exhausted = True
-                return False
-            if not feasible(t, j):
-                continue
-            assign[t] = j
-            place(t, j, +1)
-            if extend(t + 1):
-                return True
-            place(t, j, -1)
-            assign[t] = -1
-        return False
-
-    if extend(0):
-        classes = [[] for _ in range(c)]
-        for t, j in enumerate(assign):
-            classes[j].append(t)
-        return BlockPartition(tuple(tuple(cls) for cls in classes))
-    return UNKNOWN if exhausted else None
+    classes = [[] for _ in range(c)]
+    for t, j in enumerate(tried):
+        classes[j - 1].append(t)
+    return BlockPartition(tuple(tuple(cls) for cls in classes))

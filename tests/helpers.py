@@ -35,6 +35,37 @@ def oracle_replications(blocks, factor: int) -> Counter:
     return counts
 
 
+def oracle_strength_counts(blocks, factors) -> Counter:
+    """Blocks containing each tuple of levels, one level per factor in ``factors``."""
+    counts: Counter = Counter()
+    for block in blocks:
+        counts.update(product(*(block[i] for i in factors)))
+    return counts
+
+
+def oracle_strength(blocks, v: tuple[int, ...], t: int) -> dict | None:
+    """The constant count of every t-subset of factors, recounted directly;
+    None when that or any lower strength from 2 up is unbalanced."""
+    table = None
+    for tt in range(2, t + 1):
+        table = {}
+        for factors in combinations(range(len(v)), tt):
+            value = oracle_constant(oracle_strength_counts(blocks, factors),
+                                    product(*(range(v[i]) for i in factors)))
+            if value is None:
+                return None
+            table[factors] = value
+    return table
+
+
+def oracle_subset_counts(blocks, t: int) -> Counter:
+    """Blocks of a plain block design containing each t-subset of points."""
+    counts: Counter = Counter()
+    for block in blocks:
+        counts.update(combinations(sorted(block), t))
+    return counts
+
+
 def oracle_constant(counter: Counter, keys) -> int | None:
     """The constant value of counter over all keys (missing = 0), else None."""
     values = {counter.get(key, 0) for key in keys}

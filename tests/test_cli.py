@@ -227,3 +227,30 @@ def test_usage_errors_exit_1(capsys):
     assert cli_main(["params", "10", "6"]) == 1
     assert cli_main(["verify", "/nonexistent/file.design"]) == 1
     assert cli_main(["nonsense"]) == 1
+
+
+def test_partition_of_a_2401_block_design_never_raises(tmp_path, capsys):
+    from mpart.constructions import cartesian_product
+    from mpart.files import serialize_concise
+    from mpart.ingredients import get_bibd
+
+    path = tmp_path / "731x731x731x731.design"
+    path.write_text(serialize_concise(cartesian_product([get_bibd(7, 3, 1)] * 4)))
+    assert cli_main(["partition", str(path), "--c", "7", "--budget", "50000"]) in (0, 4)
+
+
+def _numbers(value):
+    if isinstance(value, dict):
+        value = list(value.values())
+    if isinstance(value, list):
+        return [x for item in value for x in _numbers(item)]
+    return [value] if isinstance(value, (int, float)) else []
+
+
+def test_json_output_holds_plain_integers(fig1_path, capsys):
+    for argv in (["verify", fig1_path], ["verify", "fixture:fig8b"],
+                 ["build", "cartesian", "--ingredient", "7,3,1", "--ingredient", "3,2,1"],
+                 ["build", "product", "--design", "fixture:fig1", "--design", "fixture:fig5a"]):
+        assert cli_main(argv + ["--format", "json"]) == 0
+        numbers = _numbers(json.loads(capsys.readouterr().out))
+        assert numbers and all(type(x) in (int, bool) for x in numbers), argv

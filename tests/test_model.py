@@ -173,3 +173,17 @@ def test_select_factors_and_complement():
     assert cd.v == (6, 6) and cd.m == 2 and cd.b == 20
     bd = BlockDesign(v=4, blocks=((0, 1), (2, 3)))
     assert complement_design(bd).blocks == ((2, 3), (0, 1))
+
+
+def test_cached_counts_cannot_be_written():
+    from mpart.verify import check_multipart, concurrence_matrix
+
+    d = load_design("fig1")
+    before = check_multipart(d)
+    for view in (incidence_matrix(d, 0), concurrence_matrix(d, 0), d.incidence, d.gram):
+        with pytest.raises(ValueError):
+            view[0, 0] = 7
+    with pytest.raises(ValueError):
+        incidence_matrix(d, 0).flags.writeable = True
+    assert check_multipart(d) == before
+    assert incidence_matrix(d, 0)[0].tolist() == [1, 1, 1, 1, 1, 0, 0, 0, 0, 0]

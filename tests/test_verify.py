@@ -255,3 +255,60 @@ def test_find_partition_agrees_with_exhaustive_search():
             assert (result is not None) == expected, (d, c)
             outcomes[expected] += 1
     assert outcomes[True] >= 10 and outcomes[False] >= 10
+
+
+# Least budget, in search nodes, at which find_partition decides, for every
+# catalog design of at most 64 blocks and class count c whose search does
+# not end at the divisibility checks; recorded from the recursive search
+# before it was made iterative.  Every other divisor c decides at budget 0,
+# except the UNDECIDED ones, which stay undecided past 200000 nodes.
+LEAST_DECIDING_BUDGET = {
+    "all pairs of 4": {3: (12, True)},
+    "all pairs of 5": {2: (23, True)},
+    "complement of all pairs of 5": {2: (61, True)},
+    "2-(6,3,2) by brute force": {5: (20, False)},
+    "affine plane of order 3": {2: (18, True), 4: (30, True)},
+    "complement of affine plane of order 3": {2: (18, True), 4: (30, True)},
+    "halves of a Hadamard matrix of order 8": {7: (56, True)},
+    "all pairs of 6": {5: (95, True)},
+    "complement of all pairs of 6": {5: (16449, True)},
+    "2-(16,6,2) from a difference set in (Z2)^4": {2: (503, False)},
+    "complement of 2-(16,6,2) from a difference set in (Z2)^4": {2: (2211, False)},
+    "all pairs of 7": {3: (48, True)},
+    "halves of a Hadamard matrix of order 12": {11: (132, True)},
+    "all pairs of 8": {7: (112, True)},
+    "halves of a Hadamard matrix of order 16": {3: (60, True), 5: (90, True),
+                                                15: (240, True)},
+    "Kirkman triple system": {7: (140, True)},
+    "complement of Kirkman triple system": {7: (140, True)},
+    "all pairs of 9": {2: (162, True), 4: (286, True)},
+    "all pairs of 10": {3: (126, True), 9: (1296, True)},
+    "all pairs of 11": {5: (39025, True)},
+}
+UNDECIDED = {
+    "complement of all pairs of 7": {3},
+    "complement of all pairs of 8": {7},
+    "complement of all pairs of 9": {2, 4},
+    "complement of all pairs of 10": {3, 9},
+    "complement of all pairs of 11": {5},
+}
+
+
+def test_find_partition_spends_the_recorded_budget():
+    from mpart.ingredients import catalog_entries
+
+    for entry in catalog_entries(max_blocks=64):
+        d = as_multipart(entry.build())
+        searched = LEAST_DECIDING_BUDGET.get(entry.name, {})
+        for c in range(2, d.b + 1):
+            if d.b % c:
+                continue
+            if c in UNDECIDED.get(entry.name, ()):
+                continue
+            budget, exists = searched.get(c, (0, False))
+            if budget:
+                assert find_partition(d, c, budget=budget - 1) is UNKNOWN, (entry.name, c)
+            result = find_partition(d, c, budget=budget)
+            assert (result is not None) == exists, (entry.name, c)
+            if exists:
+                assert verify_partition(d, result)
