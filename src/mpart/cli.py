@@ -244,6 +244,7 @@ def _tables(args) -> int:
         constructions=args.constructions,
         exclude=args.exclude,
         swap_convention=not args.no_swap_convention,
+        partition_budget=args.budget,
     )
     if args.format == "json":
         print(json.dumps([_jsonable(asdict(row)) for row in rows], indent=2))

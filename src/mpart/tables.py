@@ -10,7 +10,6 @@ least block count per (v, k) signature.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Iterable, Sequence
 
 from .constructions import (
@@ -18,9 +17,21 @@ from .constructions import (
     subcartesian_product,
     symmetric_block_split,
 )
-from .errors import UNKNOWN, DesignError, InvalidInputError, NotConstructibleError
+from .errors import (
+    UNKNOWN,
+    BudgetExceededError,
+    DesignError,
+    InvalidInputError,
+    NotConstructibleError,
+)
 from .ingredients import CatalogEntry, catalog_entries, hadamard_matrix
-from .model import BlockDesign, MultipartDesign, as_multipart, complement_design
+from .model import (
+    BlockDesign,
+    BlockPartition,
+    MultipartDesign,
+    as_multipart,
+    complement_design,
+)
 from .verify import check_admissible, check_multipart, find_partition
 
 
@@ -80,18 +91,26 @@ class _Enumerator:
         self.primaries = catalog_entries(max_blocks=ingredient_blocks,
                                          include_complements=False)
         self._designs: dict[str, BlockDesign] = {}
+        self._partitions: dict[tuple[str, int], BlockPartition | None] = {}
 
     def design_of(self, entry: CatalogEntry) -> BlockDesign:
         if entry.name not in self._designs:
             self._designs[entry.name] = entry.build()
         return self._designs[entry.name]
 
-    @lru_cache(maxsize=None)
-    def partitions_of(self, name: str, c: int):
-        entry = next(e for e in self.entries if e.name == name)
-        result = find_partition(as_multipart(self.design_of(entry)), c,
-                                budget=self.partition_budget)
-        return None if result is UNKNOWN else result
+    def partitions_of(self, name: str, c: int) -> BlockPartition | None:
+        """The c-class partition of a catalog design, or None when none
+        exists; an undecided search raises instead of dropping rows."""
+        if (name, c) not in self._partitions:
+            entry = next(e for e in self.entries if e.name == name)
+            result = find_partition(as_multipart(self.design_of(entry)), c,
+                                    budget=self.partition_budget)
+            if result is UNKNOWN:
+                raise BudgetExceededError(
+                    f"partition search on {name} with {c} classes is undecided "
+                    f"after {self.partition_budget} nodes")
+            self._partitions[name, c] = result
+        return self._partitions[name, c]
 
     # ---- construction 1: full products
 
@@ -206,6 +225,8 @@ def enumerate_reachable(max_b: int,
     the same or a smaller block count.  ``swap_convention`` keeps only
     rows with k_i <= v_i/2 or k_i = v_i - 1 for every factor (the tables
     for constructions 1-3 follow it; the symmetric-split table does not).
+    A partition search still undecided after ``partition_budget`` nodes
+    raises :class:`BudgetExceededError`: no row is dropped on a guess.
     """
     constructions = frozenset(constructions)
     exclude = frozenset(exclude)

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
+from itertools import accumulate, combinations
 from typing import Sequence
 
 import numpy as np
@@ -283,6 +283,14 @@ def find_partition(design: MultipartDesign, c: int,
     Divisibility failures (c not dividing b or some level count) decide
     "none exists" immediately.  The search keeps its own stack, so a
     design of any size cannot overflow Python's.
+
+    A class replicates every level equally if and only if it replicates
+    every complemented level equally.  So a dense factor, whose parts
+    fill more than half its levels (2 sum(r) > b v_i), is searched on
+    the complement of each part, with quota (b - r)/c per level: quotas
+    there fill up, and prune, long before they do on the parts.  The
+    valid partitions and the order of the walk are unchanged, so the
+    witness is too; ``budget`` counts the nodes of this search.
     """
     if c < 1:
         raise InvalidInputError(f"class count must be positive, got {c}")
@@ -295,11 +303,25 @@ def find_partition(design: MultipartDesign, c: int,
     if (replication % c).any():
         return None
 
-    quota = (replication // c).tolist()
-    points = design.zipped_blocks
+    Z = design.incidence
+    counts = replication.tolist()
+    dense = [2 * sum(counts[span]) > b * size for span, size in zip(design.spans, design.v)]
+    if any(dense):
+        rows = np.repeat(dense, design.v)
+        Z = np.where(rows[:, None], 1 - Z, Z)
+        counts = np.where(rows, b - replication, replication).tolist()
+    quota = [r // c for r in counts]
+    # Each block's searched points (the rows of its column of Z) and their bitmask.
+    levels = np.nonzero(Z.T)[1].tolist()
+    ends = list(accumulate(Z.sum(axis=0).tolist()))
+    points = [levels[start:end] for start, end in zip([0] + ends, ends)]
+    bit = [1 << p for p in range(len(quota))]
+    masks = [sum(map(bit.__getitem__, block)) for block in points]
     class_size = b // c
     fill = [0] * c
     usage = [[0] * len(quota) for _ in range(c)]
+    # The points class j holds to quota; a block fits iff it has none of them.
+    saturated = [sum(bit[p] for p, q in enumerate(quota) if not q)] * c
     # A placed block t is in class tried[t] - 1; blocks before t open opened[t] classes.
     tried = [0] * b
     opened = [0] * (b + 1)
@@ -313,18 +335,22 @@ def find_partition(design: MultipartDesign, c: int,
             t -= 1
             j = tried[t] - 1
             fill[j] -= 1
+            saturated[j] &= ~masks[t]
+            use = usage[j]
             for p in points[t]:
-                usage[j][p] -= 1
+                use[p] -= 1
             continue
         nodes += 1
         if nodes > budget:
             return UNKNOWN
         tried[t] = j + 1
-        use = usage[j]
-        if fill[j] < class_size and all(use[p] < quota[p] for p in points[t]):
+        if fill[j] < class_size and not masks[t] & saturated[j]:
             fill[j] += 1
+            use = usage[j]
             for p in points[t]:
                 use[p] += 1
+                if use[p] == quota[p]:
+                    saturated[j] |= bit[p]
             opened[t + 1] = max(opened[t], j + 1)
             t += 1
 

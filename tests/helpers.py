@@ -112,3 +112,29 @@ def random_relabeled(rng: random.Random, design: MultipartDesign) -> MultipartDe
     perms = [rng.sample(range(size), size) for size in design.v]
     order = rng.sample(range(design.b), design.b)
     return reorder_blocks(relabel_levels(design, perms), order)
+
+
+def oracle_partition_exists(blocks, v: tuple[int, ...], c: int) -> bool:
+    """Whether the blocks split into c classes of equal size that each
+    replicate every level equally, by trying every such split."""
+    b = len(blocks)
+    if b % c:
+        return False
+    size = b // c
+
+    def replications(cls):
+        return tuple(oracle_replications([blocks[t] for t in cls], i).get(x, 0)
+                     for i in range(len(v)) for x in range(v[i]))
+
+    def split(remaining: tuple[int, ...], target) -> bool:
+        if not remaining:
+            return True
+        pivot, rest = remaining[0], remaining[1:]
+        for others in combinations(rest, size - 1):
+            counts = replications((pivot,) + others)
+            if target in (None, counts):
+                if split(tuple(t for t in rest if t not in others), counts):
+                    return True
+        return False
+
+    return split(tuple(range(b)), None)

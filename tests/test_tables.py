@@ -1,7 +1,20 @@
+import gc
+import hashlib
+
 import pytest
 
-from mpart.errors import InvalidInputError
-from mpart.tables import enumerate_reachable, render_rows
+from mpart.cli import cli_main
+from mpart.errors import BudgetExceededError, InvalidInputError
+from mpart.tables import _Enumerator, enumerate_reachable, render_rows
+
+# SHA-256 of the output of `mpart tables` with these arguments, recorded
+# before the partition search moved to complemented parts.
+TABLE_DIGESTS = {
+    ("--max-b", "60"): "ab9730bd59dede57faa4965c2ffd23fd9d1cb1249d02ba832483b03884a0bf36",
+    ("--max-b", "60", "--format", "json"):
+        "14789a022f4a00faa5d1027545198baa0e06c1dc1f69d4f4d4cbb80ab7c0493b",
+    ("--max-b", "120"): "3ef93d21eab06c5cdbfcd61b774e46ed3d8a10b102561a8c1d3aa8043a3f7ce2",
+}
 
 # Known least-block rows for the full-product table, b <= 21.
 CARTESIAN_ROWS_21 = {
@@ -113,3 +126,26 @@ def test_bad_construction_numbers():
         enumerate_reachable(max_b=10, constructions=(9,))
     with pytest.raises(InvalidInputError):
         enumerate_reachable(max_b=10, constructions=(1,), exclude=(1,))
+
+
+def test_least_b_tables_match_the_recorded_digests(capsys):
+    for args, digest in TABLE_DIGESTS.items():
+        assert cli_main(["tables", *args]) == 0
+        out = capsys.readouterr().out
+        assert hashlib.sha256(out.encode()).hexdigest() == digest, args
+
+
+def test_undecided_partition_search_fails_the_table(capsys):
+    # The table to b = 60 splits all pairs of 11 into 5 classes, a search
+    # that decides at 39025 nodes (LEAST_DECIDING_BUDGET in test_verify).
+    assert cli_main(["tables", "--max-b", "60", "--budget", "39024"]) == 4
+    assert "all pairs of 11 with 5 classes is undecided" in capsys.readouterr().err
+    with pytest.raises(BudgetExceededError):
+        enumerate_reachable(max_b=60, partition_budget=39024)
+    assert cli_main(["tables", "--max-b", "60", "--budget", "39025"]) == 0
+
+
+def test_enumeration_leaves_no_enumerator_alive():
+    enumerate_reachable(max_b=30, constructions=(2,), exclude=(1,))
+    gc.collect()
+    assert not [obj for obj in gc.get_objects() if isinstance(obj, _Enumerator)]

@@ -19,7 +19,12 @@ from mpart.verify import (
     verify_partition,
 )
 
-from helpers import oracle_cross_counts, oracle_pair_counts, random_design
+from helpers import (
+    oracle_cross_counts,
+    oracle_pair_counts,
+    oracle_partition_exists,
+    random_design,
+)
 
 
 def test_concurrence_fig2b():
@@ -215,28 +220,6 @@ def test_find_partition_witness_always_verifies():
     assert found  # the generator does produce some partitionable designs
 
 
-def _brute_force_partition_exists(design, c: int) -> bool:
-    """Try every way to fill c unlabeled classes of b/c blocks."""
-    b = design.b
-    if b % c:
-        return False
-    size = b // c
-
-    def assign(remaining: frozenset, classes: list) -> bool:
-        if not remaining:
-            return verify_partition(design, BlockPartition(tuple(classes)))
-        pivot = min(remaining)
-        from itertools import combinations as combos
-
-        for rest in combos(sorted(remaining - {pivot}), size - 1):
-            cls = (pivot,) + rest
-            if assign(remaining - set(cls), classes + [cls]):
-                return True
-        return False
-
-    return assign(frozenset(range(b)), [])
-
-
 def test_find_partition_agrees_with_exhaustive_search():
     rng = random.Random(1234)
     outcomes = {True: 0, False: 0}
@@ -251,46 +234,49 @@ def test_find_partition_agrees_with_exhaustive_search():
                 continue
             result = find_partition(d, c, budget=100_000)
             assert result is not UNKNOWN
-            expected = _brute_force_partition_exists(d, c)
+            expected = oracle_partition_exists(d.blocks, d.v, c)
             assert (result is not None) == expected, (d, c)
             outcomes[expected] += 1
     assert outcomes[True] >= 10 and outcomes[False] >= 10
 
 
 # Least budget, in search nodes, at which find_partition decides, for every
-# catalog design of at most 64 blocks and class count c whose search does
-# not end at the divisibility checks; recorded from the recursive search
-# before it was made iterative.  Every other divisor c decides at budget 0,
-# except the UNDECIDED ones, which stay undecided past 200000 nodes.
+# primary catalog design of at most 64 blocks and class count c whose search
+# does not end at the divisibility checks; recorded from the recursive search
+# before it was made iterative.  Every other divisor c decides at budget 0.
 LEAST_DECIDING_BUDGET = {
     "all pairs of 4": {3: (12, True)},
     "all pairs of 5": {2: (23, True)},
-    "complement of all pairs of 5": {2: (61, True)},
     "2-(6,3,2) by brute force": {5: (20, False)},
     "affine plane of order 3": {2: (18, True), 4: (30, True)},
-    "complement of affine plane of order 3": {2: (18, True), 4: (30, True)},
     "halves of a Hadamard matrix of order 8": {7: (56, True)},
     "all pairs of 6": {5: (95, True)},
-    "complement of all pairs of 6": {5: (16449, True)},
     "2-(16,6,2) from a difference set in (Z2)^4": {2: (503, False)},
-    "complement of 2-(16,6,2) from a difference set in (Z2)^4": {2: (2211, False)},
     "all pairs of 7": {3: (48, True)},
     "halves of a Hadamard matrix of order 12": {11: (132, True)},
     "all pairs of 8": {7: (112, True)},
     "halves of a Hadamard matrix of order 16": {3: (60, True), 5: (90, True),
                                                 15: (240, True)},
     "Kirkman triple system": {7: (140, True)},
-    "complement of Kirkman triple system": {7: (140, True)},
     "all pairs of 9": {2: (162, True), 4: (286, True)},
     "all pairs of 10": {3: (126, True), 9: (1296, True)},
     "all pairs of 11": {5: (39025, True)},
 }
-UNDECIDED = {
-    "complement of all pairs of 7": {3},
-    "complement of all pairs of 8": {7},
-    "complement of all pairs of 9": {2, 4},
-    "complement of all pairs of 10": {3, 9},
-    "complement of all pairs of 11": {5},
+# Every catalog complement is dense, so its search runs on the complements of
+# its parts, which are its primary's parts: it decides at exactly its
+# primary's budget.  Searched on the parts themselves, the complements took
+# these budgets; a None stayed undecided past 200000 nodes.
+COMPLEMENT_BUDGET_ON_THE_PARTS = {
+    "complement of all pairs of 5": {2: 61},
+    "complement of affine plane of order 3": {2: 18, 4: 30},
+    "complement of all pairs of 6": {5: 16449},
+    "complement of 2-(16,6,2) from a difference set in (Z2)^4": {2: 2211},
+    "complement of Kirkman triple system": {7: 140},
+    "complement of all pairs of 7": {3: None},
+    "complement of all pairs of 8": {7: None},
+    "complement of all pairs of 9": {2: None, 4: None},
+    "complement of all pairs of 10": {3: None, 9: None},
+    "complement of all pairs of 11": {5: None},
 }
 
 
@@ -299,13 +285,16 @@ def test_find_partition_spends_the_recorded_budget():
 
     for entry in catalog_entries(max_blocks=64):
         d = as_multipart(entry.build())
-        searched = LEAST_DECIDING_BUDGET.get(entry.name, {})
+        primary = entry.name.removeprefix("complement of ")
+        searched = LEAST_DECIDING_BUDGET.get(primary, {})
+        before = COMPLEMENT_BUDGET_ON_THE_PARTS.get(entry.name, {})
+        assert primary == entry.name or before.keys() == searched.keys(), entry.name
         for c in range(2, d.b + 1):
             if d.b % c:
                 continue
-            if c in UNDECIDED.get(entry.name, ()):
-                continue
             budget, exists = searched.get(c, (0, False))
+            if c in before:
+                assert before[c] is None or budget <= before[c], (entry.name, c)
             if budget:
                 assert find_partition(d, c, budget=budget - 1) is UNKNOWN, (entry.name, c)
             result = find_partition(d, c, budget=budget)
