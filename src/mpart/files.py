@@ -87,32 +87,37 @@ def parse_concise(text: str) -> MultipartDesign:
         raise ParseError("duplicate factor names", n, 1)
 
     part_re = re.compile(rf"({_NAME_RE.pattern})\{{\s*([0-9,\s]*)\}}")
+    size_of = dict(zip(names, sizes))
     blocks = []
     for n, line in meaningful[2:]:
         stripped = line.strip()
+        indent = line.find(stripped[0])
         if not stripped.startswith("block:"):
-            raise ParseError("expected 'block:' line", n, line.find(stripped[0]) + 1)
+            raise ParseError("expected 'block:' line", n, indent + 1)
         body = stripped[len("block:"):]
-        consumed = re.sub(part_re, " ", body)
-        if consumed.strip():
-            bad = consumed.strip().split()[0]
-            raise ParseError(f"unrecognized text {bad!r}", n, line.find(bad) + 1)
+        # 1-based column of the body's first character
+        start = indent + len("block:") + 1
+        if part_re.sub("", body).strip():
+            # blank each part in place, so that the stray text keeps its column
+            blanked = part_re.sub(lambda m: " " * len(m.group(0)), body)
+            bad = re.search(r"\S+", blanked)
+            raise ParseError(f"unrecognized text {bad.group(0)!r}", n, start + bad.start())
         parts: dict[str, tuple[int, ...]] = {}
         order: list[str] = []
         for m in part_re.finditer(body):
             name = m.group(1)
-            col = line.find(m.group(0)) + 1
-            if name not in names:
+            col = start + m.start()
+            if name not in size_of:
                 raise UnknownFactorError(f"unknown factor {name!r}", n, col)
             if name in parts:
                 raise ParseError(f"factor {name!r} repeated in block", n, col)
             items = [tok for tok in m.group(2).replace(",", " ").split()]
             if not items:
                 raise ParseError(f"empty part for factor {name!r}", n, col)
+            size = size_of[name]
             levels = []
             for tok in items:
                 x = int(tok)
-                size = sizes[names.index(name)]
                 if not 1 <= x <= size:
                     raise ParseError(f"level {x} out of range 1..{size}", n, col)
                 levels.append(x - 1)

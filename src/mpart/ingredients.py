@@ -294,12 +294,17 @@ def get_bibd(v: int, k: int, lam: int) -> BlockDesign:
 # resolvability
 
 
-def resolvable_classes(design: BlockDesign) -> BlockPartition | None:
-    """Partition the blocks into parallel classes, or None.
+def resolvable_classes(design: BlockDesign, budget: int = 10_000_000):
+    """Partition the blocks into parallel classes, None, or UNKNOWN.
 
     Each class covers every point exactly once.  Exact backtracking,
     returning the lexicographically least resolution; None means no
-    resolution exists (or the sizes make one impossible).
+    resolution exists (or the sizes make one impossible).  Each class
+    is filled in increasing block order, every block through the least
+    uncovered point being tried in turn, and every block tried counts
+    as one node against ``budget``; UNKNOWN means the budget ran out
+    first.  The search keeps its own stack, so a design of any size
+    cannot overflow Python's.
     """
     sizes = {len(b) for b in design.blocks}
     if len(sizes) != 1:
@@ -309,7 +314,6 @@ def resolvable_classes(design: BlockDesign) -> BlockPartition | None:
     if v % k or (design.b * k) % v:
         return None
     per_class = v // k
-    n_classes = design.b * k // v
 
     by_point: list[list[int]] = [[] for _ in range(v)]
     for t, block in enumerate(design.blocks):
@@ -317,34 +321,47 @@ def resolvable_classes(design: BlockDesign) -> BlockPartition | None:
             by_point[x].append(t)
 
     used = [False] * design.b
-    classes: list[tuple[int, ...]] = []
-
-    def build(current: list[int], covered: set[int]) -> bool:
-        if len(current) == per_class:
-            classes.append(tuple(current))
-            if len(classes) == n_classes:
-                return True
-            if build([], set()):
-                return True
-            classes.pop()
-            return False
-        pivot = min(set(range(v)) - covered)
-        for t in by_point[pivot]:
-            if used[t] or not covered.isdisjoint(design.blocks[t]):
-                continue
-            if current and t < current[-1]:
-                continue
-            used[t] = True
-            current.append(t)
-            if build(current, covered | set(design.blocks[t])):
-                return True
-            current.pop()
+    covered = [False] * v
+    chosen: list[int] = []
+    # The blocks through the pivot point at each depth, and the next one to try.
+    options = [by_point[0]]
+    tried = [0]
+    nodes = 0
+    while len(chosen) < design.b:
+        blocks, i = options[-1], tried[-1]
+        last = chosen[-1] if len(chosen) % per_class else -1
+        while i < len(blocks):
+            t = blocks[i]
+            i += 1
+            nodes += 1
+            if nodes > budget:
+                return UNKNOWN
+            if not used[t] and t > last and not any(covered[x] for x in design.blocks[t]):
+                break
+        else:
+            options.pop()
+            tried.pop()
+            if not chosen:
+                return None
+            t = chosen.pop()
             used[t] = False
-        return False
-
-    if build([], set()):
-        return BlockPartition(tuple(classes))
-    return None
+            if len(chosen) % per_class == per_class - 1:
+                # t completed a class: the class before it covered every point
+                covered = [True] * v
+            for x in design.blocks[t]:
+                covered[x] = False
+            continue
+        tried[-1] = i
+        used[t] = True
+        chosen.append(t)
+        for x in design.blocks[t]:
+            covered[x] = True
+        if len(chosen) % per_class == 0:
+            covered = [False] * v
+        options.append(by_point[covered.index(False)])
+        tried.append(0)
+    return BlockPartition(tuple(tuple(chosen[start:start + per_class])
+                                for start in range(0, design.b, per_class)))
 
 
 # --------------------------------------------------------------------------

@@ -13,7 +13,8 @@ Two designs are isomorphic iff their certificates are equal.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations, permutations
+from itertools import permutations
+from operator import add, itemgetter, sub
 
 import numpy as np
 
@@ -36,17 +37,15 @@ def _fingerprint(design: MultipartDesign) -> tuple:
     block-meet profiles, which already separates many non-isomorphic
     designs without any search.
     """
-    m = design.m
     size_profiles = tuple(sorted(tuple(len(p) for p in block) for block in design.blocks))
-    masks = [tuple(sum(1 << x for x in block[i]) for i in range(m))
-             for block in design.blocks]
-    meets = sorted(
-        tuple((a[i] & b[i]).bit_count() for i in range(m))
-        for a, b in combinations(masks, 2)
-    )
+    # The meets of blocks s < t, one column per factor: entry (s, t) of Z_i^T Z_i.
+    upper = np.triu_indices(design.b, 1)
+    Z = design.incidence
+    meets = np.column_stack([(Z[span].T @ Z[span])[upper] for span in design.spans])
+    meets = meets[np.lexsort(meets.T[::-1])]
     replication = np.diagonal(design.gram).tolist()
     reps = tuple(tuple(sorted(replication[span])) for span in design.spans)
-    return (design.v, size_profiles, reps, tuple(meets))
+    return (design.v, size_profiles, reps, tuple(map(tuple, meets.tolist())))
 
 
 @dataclass(frozen=True)
@@ -87,49 +86,84 @@ class _Canonicalizer:
         self.total = sum(design.v)
         self.b = design.b
         self.factor_of = [i for i in range(self.m) for _ in range(design.v[i])]
-        self.parts = [
-            tuple(tuple(offsets[i] + x for x in block[i]) for i in range(self.m))
+        # Refinement reads the colors of each block's points and of each
+        # point's blocks through one getter per block and per point.
+        size_profiles = [tuple(len(part) for part in block) for block in design.blocks]
+        size_rank = {size: i for i, size in enumerate(sorted(set(size_profiles)))}
+        self.block_size = [size_rank[size] for size in size_profiles]
+        self.block_getters = [_getter(points) for points in design.zipped_blocks]
+        self.point_getters = [_getter(np.flatnonzero(row).tolist())
+                              for row in design.incidence]
+        self.pair = design.gram.tolist()
+        # The pair profile key of color c and pair count w is c * base + w.
+        self.base = int(design.gram.max()) + 1
+        self.part_getters = [
+            tuple(_getter([offsets[i] + x for x in part]) for i, part in enumerate(block))
             for block in design.blocks
         ]
-        self.block_points = design.zipped_blocks
-        self.size_profiles = [tuple(len(part) for part in parts)
-                              for parts in self.parts]
-        self.point_blocks = [tuple(np.flatnonzero(row).tolist())
-                             for row in design.incidence]
-        self.pair = [tuple(row) for row in design.gram.tolist()]
+        self.offset_of = [offsets[i] for i in self.factor_of]
         self.first: _Leaf | None = None
         self.best: _Leaf | None = None
         self.autos: list[tuple[int, ...]] = []
 
     def _refine(self, colors: tuple[int, ...]) -> tuple[int, ...]:
-        n_colors = len(set(colors))
+        """Split the cells of ``colors`` until no cell splits.
+
+        The colors are the dense ranks 0, 1, ... of the cells.  A round
+        ranks every point by (color, pair profile, block colors), where the
+        pair profile is the sorted (color, pair count) over all points and
+        the block colors are the sorted colors of the point's blocks; a
+        block's color ranks (size profile, sorted colors of its points).
+        Since the old color leads that key, each cell keeps its place and
+        splits by the rest of the key, in order: a singleton keeps its
+        rank unsigned, and a round signs only the points of tied cells.
+        """
+        cells: list[list[int]] = [[] for _ in range(max(colors) + 1)]
+        for p, color in enumerate(colors):
+            cells[color].append(p)
+        pair, base = self.pair, self.base
         while True:
-            block_sigs = [
-                (self.size_profiles[t], tuple(sorted(colors[p] for p in self.block_points[t])))
-                for t in range(self.b)
-            ]
-            block_rank = {sig: i for i, sig in enumerate(sorted(set(block_sigs)))}
-            block_colors = [block_rank[sig] for sig in block_sigs]
-            sigs = []
-            for p in range(self.total):
-                sigs.append((
-                    colors[p],
-                    tuple(sorted(zip(colors, self.pair[p]))),
-                    tuple(sorted(block_colors[t] for t in self.point_blocks[p])),
-                ))
-            rank = {sig: i for i, sig in enumerate(sorted(set(sigs)))}
-            colors = tuple(rank[sig] for sig in sigs)
-            if len(rank) == n_colors:
+            if len(cells) == self.total:
                 return colors
-            n_colors = len(rank)
+            block_sigs = [(size, sorted(getter(colors)))
+                          for size, getter in zip(self.block_size, self.block_getters)]
+            order = sorted(range(self.b), key=block_sigs.__getitem__)
+            block_colors = [0] * self.b
+            rank = 0
+            for previous, t in zip(order, order[1:]):
+                if block_sigs[t] != block_sigs[previous]:
+                    rank += 1
+                block_colors[t] = rank
+            keys = [color * base for color in colors]
+            split = []
+            for cell in cells:
+                if len(cell) == 1:
+                    split.append(cell)
+                    continue
+                sigs = {p: (sorted(map(add, keys, pair[p])),
+                            sorted(self.point_getters[p](block_colors)))
+                        for p in cell}
+                cell.sort(key=sigs.__getitem__)
+                piece = [cell[0]]
+                for previous, p in zip(cell, cell[1:]):
+                    if sigs[p] != sigs[previous]:
+                        split.append(piece)
+                        piece = []
+                    piece.append(p)
+                split.append(piece)
+            if len(split) == len(cells):
+                return colors
+            cells = split
+            refined = [0] * self.total
+            for color, cell in enumerate(cells):
+                for p in cell:
+                    refined[p] = color
+            colors = tuple(refined)
 
     def _candidate(self, position: tuple[int, ...]) -> list:
-        offsets = self.design.offsets
-        return sorted(
-            tuple(tuple(sorted(position[p] - offsets[i] for p in part))
-                  for i, part in enumerate(parts))
-            for parts in self.parts
-        )
+        level = list(map(sub, position, self.offset_of))
+        return sorted(tuple(tuple(sorted(getter(level))) for getter in getters)
+                      for getters in self.part_getters)
 
     def _leaf(self, colors: tuple[int, ...], path: tuple[int, ...]) -> int | None:
         """Record a leaf; return the depth to jump back to, if any.
@@ -215,6 +249,13 @@ class _Canonicalizer:
         self._search(tuple(self.factor_of), ())
         assert self.best is not None
         return self.best.candidate
+
+
+def _getter(indices: list[int]) -> itemgetter:
+    """``itemgetter(*indices)``, but returning a sequence for one index or none."""
+    if len(indices) > 1:
+        return itemgetter(*indices)
+    return itemgetter(slice(indices[0], indices[0] + 1) if indices else slice(0))
 
 
 def _close(orbit: set[int], start: list[int], generators: list[tuple[int, ...]]):

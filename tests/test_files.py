@@ -64,6 +64,23 @@ def test_parse_level_out_of_range():
         parse_concise("mpart v1\nfactors: C=3 D=3\nblock: C{1,4} D{1,2}\n")
 
 
+@pytest.mark.parametrize("line, col", [
+    # the repeated part, not the first part with the same text
+    ("block: C{1} C{1} D{1}", 13),
+    ("block: D{1} C{1} D{1}", 18),
+    ("  block: C{1} C{1} D{1}", 15),
+    ("block: C{1} D{1} X{1}", 18),
+    # the stray token, not an equal digit inside an earlier part
+    ("block: C{1} 1 D{1}", 13),
+    ("\tblock: C{1} D{1} }", 19),
+])
+def test_parse_error_columns(line, col):
+    with pytest.raises(ParseError) as err:
+        parse_concise(f"mpart v1\nfactors: C=3 D=3\n{line}\n")
+    assert (err.value.line, err.value.col) == (3, col)
+    assert line[col - 1] in "CDX1}"
+
+
 def test_parse_bad_header():
     with pytest.raises(ParseError):
         parse_concise("mpart v2\nfactors: C=3\nblock: C{1,2}\n")

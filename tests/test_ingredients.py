@@ -1,3 +1,4 @@
+import random
 from itertools import combinations
 
 import numpy as np
@@ -118,6 +119,95 @@ def test_unique_6_3_2_not_resolvable():
     assert all(set(a) & set(b)
                for a, b in combinations(d.blocks, 2))
     assert resolvable_classes(d) is None
+
+
+def _reference_resolvable_classes(design: BlockDesign):
+    """The recursive, unbudgeted search that resolvable_classes replaced."""
+    sizes = {len(b) for b in design.blocks}
+    if len(sizes) != 1:
+        return None
+    k = sizes.pop()
+    v = design.v
+    if v % k or (design.b * k) % v:
+        return None
+    per_class = v // k
+    n_classes = design.b * k // v
+
+    by_point: list[list[int]] = [[] for _ in range(v)]
+    for t, block in enumerate(design.blocks):
+        for x in block:
+            by_point[x].append(t)
+
+    used = [False] * design.b
+    classes: list[tuple[int, ...]] = []
+
+    def build(current: list[int], covered: set[int]) -> bool:
+        if len(current) == per_class:
+            classes.append(tuple(current))
+            if len(classes) == n_classes:
+                return True
+            if build([], set()):
+                return True
+            classes.pop()
+            return False
+        pivot = min(set(range(v)) - covered)
+        for t in by_point[pivot]:
+            if used[t] or not covered.isdisjoint(design.blocks[t]):
+                continue
+            if current and t < current[-1]:
+                continue
+            used[t] = True
+            current.append(t)
+            if build(current, covered | set(design.blocks[t])):
+                return True
+            current.pop()
+            used[t] = False
+        return False
+
+    if build([], set()):
+        return tuple(classes)
+    return None
+
+
+def _random_block_design(rng: random.Random) -> BlockDesign:
+    """Random parallel classes, a few blocks replaced by copies of others, shuffled."""
+    k = rng.randint(1, 3)
+    v = k * rng.randint(1, 4)
+    blocks = []
+    for _ in range(rng.randint(1, 4)):
+        points = rng.sample(range(v), v)
+        blocks += [tuple(sorted(points[s:s + k])) for s in range(0, v, k)]
+    for _ in range(rng.randint(0, 2)):
+        blocks[rng.randrange(len(blocks))] = rng.choice(blocks)
+    rng.shuffle(blocks)
+    return BlockDesign(v=v, blocks=tuple(blocks))
+
+
+def test_resolvable_classes_matches_the_reference():
+    designs = [entry.build() for entry in catalog_entries(max_blocks=80)]
+    rng = random.Random(0x1507)
+    designs += [_random_block_design(rng) for _ in range(300)]
+    resolved = 0
+    for design in designs:
+        expected = _reference_resolvable_classes(design)
+        got = resolvable_classes(design)
+        assert (got if got is None else got.classes) == expected, design
+        resolved += expected is not None
+    assert resolved >= 80 and len(designs) - resolved >= 100
+
+
+def test_resolvable_classes_runs_out_of_budget():
+    assert resolvable_classes(kirkman_15(), budget=100) is UNKNOWN
+    # undecided is not "no"
+    assert resolvable_classes(get_bibd(6, 3, 2), budget=5) is UNKNOWN
+    assert resolvable_classes(get_bibd(6, 3, 2), budget=100) is None
+
+
+def test_resolvable_classes_of_a_long_design_never_raises():
+    # 1200 blocks: the recursive search was over a thousand frames deep
+    design = BlockDesign(v=4, blocks=((0, 1), (2, 3)) * 600)
+    classes = resolvable_classes(design)
+    assert classes.classes == tuple((t, t + 1) for t in range(0, 1200, 2))
 
 
 def test_hadamard_matrix_builtin_order_12():

@@ -11,8 +11,10 @@ their point-block incidence graphs.
 
 import hashlib
 import random
+from collections import Counter
 from itertools import permutations
 
+import numpy as np
 import pytest
 
 from mpart.constructions import cartesian_product, hadamard_2part
@@ -81,6 +83,82 @@ class _NoPruning(_Canonicalizer):
         return None
 
 
+class _ReferenceRefinement(_Canonicalizer):
+    """Checks every refinement and every leaf candidate against a verbatim
+    copy of the versions that signed every point in every round."""
+
+    def __init__(self, design: MultipartDesign, budget: int):
+        super().__init__(design, budget)
+        offsets = design.offsets
+        self.parts = [
+            tuple(tuple(offsets[i] + x for x in block[i]) for i in range(self.m))
+            for block in design.blocks
+        ]
+        self.block_points = design.zipped_blocks
+        self.size_profiles = [tuple(len(part) for part in parts)
+                              for parts in self.parts]
+        self.point_blocks = [tuple(np.flatnonzero(row).tolist())
+                             for row in design.incidence]
+        self.refined = self.candidates = 0
+
+    def _refine(self, colors):
+        got = super()._refine(colors)
+        assert got == self._reference_refine(colors), colors
+        self.refined += 1
+        return got
+
+    def _candidate(self, position):
+        got = super()._candidate(position)
+        assert got == self._reference_candidate(position), position
+        self.candidates += 1
+        return got
+
+    def _reference_refine(self, colors: tuple[int, ...]) -> tuple[int, ...]:
+        n_colors = len(set(colors))
+        while True:
+            block_sigs = [
+                (self.size_profiles[t], tuple(sorted(colors[p] for p in self.block_points[t])))
+                for t in range(self.b)
+            ]
+            block_rank = {sig: i for i, sig in enumerate(sorted(set(block_sigs)))}
+            block_colors = [block_rank[sig] for sig in block_sigs]
+            sigs = []
+            for p in range(self.total):
+                sigs.append((
+                    colors[p],
+                    tuple(sorted(zip(colors, self.pair[p]))),
+                    tuple(sorted(block_colors[t] for t in self.point_blocks[p])),
+                ))
+            rank = {sig: i for i, sig in enumerate(sorted(set(sigs)))}
+            colors = tuple(rank[sig] for sig in sigs)
+            if len(rank) == n_colors:
+                return colors
+            n_colors = len(rank)
+
+    def _reference_candidate(self, position: tuple[int, ...]) -> list:
+        offsets = self.design.offsets
+        return sorted(
+            tuple(tuple(sorted(position[p] - offsets[i] for p in part))
+                  for i, part in enumerate(parts))
+            for parts in self.parts
+        )
+
+
+def _awkward_design(rng: random.Random) -> MultipartDesign:
+    """A random design with a single-level factor, a level in no block and a
+    repeated block; being sparse, most have levels in one block only."""
+    v = [1] + [rng.randint(2, 6) for _ in range(rng.randint(1, 2))]
+    rng.shuffle(v)
+    blocks = []
+    for _ in range(rng.randint(2, 9)):
+        # the last level of each factor of two or more levels is never used
+        used = [max(1, size - 1) for size in v]
+        blocks.append(tuple(tuple(sorted(rng.sample(range(n), rng.randint(1, n))))
+                            for n in used))
+    blocks.append(rng.choice(blocks))
+    return MultipartDesign(v=tuple(v), blocks=tuple(blocks))
+
+
 def _design(name: str) -> MultipartDesign:
     if name.startswith("had"):
         return hadamard_2part(hadamard_matrix(int(name[3:])), 1)
@@ -100,6 +178,39 @@ def test_orbit_pruning_never_changes_the_certificate():
         plain = _NoPruning(design, 10_000_000)
         assert pruned.run() == plain.run(), name
         assert pruned.nodes <= plain.nodes, name
+
+
+# Two designs whose cells a pair profile key c * base + w mis-orders when base
+# is one more than the largest pair count off the Gram diagonal, below the
+# replications on it.  A base equal to the largest entry is still exact: every
+# profile of a cell holds each color the same number of times, at the same
+# positions, and only (c, base) and (c + 1, 0) collide.
+BASE_WITNESSES = (
+    MultipartDesign(v=(2, 6), blocks=(
+        ((0, 1), (2,)), ((0,), (0, 3)), ((1,), (3,)), ((1,), (1, 5)), ((0, 1), (3,)),
+        ((0,), (3,)), ((0, 1), (2, 4)), ((0,), (0,)), ((0, 1), (3,)))),
+    MultipartDesign(v=(2, 6), blocks=(
+        ((1,), (1,)), ((0, 1), (3,)), ((1,), (3,)), ((1,), (1, 4)), ((0,), (4, 5)),
+        ((0, 1), (1, 3)), ((0, 1), (1, 5)), ((0, 1), (3,)), ((0,), (4,)))),
+)
+
+
+def test_refinement_matches_the_reference():
+    rng = random.Random(0x1506)
+    designs = [_design(name) for name in
+               DESIGN_FIXTURES + ("had12", "had16", "had20", "7,3,1x7,3,1")]
+    designs += BASE_WITNESSES
+    designs += [_awkward_design(rng) for _ in range(100)]
+    designs += [random_design(rng, max_m=3, max_v=5, max_b=9) for _ in range(100)]
+    seen = Counter()
+    for design in designs:
+        search = _ReferenceRefinement(design, 10_000_000)
+        search.run()
+        assert search.refined == search.nodes and search.candidates > 0
+        replication = np.diagonal(design.gram)
+        seen.update(unused=0 in replication, r1=1 in replication,
+                    single=1 in design.v, repeated=len(set(design.blocks)) < design.b)
+    assert min(seen[key] for key in ("unused", "r1", "single", "repeated")) >= 50
 
 
 # SHA-256 of canonical_form(design).certificate, recorded with the search
