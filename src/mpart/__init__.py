@@ -7,6 +7,7 @@ equally replicated.
 """
 
 from .errors import (
+    DEFAULT_BUDGET,
     UNKNOWN,
     BudgetExceededError,
     DesignError,

@@ -16,7 +16,7 @@ from fractions import Fraction
 from pathlib import Path
 
 from . import fixtures
-from .errors import UNKNOWN, BudgetExceededError, DesignError
+from .errors import DEFAULT_BUDGET, UNKNOWN, BudgetExceededError, DesignError
 from .files import (
     parse_blocks,
     parse_concise,
@@ -94,8 +94,15 @@ def _jsonable(value):
     return value
 
 
+def _ints(text: str) -> list[int]:
+    try:
+        return [int(x) for x in text.replace(",", " ").split()]
+    except ValueError:
+        raise _UsageError(f"expected integers, got {text!r}") from None
+
+
 def _triple(text: str) -> tuple[int, int, int]:
-    parts = [int(x) for x in text.replace(",", " ").split()]
+    parts = _ints(text)
     if len(parts) != 3:
         raise _UsageError(f"expected v,k,lambda, got {text!r}")
     return parts[0], parts[1], parts[2]
@@ -111,6 +118,13 @@ def _partition_for(design: MultipartDesign, c: int, budget: int,
     if partition is None:
         raise _Exit(EXIT_INVALID, f"{what} is not {c}-partitionable")
     return partition
+
+
+def _require(args, *flags):
+    """Raise a usage error when a flag the construction needs is unset."""
+    for flag in flags:
+        if getattr(args, flag[2:]) in (None, []):
+            raise _UsageError(f"{args.construction} needs {flag}")
 
 
 def _build(args) -> int:
@@ -136,8 +150,10 @@ def _build(args) -> int:
         design = cons.symmetric_block_split(
             ing.get_bibd(*_triple(args.ingredient[0])), args.gamma)
     elif name == "augment":
+        _require(args, "--design")
         design = cons.augment(_load_design(args.design[0]), args.factor)
     elif name == "part-swap":
+        _require(args, "--design")
         design = cons.part_swap(_load_design(args.design[0]), args.factor)
     elif name == "product":
         if len(args.design) != 2:
@@ -152,10 +168,12 @@ def _build(args) -> int:
         oa = ing.orthogonal_array([bd.b // c for bd in ingredients], args.strength)
         design = cons.oa_compose(ingredients, partitions, oa)
     elif name == "meet-filter":
+        _require(args, "--host", "--special")
         host = _load_blocks(args.host)
-        special = [int(x) - 1 for x in args.special.replace(",", " ").split()]
+        special = [x - 1 for x in _ints(args.special)]
         design = cons.meet_filter(host, special, args.t)
     elif name == "class-matched":
+        _require(args, "--design", "--classes", "--ingredient")
         theta = _load_design(args.design[0])
         partition = _partition_for(theta, args.classes, args.budget, "design")
         delta = ing.get_bibd(*_triple(args.ingredient[0]))
@@ -257,11 +275,17 @@ def _make_parser() -> _Parser:
     parser = _Parser(prog="mpart", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
-        p.add_argument("--format", choices=("text", "json"), default="text")
-        p.add_argument("--budget", type=int, default=10_000_000,
-                       help="search-tree node limit; exit 4 when it runs out")
-        p.add_argument("--seed", type=int, default=0)
+    shared = {
+        "--format": dict(choices=("text", "json"), default="text"),
+        "--budget": dict(type=int, default=DEFAULT_BUDGET,
+                         help="search-tree node limit; exit 4 when it runs out"),
+        "--seed": dict(type=int, default=0, help="seed of the --selfcheck relabelings"),
+    }
+
+    def common(p, *flags):
+        """Declare the shared flags a command reads, and no others."""
+        for flag in flags:
+            p.add_argument(flag, **shared[flag])
 
     p = sub.add_parser("build", help="run a construction and write the design")
     p.add_argument("construction", choices=(
@@ -281,19 +305,19 @@ def _make_parser() -> _Parser:
     p.add_argument("--classes", type=int, default=None)
     p.add_argument("--strength", type=int, default=2)
     p.add_argument("-o", "--output")
-    common(p)
+    common(p, "--format", "--budget")
     p.set_defaults(func=_build)
 
     p = sub.add_parser("verify", help="check the balance conditions")
     p.add_argument("file")
     p.add_argument("--allow-degenerate", action="store_true")
-    common(p)
+    common(p, "--format")
     p.set_defaults(func=_verify)
 
     p = sub.add_parser("params", help="admissibility of b v1..vm k1..km")
     p.add_argument("numbers", type=int, nargs="+")
     p.add_argument("--c", type=int, default=None)
-    common(p)
+    common(p, "--format")
     p.set_defaults(func=_params)
 
     p = sub.add_parser("canon", help="canonical form of a design")
@@ -301,31 +325,30 @@ def _make_parser() -> _Parser:
     p.add_argument("--selfcheck", type=int, default=0,
                    help="also verify the certificate on N random relabelings")
     p.add_argument("-o", "--output")
-    common(p)
+    common(p, "--format", "--budget", "--seed")
     p.set_defaults(func=_canon)
 
     p = sub.add_parser("iso", help="exit 0 if isomorphic, 3 if not")
     p.add_argument("file1")
     p.add_argument("file2")
-    common(p)
+    common(p, "--budget")
     p.set_defaults(func=lambda args: _iso(args, weak=False))
 
     p = sub.add_parser("weak-iso", help="isomorphism up to factor exchange")
     p.add_argument("file1")
     p.add_argument("file2")
-    common(p)
+    common(p, "--budget")
     p.set_defaults(func=lambda args: _iso(args, weak=True))
 
     p = sub.add_parser("partition", help="find c equally replicated block classes")
     p.add_argument("file")
     p.add_argument("--c", type=int, required=True)
-    common(p)
+    common(p, "--format", "--budget")
     p.set_defaults(func=_partition)
 
     p = sub.add_parser("render", help="concise, dual or full rendering")
     p.add_argument("file")
     p.add_argument("--mode", choices=("concise", "dual", "full"), default="concise")
-    common(p)
     p.set_defaults(func=_render)
 
     p = sub.add_parser("tables", help="least-b parameter rows per construction")
@@ -333,7 +356,7 @@ def _make_parser() -> _Parser:
     p.add_argument("--constructions", type=int, nargs="+", default=[1, 2, 3, 4])
     p.add_argument("--exclude", type=int, nargs="+", default=[])
     p.add_argument("--no-swap-convention", action="store_true")
-    common(p)
+    common(p, "--format", "--budget")
     p.set_defaults(func=_tables)
 
     return parser

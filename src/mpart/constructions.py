@@ -31,7 +31,7 @@ from .errors import (
     SizeMismatchError,
     SymbolCountMismatchError,
 )
-from .ingredients import OrthogonalArray, _normalize_pm_matrix, check_t_design
+from .ingredients import OrthogonalArray, _row_halves, check_t_design
 from .model import (
     BlockDesign,
     BlockPartition,
@@ -84,6 +84,20 @@ def _require_uniform_classes(bd: BlockDesign, partition: BlockPartition, role: s
     if not replicates_equally(bd.incidence, partition):
         raise ClassNotUniformError(
             f"{role}: classes do not replicate every point equally")
+
+
+def _split_by(v: int, blocks, inside) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
+    """Each block as (its points in ``inside``, its other points), with
+    each side renumbered 0, 1, ... in point order."""
+    inside = set(inside)
+    index, sizes = [0] * v, [0, 0]
+    for p in range(v):
+        side = p not in inside
+        index[p] = sizes[side]
+        sizes[side] += 1
+    return [(tuple(sorted(index[p] for p in block if p in inside)),
+             tuple(sorted(index[p] for p in block if p not in inside)))
+            for block in blocks]
 
 
 def arrange_by_classes(bd: BlockDesign, partition: BlockPartition) -> BlockDesign:
@@ -165,28 +179,13 @@ def hadamard_2part(H, second_row: int = 1) -> MultipartDesign:
         raise NotHadamardError(f"need order 4n with n >= 2, got {order}")
     if not np.array_equal(arr @ arr.T, order * np.eye(order, dtype=np.int64)):
         raise NotHadamardError("rows are not pairwise orthogonal")
-    arr = _normalize_pm_matrix(arr)
     if not 0 <= second_row < order or second_row == 0:
         raise NotNormalizableError(
             f"splitting row must differ from the all-ones row 0, got {second_row}")
-
-    split = arr[second_row]
-    c_cols = [j for j in range(order) if split[j] == 1]
-    d_cols = [j for j in range(order) if split[j] == -1]
-    c_index = {j: x for x, j in enumerate(c_cols)}
-    d_index = {j: x for x, j in enumerate(d_cols)}
-
-    blocks = []
-    for i in range(order):
-        if i == 0 or i == second_row:
-            continue
-        row = arr[i]
-        for sign in (1, -1):
-            cols = [j for j in range(order) if row[j] == sign]
-            blocks.append((
-                tuple(sorted(c_index[j] for j in cols if j in c_index)),
-                tuple(sorted(d_index[j] for j in cols if j in d_index)),
-            ))
+    rows = _row_halves(arr)
+    blocks = _split_by(order, [half for i, halves in enumerate(rows)
+                               if i not in (0, second_row) for half in halves],
+                       rows[second_row][0])
     half = order // 2
     return MultipartDesign(v=(half, half), blocks=tuple(blocks))
 
@@ -226,17 +225,8 @@ def symmetric_block_split(bd: BlockDesign, gamma: int) -> MultipartDesign:
         raise LambdaTooSmallError(
             f"pairwise balance {lam} < 2 leaves the second factor unbalanced")
 
-    others = sorted(set(range(bd.v)) - special)
-    c_index = {p: x for x, p in enumerate(others)}
-    d_index = {p: x for x, p in enumerate(sorted(special))}
-    blocks = []
-    for t, block in enumerate(bd.blocks):
-        if t == gamma:
-            continue
-        blocks.append((
-            tuple(sorted(c_index[p] for p in block if p not in special)),
-            tuple(sorted(d_index[p] for p in block if p in special)),
-        ))
+    blocks = [(outside, meet) for meet, outside in _split_by(
+        bd.v, [block for t, block in enumerate(bd.blocks) if t != gamma], special)]
     return MultipartDesign(v=(bd.v - k, k), blocks=tuple(blocks))
 
 
@@ -363,26 +353,14 @@ def meet_filter(host: BlockDesign, special: Sequence[int], t: int) -> MultipartD
     special_set = set(int(x) for x in special)
     if not special_set or not special_set <= set(range(host.v)):
         raise InvalidInputError("special set must be a non-empty subset of the points")
-    inside = sorted(special_set)
-    outside = sorted(set(range(host.v)) - special_set)
-    red = {p: x for x, p in enumerate(inside)}
-    green = {p: x for x, p in enumerate(outside)}
-
-    blocks = []
-    for block in host.blocks:
-        meet = [p for p in block if p in special_set]
-        rest = [p for p in block if p not in special_set]
-        if len(meet) != t or not meet or not rest:
-            continue
-        blocks.append((
-            tuple(sorted(red[p] for p in meet)),
-            tuple(sorted(green[p] for p in rest)),
-        ))
+    blocks = [(meet, rest) for meet, rest in _split_by(host.v, host.blocks, special_set)
+              if len(meet) == t and meet and rest]
     if not blocks:
         raise NoBlocksSelectedError(
             f"no host block meets the special set in exactly {t} points "
             f"with a non-empty remainder")
-    return MultipartDesign(v=(len(inside), len(outside)), blocks=tuple(blocks))
+    return MultipartDesign(v=(len(special_set), host.v - len(special_set)),
+                           blocks=tuple(blocks))
 
 
 # --------------------------------------------------------------------------

@@ -122,3 +122,6 @@ class _UnknownType:
 
 
 UNKNOWN = _UnknownType()
+
+# The node budget of every search whose caller sets none.
+DEFAULT_BUDGET = 10_000_000

@@ -17,6 +17,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import (
+    DEFAULT_BUDGET,
     UNKNOWN,
     InvalidInputError,
     NotConstructibleError,
@@ -163,14 +164,8 @@ def hadamard_halves(order: int) -> BlockDesign:
     into its +1 set and its -1 set; the 2(n-1) blocks come out in
     complementary pairs, so the parallel classes are consecutive pairs.
     """
-    H = hadamard_matrix(order).as_array()
-    H = _normalize_pm_matrix(H)
-    blocks = []
-    for i in range(1, order):
-        row = H[i]
-        blocks.append(tuple(int(j) for j in range(order) if row[j] == 1))
-        blocks.append(tuple(int(j) for j in range(order) if row[j] == -1))
-    return BlockDesign(v=order, blocks=tuple(blocks))
+    rows = _row_halves(hadamard_matrix(order).as_array())
+    return BlockDesign(v=order, blocks=tuple(half for halves in rows[1:] for half in halves))
 
 
 @dataclass(frozen=True)
@@ -184,6 +179,18 @@ class CatalogEntry:
     name: str
     build: Callable[[], BlockDesign]
     symmetric: bool = False
+
+    def complement(self) -> "CatalogEntry | None":
+        """The complementary design (k -> v - k, lam -> lam + b - 2r), or
+        None when its blocks would have fewer than two points or its pairs
+        would go uncovered."""
+        kc = self.v - self.k
+        lamc = self.lam + self.b - 2 * (self.b * self.k // self.v)
+        if kc < 2 or lamc < 1:
+            return None
+        return CatalogEntry(self.v, kc, lamc, self.b, f"complement of {self.name}",
+                            lambda: complement_design(self.build()),
+                            symmetric=self.symmetric)
 
 
 def _fixed_entries() -> tuple[CatalogEntry, ...]:
@@ -237,17 +244,11 @@ def catalog_entries(max_blocks: int = 64,
     if include_complements:
         known = {(e.v, e.k, e.lam) for e in entries}
         for e in list(entries):
-            kc = e.v - e.k
-            if kc < 2:
+            comp = e.complement()
+            if comp is None or (comp.v, comp.k, comp.lam) in known:
                 continue
-            r = e.b * e.k // e.v
-            lamc = e.lam + e.b - 2 * r
-            if lamc < 1 or (e.v, kc, lamc) in known:
-                continue
-            known.add((e.v, kc, lamc))
-            entries.append(CatalogEntry(e.v, kc, lamc, e.b, f"complement of {e.name}",
-                                        lambda e=e: complement_design(e.build()),
-                                        symmetric=e.symmetric))
+            known.add((comp.v, comp.k, comp.lam))
+            entries.append(comp)
     return tuple(sorted(entries, key=lambda e: (e.b, e.v, e.k, e.lam)))
 
 
@@ -294,7 +295,7 @@ def get_bibd(v: int, k: int, lam: int) -> BlockDesign:
 # resolvability
 
 
-def resolvable_classes(design: BlockDesign, budget: int = 10_000_000):
+def resolvable_classes(design: BlockDesign, budget: int = DEFAULT_BUDGET):
     """Partition the blocks into parallel classes, None, or UNKNOWN.
 
     Each class covers every point exactly once.  Exact backtracking,
@@ -397,6 +398,13 @@ def _normalize_pm_matrix(H: np.ndarray) -> np.ndarray:
     H[:, H[0] == -1] *= -1
     H[H[:, 0] == -1] *= -1
     return H
+
+
+def _row_halves(H: np.ndarray) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
+    """The +1 columns and then the -1 columns of each row of H normalized."""
+    return [(tuple(int(j) for j in np.flatnonzero(row == 1)),
+             tuple(int(j) for j in np.flatnonzero(row == -1)))
+            for row in _normalize_pm_matrix(H)]
 
 
 def _is_prime(n: int) -> bool:
@@ -558,12 +566,13 @@ def orthogonal_array(symbols: Sequence[int], strength: int) -> OrthogonalArray:
 
 
 def brute_force_bibd(v: int, k: int, lam: int, b: int,
-                     budget: int = 10_000_000):
+                     budget: int = DEFAULT_BUDGET):
     """First 2-(v,k,lam) in b blocks in lex order, None, or UNKNOWN.
 
     Backtracking over non-decreasing block sequences (repeats allowed)
     with pair-count and replication pruning.  UNKNOWN means the node
-    budget ran out before the search was decided.
+    budget ran out before the search was decided.  The search keeps its
+    own stack, so any number of blocks cannot overflow Python's.
     """
     if v < 2 or not 2 <= k < v or lam < 1 or b < 1:
         raise InvalidInputError(f"inadmissible parameters ({v},{k},{lam};{b})")
@@ -574,8 +583,6 @@ def brute_force_bibd(v: int, k: int, lam: int, b: int,
     candidates = list(combinations(range(v), k))
     pair = Counter()
     rep = [0] * v
-    chosen: list[tuple[int, ...]] = []
-    nodes = 0
 
     def fits(block) -> bool:
         if any(rep[x] >= r for x in block):
@@ -588,29 +595,26 @@ def brute_force_bibd(v: int, k: int, lam: int, b: int,
         for x in block:
             rep[x] += sign
 
-    def extend(start: int):
-        nonlocal nodes
-        if len(chosen) == b:
-            return list(chosen)
-        for i in range(start, len(candidates)):
+    # The candidate index of each chosen block; the next depth starts at
+    # the last one, since a block may repeat.
+    chosen: list[int] = []
+    i = 0
+    nodes = 0
+    while len(chosen) < b:
+        while i < len(candidates):
             nodes += 1
             if nodes > budget:
                 return UNKNOWN
-            block = candidates[i]
-            if not fits(block):
-                continue
-            place(block, +1)
-            chosen.append(block)
-            got = extend(i)
-            if got is UNKNOWN or got is not None:
-                return got
-            chosen.pop()
-            place(block, -1)
-        return None
-
-    result = extend(0)
-    if result is UNKNOWN:
-        return UNKNOWN
-    if result is None:
-        return None
-    return BlockDesign(v=v, blocks=tuple(result))
+            if fits(candidates[i]):
+                break
+            i += 1
+        else:
+            if not chosen:
+                return None
+            i = chosen.pop()
+            place(candidates[i], -1)
+            i += 1
+            continue
+        place(candidates[i], +1)
+        chosen.append(i)
+    return BlockDesign(v=v, blocks=tuple(candidates[i] for i in chosen))

@@ -18,7 +18,7 @@ from operator import add, itemgetter, sub
 
 import numpy as np
 
-from .errors import BudgetExceededError
+from .errors import DEFAULT_BUDGET, BudgetExceededError
 from .model import MultipartDesign, permute_factors
 
 
@@ -270,7 +270,7 @@ def _close(orbit: set[int], start: list[int], generators: list[tuple[int, ...]])
                 stack.append(r)
 
 
-def canonical_form(design: MultipartDesign, budget: int = 10_000_000,
+def canonical_form(design: MultipartDesign, budget: int = DEFAULT_BUDGET,
                    fingerprint: tuple | None = None) -> CanonicalForm:
     """Deterministic canonical representative of a design.
 
@@ -289,7 +289,7 @@ def canonical_form(design: MultipartDesign, budget: int = 10_000_000,
 
 
 def are_isomorphic(d1: MultipartDesign, d2: MultipartDesign,
-                   budget: int = 10_000_000) -> bool:
+                   budget: int = DEFAULT_BUDGET) -> bool:
     """Certificate equality: same per-factor relabeling class.
 
     Shape mismatches and fingerprint mismatches decide quickly; only
@@ -307,7 +307,7 @@ def are_isomorphic(d1: MultipartDesign, d2: MultipartDesign,
 
 
 def are_weakly_isomorphic(d1: MultipartDesign, d2: MultipartDesign,
-                          budget: int = 10_000_000) -> bool:
+                          budget: int = DEFAULT_BUDGET) -> bool:
     """Isomorphism up to exchanging the roles of compatible factors.
 
     ``d1``'s fingerprint and certificate are computed at most once, on

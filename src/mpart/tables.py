@@ -18,6 +18,7 @@ from .constructions import (
     symmetric_block_split,
 )
 from .errors import (
+    DEFAULT_BUDGET,
     UNKNOWN,
     BudgetExceededError,
     DesignError,
@@ -25,14 +26,11 @@ from .errors import (
     NotConstructibleError,
 )
 from .ingredients import CatalogEntry, catalog_entries, hadamard_matrix
-from .model import (
-    BlockDesign,
-    BlockPartition,
-    MultipartDesign,
-    as_multipart,
-    complement_design,
-)
+from .model import BlockDesign, BlockPartition, MultipartDesign, as_multipart
 from .verify import check_admissible, check_multipart, find_partition
+
+# Catalog designs of at most this many blocks are the tables' ingredients.
+INGREDIENT_BLOCKS = 64
 
 
 @dataclass(frozen=True)
@@ -84,11 +82,11 @@ def _verified_signature(design: MultipartDesign):
 
 
 class _Enumerator:
-    def __init__(self, max_b: int, ingredient_blocks: int, partition_budget: int):
+    def __init__(self, max_b: int, partition_budget: int):
         self.max_b = max_b
         self.partition_budget = partition_budget
-        self.entries = catalog_entries(max_blocks=ingredient_blocks)
-        self.primaries = catalog_entries(max_blocks=ingredient_blocks,
+        self.entries = catalog_entries(max_blocks=INGREDIENT_BLOCKS)
+        self.primaries = catalog_entries(max_blocks=INGREDIENT_BLOCKS,
                                          include_complements=False)
         self._designs: dict[str, BlockDesign] = {}
         self._partitions: dict[tuple[str, int], BlockPartition | None] = {}
@@ -170,29 +168,23 @@ class _Enumerator:
         for entry in self.primaries:
             if not entry.symmetric or entry.b - 1 > self.max_b:
                 continue
-            used = (entry.v, entry.k, entry.lam)
-            design = self.design_of(entry)
             if entry.lam < 2:
-                kc = entry.v - entry.k
-                lamc = entry.lam + entry.b - 2 * (entry.b * entry.k // entry.v)
-                if kc < 2 or lamc < 2:
+                entry = entry.complement()
+                if entry is None or entry.lam < 2:
                     continue
-                design = complement_design(design)
-                used = (entry.v, kc, lamc)
             try:
-                split = symmetric_block_split(design, 0)
+                split = symmetric_block_split(self.design_of(entry), 0)
             except DesignError:
                 continue
             sig = _verified_signature(split)
             if sig is None:
                 continue
-            yield _Candidate(b=split.b, v=sig[0], k=sig[1], tag=4, sym=used)
+            yield _Candidate(b=split.b, v=sig[0], k=sig[1], tag=4,
+                             sym=(entry.v, entry.k, entry.lam))
 
 
-def _collect(max_b: int, constructions: frozenset[int],
-             swap_convention: bool, ingredient_blocks: int,
-             partition_budget: int) -> dict[tuple, list[_Candidate]]:
-    enum = _Enumerator(max_b, ingredient_blocks, partition_budget)
+def _collect(enum: _Enumerator, constructions: frozenset[int],
+             swap_convention: bool) -> dict[tuple, list[_Candidate]]:
     generators = {1: enum.cartesian, 2: enum.subcartesian,
                   3: enum.hadamard, 4: enum.symmetric}
     unknown = constructions - set(generators)
@@ -217,8 +209,7 @@ def enumerate_reachable(max_b: int,
                         constructions: Iterable[int] = (1, 2, 3, 4),
                         exclude: Iterable[int] = (),
                         swap_convention: bool = True,
-                        ingredient_blocks: int = 64,
-                        partition_budget: int = 200_000) -> tuple[ParameterRow, ...]:
+                        partition_budget: int = DEFAULT_BUDGET) -> tuple[ParameterRow, ...]:
     """Least-b parameter rows reachable by the chosen constructions.
 
     ``exclude`` drops any signature the excluded construction reaches at
@@ -232,10 +223,10 @@ def enumerate_reachable(max_b: int,
     exclude = frozenset(exclude)
     if constructions & exclude:
         raise InvalidInputError("a construction cannot be both included and excluded")
-    best = _collect(max_b, constructions, swap_convention,
-                    ingredient_blocks, partition_budget)
+    enum = _Enumerator(max_b, partition_budget)
+    best = _collect(enum, constructions, swap_convention)
     if exclude:
-        shadow = _collect(max_b, exclude, False, ingredient_blocks, partition_budget)
+        shadow = _collect(enum, exclude, False)
         best = {key: cands for key, cands in best.items()
                 if key not in shadow or shadow[key][0].b > cands[0].b}
 

@@ -14,7 +14,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import UNKNOWN, InvalidInputError
+from .errors import DEFAULT_BUDGET, UNKNOWN, InvalidInputError
 from .model import (
     BlockPartition,
     MultipartDesign,
@@ -272,7 +272,7 @@ def verify_partition(design: MultipartDesign, partition: BlockPartition) -> bool
 
 
 def find_partition(design: MultipartDesign, c: int,
-                   budget: int = 10_000_000):
+                   budget: int = DEFAULT_BUDGET):
     """A c-class partition witness, None (none exists), or UNKNOWN.
 
     Exact backtracking over class assignments in block-index order with

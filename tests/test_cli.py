@@ -229,6 +229,29 @@ def test_usage_errors_exit_1(capsys):
     assert cli_main(["nonsense"]) == 1
 
 
+@pytest.mark.parametrize("argv", [
+    ["build", "class-matched", "--design", "fixture:fig1", "--ingredient", "5,2,1"],
+    ["build", "augment", "--factor", "0"],
+    ["build", "part-swap"],
+    ["build", "meet-filter", "--special", "1 2 3 9 12 21"],
+    ["build", "meet-filter", "--host", "fixture:design_3_22_6_1"],
+    ["build", "meet-filter", "--host", "fixture:design_3_22_6_1", "--special", "1,x"],
+    ["build", "cartesian", "--ingredient", "7,x,1"],
+])
+def test_build_input_errors_are_usage_errors(argv, capsys):
+    assert cli_main(argv) == 1
+    assert capsys.readouterr().err.startswith("usage error: ")
+
+
+def test_only_the_flags_a_command_reads_are_accepted(capsys):
+    for argv in (["render", "fixture:fig1", "--format", "json"],
+                 ["verify", "fixture:fig1", "--budget", "5"],
+                 ["iso", "fixture:fig1", "fixture:fig1", "--seed", "3"],
+                 ["partition", "fixture:fig1", "--c", "2", "--seed", "3"]):
+        assert cli_main(argv) == 1, argv
+        assert "unrecognized arguments" in capsys.readouterr().err
+
+
 def test_partition_of_a_2401_block_design_never_raises(tmp_path, capsys):
     from mpart.constructions import cartesian_product
     from mpart.files import serialize_concise

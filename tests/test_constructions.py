@@ -1,3 +1,4 @@
+import hashlib
 import random
 
 import pytest
@@ -26,6 +27,7 @@ from mpart.errors import (
     InvalidInputError,
     LambdaTooSmallError,
     NoBlocksSelectedError,
+    NotConstructibleError,
     NotHadamardError,
     NotNormalizableError,
     NotSymmetricDesignError,
@@ -38,6 +40,7 @@ from mpart.fixtures import (
     steiner_4_23_7,
 )
 from mpart.ingredients import (
+    catalog_entries,
     full_factorial_oa,
     get_bibd,
     hadamard_matrix,
@@ -426,3 +429,62 @@ def test_class_matching_validation():
     assert m[2] == 2
     with pytest.raises(InvalidInputError):
         ClassMatching((0, 0, 1))
+
+
+# ---------------------------------------------------------------- pinned split outputs
+
+# SHA-256 over every block split below and over three catalog listings,
+# recorded before the Hadamard, symmetric and meet-filter splits were
+# folded into one helper: the blocks and their order must not move.
+SPLIT_DIGEST = "e841627778cc7a5ddf93b2cb2d47e2623e190ec0f2507b2e3510d3a8acbdf0ee"
+CATALOG_DIGEST = "bd6a392d6266e1ac2f083502f9414bf2b269d07b128750702f2b827daba9001c"
+
+
+def _split_outputs():
+    """Every second row of the Hadamard matrices of order 8-32, every
+    gamma of the catalog's symmetric designs with lambda >= 2 (the
+    all-(v-1)-subsets family aside), and the meet filter on 20 blocks of
+    the 3-(22,6,1) system at t = 1, 2, 3 (an empty selection is kept as
+    its error name)."""
+    for order in range(8, 33, 4):
+        try:
+            H = hadamard_matrix(order)
+        except NotConstructibleError:
+            continue
+        for row in range(1, order):
+            yield ("hadamard", order, row), hadamard_2part(H, row)
+    for entry in catalog_entries(64):
+        if entry.symmetric and entry.lam >= 2 and entry.k != entry.v - 1:
+            design = entry.build()
+            for gamma in range(design.b):
+                yield ("symmetric", entry.name, gamma), symmetric_block_split(design, gamma)
+    host = steiner_3_22_6()
+    for special in host.blocks[:20]:
+        for t in (1, 2, 3):
+            try:
+                yield ("meet", special, t), meet_filter(host, special, t)
+            except NoBlocksSelectedError as exc:
+                yield ("meet", special, t), type(exc).__name__
+
+
+def _digest(items) -> tuple[int, str]:
+    h = hashlib.sha256()
+    count = 0
+    for label, out in items:
+        body = out if isinstance(out, str) else (out.v, out.blocks)
+        h.update(repr((label, body)).encode() + b"\n")
+        count += 1
+    return count, h.hexdigest()
+
+
+def test_split_outputs_match_the_recorded_digest():
+    assert _digest(_split_outputs()) == (404, SPLIT_DIGEST)
+
+
+def test_catalog_listings_match_the_recorded_digest():
+    def listing():
+        for max_blocks in (64, 80, 256):
+            for e in catalog_entries(max_blocks):
+                yield (max_blocks, e.name, e.v, e.k, e.lam, e.b, e.symmetric), e.build()
+
+    assert _digest(listing()) == (539, CATALOG_DIGEST)

@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 from itertools import combinations
 
 import numpy as np
@@ -293,3 +294,83 @@ def test_brute_force_bibd_budget_unknown():
 def test_brute_force_bibd_inadmissible():
     with pytest.raises(InvalidInputError):
         brute_force_bibd(7, 3, 1, 8)
+
+
+def _recursive_brute_force_bibd(v, k, lam, b, budget=10_000_000):
+    """The search as it was when it recursed once per block, kept verbatim
+    as the reference for the stack-based one."""
+    r = b * k // v
+
+    candidates = list(combinations(range(v), k))
+    pair = Counter()
+    rep = [0] * v
+    chosen: list[tuple[int, ...]] = []
+    nodes = 0
+
+    def fits(block) -> bool:
+        if any(rep[x] >= r for x in block):
+            return False
+        return all(pair[p] < lam for p in combinations(block, 2))
+
+    def place(block, sign):
+        for p in combinations(block, 2):
+            pair[p] += sign
+        for x in block:
+            rep[x] += sign
+
+    def extend(start: int):
+        nonlocal nodes
+        if len(chosen) == b:
+            return list(chosen)
+        for i in range(start, len(candidates)):
+            nodes += 1
+            if nodes > budget:
+                return UNKNOWN
+            block = candidates[i]
+            if not fits(block):
+                continue
+            place(block, +1)
+            chosen.append(block)
+            got = extend(i)
+            if got is UNKNOWN or got is not None:
+                return got
+            chosen.pop()
+            place(block, -1)
+        return None
+
+    result = extend(0)
+    if result is UNKNOWN:
+        return UNKNOWN
+    if result is None:
+        return None
+    return BlockDesign(v=v, blocks=tuple(result))
+
+
+BRUTE_FORCE_PARAMS = [(4, 2, 1, 6), (4, 3, 2, 4), (5, 2, 1, 10), (6, 3, 2, 10),
+                      (7, 3, 1, 7), (7, 4, 2, 7), (5, 3, 3, 10), (3, 2, 3, 9)]
+
+
+@pytest.mark.parametrize("params", BRUTE_FORCE_PARAMS)
+def test_brute_force_bibd_matches_the_recursive_search(params):
+    assert brute_force_bibd(*params) == _recursive_brute_force_bibd(*params)
+    # The least budget that decides the reference decides the stack-based
+    # search too, and one node less leaves both undecided.
+    low, high = 0, 1
+    while _recursive_brute_force_bibd(*params, budget=high) is UNKNOWN:
+        low, high = high, 2 * high
+    while high - low > 1:
+        mid = (low + high) // 2
+        if _recursive_brute_force_bibd(*params, budget=mid) is UNKNOWN:
+            low = mid
+        else:
+            high = mid
+    assert brute_force_bibd(*params, budget=low) is UNKNOWN
+    assert brute_force_bibd(*params, budget=high) == _recursive_brute_force_bibd(
+        *params, budget=high)
+
+
+def test_brute_force_bibd_does_not_recurse_per_block():
+    # 1200 blocks: the recursive search overflowed Python's stack here.
+    found = brute_force_bibd(3, 2, 400, 1200)
+    assert isinstance(found, BlockDesign) and found.b == 1200
+    assert check_t_design(found, 2) == 400

@@ -18,6 +18,7 @@ import numpy as np
 import pytest
 
 from mpart.constructions import cartesian_product, hadamard_2part
+from mpart.errors import DEFAULT_BUDGET
 from mpart.fixtures import DESIGN_FIXTURES, load_design
 from mpart.ingredients import get_bibd, hadamard_matrix
 from mpart.isomorphism import _Canonicalizer, are_isomorphic, canonical_form
@@ -174,8 +175,8 @@ def test_orbit_pruning_never_changes_the_certificate():
     # the whole tree of (7,3,1)^2 has 36674 nodes, most of this test's time
     for name in DESIGN_FIXTURES + ("had12", "had16", "7,3,1x7,3,1"):
         design = _design(name)
-        pruned = _Canonicalizer(design, 10_000_000)
-        plain = _NoPruning(design, 10_000_000)
+        pruned = _Canonicalizer(design, DEFAULT_BUDGET)
+        plain = _NoPruning(design, DEFAULT_BUDGET)
         assert pruned.run() == plain.run(), name
         assert pruned.nodes <= plain.nodes, name
 
@@ -204,7 +205,7 @@ def test_refinement_matches_the_reference():
     designs += [random_design(rng, max_m=3, max_v=5, max_b=9) for _ in range(100)]
     seen = Counter()
     for design in designs:
-        search = _ReferenceRefinement(design, 10_000_000)
+        search = _ReferenceRefinement(design, DEFAULT_BUDGET)
         search.run()
         assert search.refined == search.nodes and search.candidates > 0
         replication = np.diagonal(design.gram)
@@ -247,7 +248,7 @@ def test_certificate_matches_the_recorded_digest(name):
 @pytest.mark.parametrize("name, ceiling", [
     ("had20", 200), ("had24", 250), ("had32", 100), ("13,4,1x7,3,1", 100)])
 def test_pruned_search_stays_small(name, ceiling):
-    search = _Canonicalizer(_design(name), 10_000_000)
+    search = _Canonicalizer(_design(name), DEFAULT_BUDGET)
     search.run()
     assert search.nodes <= ceiling
 
@@ -256,8 +257,8 @@ def test_orbit_pruning_never_changes_random_certificates():
     rng = random.Random(0x1503)
     for _ in range(40):
         design = random_design(rng, max_m=2, max_v=5, max_b=8)
-        pruned = _Canonicalizer(design, 10_000_000)
-        plain = _NoPruning(design, 10_000_000)
+        pruned = _Canonicalizer(design, DEFAULT_BUDGET)
+        plain = _NoPruning(design, DEFAULT_BUDGET)
         assert pruned.run() == plain.run()
 
 
