@@ -101,6 +101,17 @@ def _ints(text: str) -> list[int]:
         raise _UsageError(f"expected integers, got {text!r}") from None
 
 
+def _count(text: str) -> int:
+    """An option value that counts something and so cannot be negative."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be non-negative, got {value}")
+    return value
+
+
 def _triple(text: str) -> tuple[int, int, int]:
     parts = _ints(text)
     if len(parts) != 3:
@@ -138,8 +149,8 @@ def _build(args) -> int:
             raise _UsageError("subcartesian needs exactly two --ingredient")
         d1 = ing.get_bibd(*_triple(args.ingredient[0]))
         d2 = ing.get_bibd(*_triple(args.ingredient[1]))
-        partition = _partition_for(as_multipart(d2), args.classes or 1, args.budget,
-                                   "second ingredient")
+        c = 1 if args.classes is None else args.classes
+        partition = _partition_for(as_multipart(d2), c, args.budget, "second ingredient")
         design = cons.subcartesian_product(d1, d2, partition)
     elif name == "hadamard":
         H = ing.hadamard_matrix(args.order)
@@ -162,7 +173,7 @@ def _build(args) -> int:
                                         _load_design(args.design[1]))
     elif name == "oa":
         ingredients = [ing.get_bibd(*_triple(t)) for t in args.ingredient]
-        c = args.classes or 1
+        c = 1 if args.classes is None else args.classes
         partitions = [_partition_for(as_multipart(bd), c, args.budget, "ingredient")
                       for bd in ingredients]
         oa = ing.orthogonal_array([bd.b // c for bd in ingredients], args.strength)
@@ -277,7 +288,7 @@ def _make_parser() -> _Parser:
 
     shared = {
         "--format": dict(choices=("text", "json"), default="text"),
-        "--budget": dict(type=int, default=DEFAULT_BUDGET,
+        "--budget": dict(type=_count, default=DEFAULT_BUDGET,
                          help="search-tree node limit; exit 4 when it runs out"),
         "--seed": dict(type=int, default=0, help="seed of the --selfcheck relabelings"),
     }
@@ -322,7 +333,7 @@ def _make_parser() -> _Parser:
 
     p = sub.add_parser("canon", help="canonical form of a design")
     p.add_argument("file")
-    p.add_argument("--selfcheck", type=int, default=0,
+    p.add_argument("--selfcheck", type=_count, default=0,
                    help="also verify the certificate on N random relabelings")
     p.add_argument("-o", "--output")
     common(p, "--format", "--budget", "--seed")
@@ -352,7 +363,7 @@ def _make_parser() -> _Parser:
     p.set_defaults(func=_render)
 
     p = sub.add_parser("tables", help="least-b parameter rows per construction")
-    p.add_argument("--max-b", type=int, default=60)
+    p.add_argument("--max-b", type=_count, default=60)
     p.add_argument("--constructions", type=int, nargs="+", default=[1, 2, 3, 4])
     p.add_argument("--exclude", type=int, nargs="+", default=[])
     p.add_argument("--no-swap-convention", action="store_true")

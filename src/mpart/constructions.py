@@ -14,8 +14,6 @@ from dataclasses import dataclass
 from itertools import product
 from typing import Sequence
 
-import numpy as np
-
 from .errors import (
     ClassCountMismatchError,
     ClassNotUniformError,
@@ -31,15 +29,18 @@ from .errors import (
     SizeMismatchError,
     SymbolCountMismatchError,
 )
-from .ingredients import OrthogonalArray, _row_halves, check_t_design
+from .ingredients import HadamardMatrix, OrthogonalArray, _row_halves, check_t_design
 from .model import (
     BlockDesign,
     BlockPartition,
     MultipartDesign,
+    _complement,
+    _normalize_part,
+    _offsets,
     default_factor_names,
     replicates_equally,
+    unzip_design,
 )
-from .verify import verify_partition
 
 
 @dataclass(frozen=True)
@@ -68,16 +69,16 @@ class ClassMatching:
 
 def _require_2_design(bd: BlockDesign, role: str) -> int:
     lam = check_t_design(bd, 2)
-    sizes = {len(b) for b in bd.blocks}
-    k = sizes.pop() if len(sizes) == 1 else None
-    if lam is None or lam < 1 or k is None or k >= bd.v:
+    k = None if lam is None else len(bd.blocks[0])
+    if lam is None or lam < 1 or k >= bd.v:
         raise IngredientNotBalancedError(
             f"{role} must be a pair-balanced design with k < v "
             f"(got lambda={lam}, k={k}, v={bd.v})")
     return lam
 
 
-def _require_uniform_classes(bd: BlockDesign, partition: BlockPartition, role: str):
+def _require_uniform_classes(bd: BlockDesign | MultipartDesign, partition: BlockPartition,
+                             role: str):
     if partition.b != bd.b:
         raise ClassCountMismatchError(
             f"{role}: partition covers {partition.b} blocks, design has {bd.b}")
@@ -169,20 +170,21 @@ def hadamard_2part(H, second_row: int = 1) -> MultipartDesign:
     After normalization the chosen row splits the columns into 2n
     C-columns (+1) and 2n D-columns (-1); every remaining row yields two
     blocks, its +1 columns and its -1 columns, listed in that order so
-    consecutive block pairs form the (4n-2) partition classes.
+    consecutive block pairs form the (4n-2) partition classes.  ``H`` is
+    a :class:`HadamardMatrix` or any array that forms one.
     """
-    arr = H.as_array() if hasattr(H, "as_array") else np.asarray(H, dtype=np.int64)
-    if arr.ndim != 2 or arr.shape[0] != arr.shape[1] or not np.isin(arr, (-1, 1)).all():
-        raise NotHadamardError("input is not a square +-1 matrix")
-    order = arr.shape[0]
+    if not isinstance(H, HadamardMatrix):
+        try:
+            H = HadamardMatrix(H)
+        except InvalidInputError as exc:
+            raise NotHadamardError(str(exc)) from None
+    order = H.order
     if order % 4 or order < 8:
         raise NotHadamardError(f"need order 4n with n >= 2, got {order}")
-    if not np.array_equal(arr @ arr.T, order * np.eye(order, dtype=np.int64)):
-        raise NotHadamardError("rows are not pairwise orthogonal")
     if not 0 <= second_row < order or second_row == 0:
         raise NotNormalizableError(
             f"splitting row must differ from the all-ones row 0, got {second_row}")
-    rows = _row_halves(arr)
+    rows = _row_halves(H.as_array())
     blocks = _split_by(order, [half for i, halves in enumerate(rows)
                                if i not in (0, second_row) for half in halves],
                        rows[second_row][0])
@@ -209,11 +211,10 @@ def symmetric_block_split(bd: BlockDesign, gamma: int) -> MultipartDesign:
     meet with gamma.  Yields b = v - 1 blocks with k = (k - lam, lam).
     """
     lam = check_t_design(bd, 2)
-    sizes = {len(b) for b in bd.blocks}
-    if lam is None or len(sizes) != 1 or bd.b != bd.v:
+    if lam is None or bd.b != bd.v:
         raise NotSymmetricDesignError(
             f"need a symmetric pair-balanced design (b={bd.b}, v={bd.v})")
-    k = sizes.pop()
+    k = len(bd.blocks[0])
     if not 0 <= gamma < bd.b:
         raise InvalidInputError(f"block index {gamma} out of range")
     special = set(bd.blocks[gamma])
@@ -239,7 +240,7 @@ def augment(design: MultipartDesign, factor: int) -> MultipartDesign:
 
     Each block is replaced by two: one keeps its part plus the new
     level, the other takes the complement of the original part within
-    the enlarged level set.
+    the old level set.
     """
     if not 0 <= factor < design.m:
         raise InvalidInputError(f"factor {factor} out of range")
@@ -252,13 +253,9 @@ def augment(design: MultipartDesign, factor: int) -> MultipartDesign:
         raise SizeMismatchError(f"augment needs v = 2k + 1, got v={v}, k={k}")
 
     new_v = tuple(x + 1 if i == factor else x for i, x in enumerate(design.v))
-    enlarged = set(range(v + 1))
     blocks = []
     for block in design.blocks:
-        part = set(block[factor])
-        keep = tuple(sorted(part | {v}))
-        swap = tuple(sorted(enlarged - part - {v}))
-        for new_part in (keep, swap):
+        for new_part in (block[factor] + (v,), _complement(block[factor], v)):
             blocks.append(tuple(new_part if i == factor else p
                                 for i, p in enumerate(block)))
     return MultipartDesign(v=new_v, blocks=tuple(blocks),
@@ -274,11 +271,9 @@ def part_swap(design: MultipartDesign, factor: int) -> MultipartDesign:
     """
     if not 0 <= factor < design.m:
         raise InvalidInputError(f"factor {factor} out of range")
-    v = design.v[factor]
-    full = set(range(v))
     blocks = []
     for t, block in enumerate(design.blocks):
-        comp = tuple(sorted(full - set(block[factor])))
+        comp = _complement(block[factor], design.v[factor])
         if len(comp) < 2:
             raise ComplementTooSmallError(
                 f"block {t} leaves only {len(comp)} levels after complementing")
@@ -301,11 +296,7 @@ def orbit_design(v: Sequence[int], generators: Sequence[Sequence[int]],
     """
     sizes = tuple(int(x) for x in v)
     total = sum(sizes)
-    offsets = []
-    acc = 0
-    for s in sizes:
-        offsets.append(acc)
-        acc += s
+    offsets = _offsets(sizes)
     ranges = [set(range(off, off + s)) for off, s in zip(offsets, sizes)]
 
     perms = []
@@ -319,15 +310,13 @@ def orbit_design(v: Sequence[int], generators: Sequence[Sequence[int]],
                     f"generator {g} does not preserve factor {i}")
         perms.append(perm)
 
-    seed_parts = tuple(tuple(sorted(int(x) for x in part)) for part in seed)
-    if len(seed_parts) != len(sizes):
-        raise InvalidInputError(f"seed has {len(seed_parts)} parts, expected {len(sizes)}")
+    seed = tuple(seed)
+    if len(seed) != len(sizes):
+        raise InvalidInputError(f"seed has {len(seed)} parts, expected {len(sizes)}")
+    seed_parts = tuple(_normalize_part((int(x) for x in part), size, f"seed factor {i}")
+                       for i, (part, size) in enumerate(zip(seed, sizes)))
     if any(len(p) < 2 for p in seed_parts):
         raise InvalidInputError("every seed part needs at least two levels")
-
-    def to_block(zipped: frozenset) -> tuple[tuple[int, ...], ...]:
-        return tuple(tuple(sorted(p - offsets[i] for p in zipped if p in ranges[i]))
-                     for i in range(len(sizes)))
 
     start = frozenset(offsets[i] + x for i, part in enumerate(seed_parts) for x in part)
     seen = {start}
@@ -339,8 +328,9 @@ def orbit_design(v: Sequence[int], generators: Sequence[Sequence[int]],
             if image not in seen:
                 seen.add(image)
                 queue.append(image)
-    blocks = sorted(to_block(z) for z in seen)
-    return MultipartDesign(v=sizes, blocks=tuple(blocks))
+    # Orbit parts have one size per factor, so the zipped blocks sort as
+    # their per-factor parts do.
+    return unzip_design(BlockDesign(total, tuple(sorted(map(sorted, seen)))), sizes)
 
 
 def meet_filter(host: BlockDesign, special: Sequence[int], t: int) -> MultipartDesign:
@@ -428,14 +418,10 @@ def class_matched_product(theta: MultipartDesign, p: BlockPartition,
     a verified equal-replication grouping and delta must have exactly
     one block per class.
     """
-    if p.b != theta.b:
-        raise ClassCountMismatchError(
-            f"partition covers {p.b} blocks, design has {theta.b}")
     if delta.b != p.c:
         raise ClassCountMismatchError(
             f"delta has {delta.b} blocks for {p.c} classes")
-    if not verify_partition(theta, p):
-        raise ClassNotUniformError("classes do not replicate every level equally")
+    _require_uniform_classes(theta, p, "design")
 
     extended: list = [None] * theta.b
     for j, cls in enumerate(p.classes):

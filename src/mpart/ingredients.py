@@ -81,7 +81,7 @@ def affine_plane(q: int) -> BlockDesign:
     Lines come out grouped by direction: q parallel classes of slope
     0..q-1 followed by the vertical class.
     """
-    if q < 2 or any(q % d == 0 for d in range(2, q)):
+    if not _is_prime(q):
         raise InvalidInputError(f"affine_plane needs a prime, got {q}")
     lines = []
     for s in range(q):
@@ -217,6 +217,15 @@ def _fixed_entries() -> tuple[CatalogEntry, ...]:
     return tuple(entries)
 
 
+def _family_entry(v: int, k: int) -> CatalogEntry:
+    """All pairs of a v-set (k = 2) or all its (v-1)-subsets (k = v - 1)."""
+    if k == 2:
+        return CatalogEntry(v, 2, 1, v * (v - 1) // 2, f"all pairs of {v}",
+                            lambda: pair_design(v), symmetric=(v == 3))
+    return CatalogEntry(v, v - 1, v - 2, v, f"all {v - 1}-subsets of {v}",
+                        lambda: near_complete_design(v), symmetric=True)
+
+
 def _brute_662() -> BlockDesign:
     design = brute_force_bibd(6, 3, 2, 10)
     assert isinstance(design, BlockDesign)
@@ -234,12 +243,9 @@ def catalog_entries(max_blocks: int = 64,
     entries = list(_fixed_entries())
     v = 3
     while v * (v - 1) // 2 <= max_blocks:
-        entries.append(CatalogEntry(v, 2, 1, v * (v - 1) // 2, f"all pairs of {v}",
-                                    lambda v=v: pair_design(v), symmetric=(v == 3)))
+        entries.append(_family_entry(v, 2))
         v += 1
-    for v in range(4, max_blocks + 1):
-        entries.append(CatalogEntry(v, v - 1, v - 2, v, f"all {v - 1}-subsets of {v}",
-                                    lambda v=v: near_complete_design(v), symmetric=True))
+    entries += (_family_entry(v, v - 1) for v in range(4, max_blocks + 1))
     entries = [e for e in entries if e.b <= max_blocks]
     if include_complements:
         known = {(e.v, e.k, e.lam) for e in entries}
@@ -255,23 +261,16 @@ def catalog_entries(max_blocks: int = 64,
 @lru_cache(maxsize=None)
 def _validated(key: tuple[int, int, int]) -> BlockDesign:
     v, k, lam = key
-    entry = None
-    if k == 2 and lam == 1:
-        entry = CatalogEntry(v, 2, 1, v * (v - 1) // 2, f"all pairs of {v}",
-                             lambda: pair_design(v))
-    elif k == v - 1 and lam == v - 2:
-        entry = CatalogEntry(v, k, lam, v, f"all {k}-subsets of {v}",
-                             lambda: near_complete_design(v))
+    if (k, lam) in ((2, 1), (v - 1, v - 2)):
+        entry = _family_entry(v, k)
     else:
-        for candidate in catalog_entries(max_blocks=256):
-            if (candidate.v, candidate.k, candidate.lam) == key:
-                entry = candidate
-                break
+        entry = next((e for e in catalog_entries(max_blocks=256)
+                      if (e.v, e.k, e.lam) == key), None)
     if entry is None:
         raise NotInCatalogError(f"no 2-({v},{k},{lam}) in the built-in catalog")
     design = entry.build()
     got = check_t_design(design, 2)
-    if got != lam or {len(b) for b in design.blocks} != {k}:
+    if got != lam or len(design.blocks[0]) != k:
         raise AssertionError(
             f"catalog entry {entry.name} failed validation: lambda={got}")
     return design
@@ -422,7 +421,7 @@ def _sylvester(order: int) -> np.ndarray:
 
 def _paley_type_1(q: int) -> np.ndarray:
     """Order q+1 from the quadratic character of Z_q, q prime, q = 3 mod 4."""
-    squares = {(i * i) % q for i in range(1, q)}
+    squares = set(_quadratic_residues(q))
     chi = [0] + [1 if x in squares else -1 for x in range(1, q)]
     n = q + 1
     H = np.ones((n, n), dtype=np.int64)

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import accumulate
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -57,6 +58,17 @@ def _normalize_part(part: Iterable[int], size: int, what: str) -> tuple[int, ...
         if not 0 <= x < size:
             raise InvalidInputError(f"level {x} out of range [0, {size}) in {what}")
     return tuple(sorted(levels))
+
+
+def _offsets(sizes: Sequence[int]) -> tuple[int, ...]:
+    """Start offset of each group of ``sizes`` in the zipped point set."""
+    return tuple(accumulate(sizes, initial=0))[:-1]
+
+
+def _complement(part: Iterable[int], size: int) -> tuple[int, ...]:
+    """The levels 0..size-1 outside ``part``, in increasing order."""
+    inside = set(part)
+    return tuple(x for x in range(size) if x not in inside)
 
 
 @dataclass(frozen=True, eq=False)
@@ -103,11 +115,7 @@ class MultipartDesign:
     @property
     def offsets(self) -> tuple[int, ...]:
         """Start offset of each factor's levels in the zipped point set."""
-        out, total = [], 0
-        for size in self.v:
-            out.append(total)
-            total += size
-        return tuple(out)
+        return _offsets(self.v)
 
     @property
     def spans(self) -> tuple[slice, ...]:
@@ -216,14 +224,6 @@ class BlockPartition:
     @property
     def b(self) -> int:
         return self.c * len(self.classes[0])
-
-    def class_of(self) -> tuple[int, ...]:
-        """Map block index -> class index."""
-        out = [0] * self.b
-        for j, cls in enumerate(self.classes):
-            for t in cls:
-                out[t] = j
-        return tuple(out)
 
 
 @dataclass(frozen=True)
@@ -342,11 +342,7 @@ def unzip_design(bd: BlockDesign, group_sizes: Sequence[int]) -> MultipartDesign
         raise InvalidInputError(f"group sizes must be positive, got {sizes}")
     if sum(sizes) != bd.v:
         raise InvalidInputError(f"group sizes {sizes} do not sum to {bd.v} points")
-    offsets, total = [], 0
-    for size in sizes:
-        offsets.append(total)
-        total += size
-
+    offsets = _offsets(sizes)
     split_blocks = []
     for block in bd.blocks:
         parts = tuple(
@@ -385,8 +381,7 @@ def as_multipart(bd: BlockDesign) -> MultipartDesign:
 
 def complement_design(bd: BlockDesign) -> BlockDesign:
     """Replace every block by its complement in the point set."""
-    full = set(range(bd.v))
-    return BlockDesign(v=bd.v, blocks=tuple(tuple(sorted(full - set(b))) for b in bd.blocks))
+    return BlockDesign(v=bd.v, blocks=tuple(_complement(b, bd.v) for b in bd.blocks))
 
 
 def relabel_levels(design: MultipartDesign,

@@ -40,7 +40,10 @@ class ParameterRow:
     ``r`` is the class count used by the subproduct route (for rows also
     reachable from a Hadamard matrix of order 4n it equals 2n - 1, the
     replication of the half-size ingredient the subproduct would use);
-    ``sym`` is the (v, k, lambda) of the symmetric ingredient.
+    ``sym`` is the (v, k, lambda) of the symmetric ingredient.  Each
+    construction yields candidate rows that carry its one tag in
+    ``constructions``; the candidates of one signature at least b merge
+    into the table's row.
     """
 
     b: int
@@ -62,16 +65,6 @@ def _normalize_signature(v: Sequence[int], k: Sequence[int]):
 
 def _satisfies_swap_convention(v: Sequence[int], k: Sequence[int]) -> bool:
     return all(2 * ki <= vi or ki == vi - 1 for vi, ki in zip(v, k))
-
-
-@dataclass
-class _Candidate:
-    b: int
-    v: tuple[int, ...]
-    k: tuple[int, ...]
-    tag: int
-    r: int | None = None
-    sym: tuple[int, int, int] | None = None
 
 
 def _verified_signature(design: MultipartDesign):
@@ -112,18 +105,18 @@ class _Enumerator:
 
     # ---- construction 1: full products
 
-    def cartesian(self) -> Iterable[_Candidate]:
+    def cartesian(self) -> Iterable[ParameterRow]:
         for i, e1 in enumerate(self.entries):
             for e2 in self.entries[i:]:
                 b = e1.b * e2.b
                 if b > self.max_b:
                     continue
                 v, k = _normalize_signature((e1.v, e2.v), (e1.k, e2.k))
-                yield _Candidate(b=b, v=v, k=k, tag=1)
+                yield ParameterRow(b=b, v=v, k=k, constructions=(1,))
 
     # ---- construction 2: subcartesian products
 
-    def subcartesian(self) -> Iterable[_Candidate]:
+    def subcartesian(self) -> Iterable[ParameterRow]:
         for e2 in self.entries:
             for c in range(2, e2.b + 1):
                 if e2.b % c:
@@ -143,11 +136,11 @@ class _Enumerator:
                     sig = _verified_signature(design)
                     if sig is None:
                         continue
-                    yield _Candidate(b=b, v=sig[0], k=sig[1], tag=2, r=c)
+                    yield ParameterRow(b=b, v=sig[0], k=sig[1], constructions=(2,), r=c)
 
     # ---- construction 3: Hadamard splits
 
-    def hadamard(self) -> Iterable[_Candidate]:
+    def hadamard(self) -> Iterable[ParameterRow]:
         order = 8
         while 2 * order - 4 <= self.max_b:
             try:
@@ -158,13 +151,13 @@ class _Enumerator:
             design = hadamard_2part(H, second_row=1)
             sig = _verified_signature(design)
             if sig is not None:
-                yield _Candidate(b=design.b, v=sig[0], k=sig[1], tag=3,
-                                 r=order // 2 - 1)
+                yield ParameterRow(b=design.b, v=sig[0], k=sig[1], constructions=(3,),
+                                   r=order // 2 - 1)
             order += 4
 
     # ---- construction 4: symmetric splits
 
-    def symmetric(self) -> Iterable[_Candidate]:
+    def symmetric(self) -> Iterable[ParameterRow]:
         for entry in self.primaries:
             if not entry.symmetric or entry.b - 1 > self.max_b:
                 continue
@@ -179,19 +172,19 @@ class _Enumerator:
             sig = _verified_signature(split)
             if sig is None:
                 continue
-            yield _Candidate(b=split.b, v=sig[0], k=sig[1], tag=4,
-                             sym=(entry.v, entry.k, entry.lam))
+            yield ParameterRow(b=split.b, v=sig[0], k=sig[1], constructions=(4,),
+                               sym=(entry.v, entry.k, entry.lam))
 
 
 def _collect(enum: _Enumerator, constructions: frozenset[int],
-             swap_convention: bool) -> dict[tuple, list[_Candidate]]:
+             swap_convention: bool) -> dict[tuple, list[ParameterRow]]:
     generators = {1: enum.cartesian, 2: enum.subcartesian,
                   3: enum.hadamard, 4: enum.symmetric}
     unknown = constructions - set(generators)
     if unknown:
         raise InvalidInputError(
             f"tables cover constructions 1-4, got {sorted(unknown)}")
-    best: dict[tuple, list[_Candidate]] = {}
+    best: dict[tuple, list[ParameterRow]] = {}
     for tag in sorted(constructions):
         for cand in generators[tag]():
             if swap_convention and not _satisfies_swap_convention(cand.v, cand.k):
@@ -233,7 +226,7 @@ def enumerate_reachable(max_b: int,
     rows = []
     for (v, k), cands in best.items():
         b = cands[0].b
-        tags = tuple(sorted({c.tag for c in cands}))
+        tags = tuple(sorted({tag for c in cands for tag in c.constructions}))
         if 3 in tags:
             r = b // 4
         else:

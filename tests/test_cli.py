@@ -237,10 +237,31 @@ def test_usage_errors_exit_1(capsys):
     ["build", "meet-filter", "--host", "fixture:design_3_22_6_1"],
     ["build", "meet-filter", "--host", "fixture:design_3_22_6_1", "--special", "1,x"],
     ["build", "cartesian", "--ingredient", "7,x,1"],
+    ["build", "subcartesian", "--ingredient", "7,3,1", "--ingredient", "7,3,1",
+     "--classes", "3", "--budget", "-1"],
 ])
 def test_build_input_errors_are_usage_errors(argv, capsys):
     assert cli_main(argv) == 1
     assert capsys.readouterr().err.startswith("usage error: ")
+
+
+@pytest.mark.parametrize("argv", [
+    ["tables", "--max-b", "-1"],
+    ["canon", "fixture:fig4b", "--selfcheck", "-1"],
+    ["partition", "fixture:fig8b", "--c", "3", "--budget", "-1"],
+])
+def test_negative_counts_are_usage_errors(argv, capsys):
+    assert cli_main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("usage error: ") and "non-negative" in err
+
+
+@pytest.mark.parametrize("construction", ["subcartesian", "oa"])
+def test_zero_classes_are_refused(construction, capsys):
+    argv = ["build", construction, "--ingredient", "7,3,1", "--ingredient", "7,3,1"]
+    assert cli_main(argv + ["--classes", "0"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and "class count must be positive" in captured.err
 
 
 def test_only_the_flags_a_command_reads_are_accepted(capsys):

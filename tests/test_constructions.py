@@ -21,6 +21,7 @@ from mpart.constructions import (
 )
 from mpart.errors import (
     ClassCountMismatchError,
+    DesignError,
     ComplementTooSmallError,
     FactorNotPreservedError,
     IngredientNotBalancedError,
@@ -34,6 +35,7 @@ from mpart.errors import (
     SizeMismatchError,
 )
 from mpart.fixtures import (
+    DESIGN_FIXTURES,
     EXTENSION_POINT_23,
     load_design,
     steiner_3_22_6,
@@ -48,7 +50,13 @@ from mpart.ingredients import (
     resolvable_classes,
 )
 from mpart.isomorphism import are_isomorphic
-from mpart.model import BlockDesign, MultipartDesign, as_multipart, zip_design
+from mpart.model import (
+    BlockDesign,
+    MultipartDesign,
+    as_multipart,
+    complement_design,
+    zip_design,
+)
 from mpart.verify import check_multipart, check_strength, find_partition
 
 from helpers import oracle_lambda
@@ -260,6 +268,17 @@ def test_orbit_design_cyclic_shift_unbalanced():
 def test_orbit_design_factor_not_preserved():
     with pytest.raises(FactorNotPreservedError):
         orbit_design((3, 3), [(3, 4, 5, 0, 1, 2)], ((0, 1), (0, 1)))
+
+
+@pytest.mark.parametrize("seed", [
+    ((0, 4), (0, 1)),     # level 4 would land in the second factor
+    ((0, 1), (0, 5)),     # level 5 is past the second factor
+    ((0, 0, 1), (0, 1)),  # a repeated level
+    ((0, -1), (0, 1)),    # a negative level
+])
+def test_orbit_design_rejects_seed_levels_outside_their_factor(seed):
+    with pytest.raises(InvalidInputError):
+        orbit_design((3, 3), [], seed)
 
 
 def test_meet_filter_steiner_22():
@@ -488,3 +507,63 @@ def test_catalog_listings_match_the_recorded_digest():
                 yield (max_blocks, e.name, e.v, e.k, e.lam, e.b, e.symmetric), e.build()
 
     assert _digest(listing()) == (539, CATALOG_DIGEST)
+
+
+# SHA-256 over the outputs of the model rules that each have one owner
+# (the zipped layout, pair balance, the catalog families, Hadamard
+# validity, part complements and class checks), recorded before those
+# rules were deduplicated: the blocks and their order must not move.
+RULES_DIGEST = "a5770fdd3542597f298abb8e775a9e75f6faf5e6ff5afe39231998765c72abd4"
+
+
+def _random_orbit(rng):
+    """Level counts, factor-preserving generators and a valid seed."""
+    v = tuple(rng.randint(2, 6) for _ in range(rng.randint(1, 3)))
+    offsets = [sum(v[:i]) for i in range(len(v))]
+    generators = []
+    for _ in range(rng.randint(0, 2)):
+        perm = []
+        for off, size in zip(offsets, v):
+            perm += [off + x for x in rng.sample(range(size), size)]
+        generators.append(perm)
+    seed = [rng.sample(range(size), rng.randint(2, size)) for size in v]
+    return v, generators, seed
+
+
+def _rule_outputs():
+    """400 seeded random orbits; the pair designs v = 3..40 and the
+    (v-1)-subset designs v = 4..300 from the catalog; augment and part
+    swap on every fixture factor (a refusal kept as its error name); the
+    class-matched product of every Hadamard 12/16 split with its row-pair
+    classes and each catalog design of one block per class; and the
+    complement of every catalog design of at most 256 blocks."""
+    rng = random.Random(7)
+    for n in range(400):
+        yield ("orbit", n), orbit_design(*_random_orbit(rng))
+    for v in range(3, 41):
+        yield ("pairs", v), get_bibd(v, 2, 1)
+    for v in range(4, 301):
+        yield ("subsets", v), get_bibd(v, v - 1, v - 2)
+    for name in DESIGN_FIXTURES:
+        design = load_design(name)
+        for rule in (augment, part_swap):
+            for factor in range(design.m):
+                try:
+                    yield (rule.__name__, name, factor), rule(design, factor)
+                except DesignError as exc:
+                    yield (rule.__name__, name, factor), type(exc).__name__
+    entries = catalog_entries(64)
+    for order in (12, 16):
+        H = hadamard_matrix(order)
+        for row in range(1, order):
+            theta = hadamard_2part(H, row)
+            for e in entries:
+                if e.b == theta.b // 2:
+                    yield (("matched", order, row, e.name),
+                           class_matched_product(theta, row_pair_partition(theta), e.build()))
+    for e in catalog_entries(256):
+        yield ("complement", e.name), complement_design(e.build())
+
+
+def test_rule_outputs_match_the_recorded_digest():
+    assert _digest(_rule_outputs()) == (1172, RULES_DIGEST)
