@@ -313,7 +313,7 @@ def orbit_design(v: Sequence[int], generators: Sequence[Sequence[int]],
     seed = tuple(seed)
     if len(seed) != len(sizes):
         raise InvalidInputError(f"seed has {len(seed)} parts, expected {len(sizes)}")
-    seed_parts = tuple(_normalize_part((int(x) for x in part), size, f"seed factor {i}")
+    seed_parts = tuple(_normalize_part(part, size, "seed factor {}", i)
                        for i, (part, size) in enumerate(zip(seed, sizes)))
     if any(len(p) < 2 for p in seed_parts):
         raise InvalidInputError("every seed part needs at least two levels")

@@ -32,6 +32,7 @@ from .model import BlockDesign, MultipartDesign, derive_parameters
 
 _NAME_RE = re.compile(r"[A-Za-z][A-Za-z0-9_]*")
 _HEADER = "mpart v1"
+_PART_RE = re.compile(rf"({_NAME_RE.pattern})\{{\s*([0-9,\s]*)\}}")
 
 
 def serialize_concise(design: MultipartDesign) -> str:
@@ -56,19 +57,17 @@ def _strip_comment(line: str) -> str:
 
 def parse_concise(text: str) -> MultipartDesign:
     """Parse the concise format; raises ParseError with line and column."""
-    lines = text.splitlines()
-    meaningful = [(n + 1, _strip_comment(raw)) for n, raw in enumerate(lines)]
-    meaningful = [(n, line) for n, line in meaningful if line.strip()]
-    if not meaningful:
+    meaningful = ((n, line) for n, line in enumerate(map(_strip_comment, text.splitlines()), 1)
+                  if line.strip())
+    n, header = next(meaningful, (0, None))
+    if header is None:
         raise ParseError("empty input", 1, 1)
-
-    n, header = meaningful[0]
     if header.strip() != _HEADER:
         raise ParseError(f"expected header {_HEADER!r}", n, 1)
-    if len(meaningful) < 2:
+    n, factors_line = next(meaningful, (n, None))
+    if factors_line is None:
         raise ParseError("missing factors line", n, 1)
 
-    n, factors_line = meaningful[1]
     stripped = factors_line.strip()
     if not stripped.startswith("factors:"):
         raise ParseError("expected 'factors:' line", n, 1)
@@ -86,56 +85,93 @@ def parse_concise(text: str) -> MultipartDesign:
     if len(set(names)) != len(names):
         raise ParseError("duplicate factor names", n, 1)
 
-    part_re = re.compile(rf"({_NAME_RE.pattern})\{{\s*([0-9,\s]*)\}}")
-    size_of = dict(zip(names, sizes))
+    # per factor: brace body -> its part, so each distinct text is parsed once
+    known: list[dict[str, tuple[int, ...]]] = [{} for _ in names]
     blocks = []
-    for n, line in meaningful[2:]:
-        stripped = line.strip()
-        indent = line.find(stripped[0])
-        if not stripped.startswith("block:"):
-            raise ParseError("expected 'block:' line", n, indent + 1)
-        body = stripped[len("block:"):]
-        # 1-based column of the body's first character
-        start = indent + len("block:") + 1
-        if part_re.sub("", body).strip():
-            # blank each part in place, so that the stray text keeps its column
-            blanked = part_re.sub(lambda m: " " * len(m.group(0)), body)
-            bad = re.search(r"\S+", blanked)
-            raise ParseError(f"unrecognized text {bad.group(0)!r}", n, start + bad.start())
-        parts: dict[str, tuple[int, ...]] = {}
-        order: list[str] = []
-        for m in part_re.finditer(body):
-            name = m.group(1)
-            col = start + m.start()
-            if name not in size_of:
-                raise UnknownFactorError(f"unknown factor {name!r}", n, col)
-            if name in parts:
-                raise ParseError(f"factor {name!r} repeated in block", n, col)
-            items = [tok for tok in m.group(2).replace(",", " ").split()]
-            if not items:
-                raise ParseError(f"empty part for factor {name!r}", n, col)
-            size = size_of[name]
-            levels = []
-            for tok in items:
-                x = int(tok)
-                if not 1 <= x <= size:
-                    raise ParseError(f"level {x} out of range 1..{size}", n, col)
-                levels.append(x - 1)
-            if len(set(levels)) != len(levels):
-                raise DuplicateLevelInPartError(
-                    f"duplicate level in factor {name!r}", n, col)
-            parts[name] = tuple(sorted(levels))
-            order.append(name)
-        if order != names:
-            missing = [nm for nm in names if nm not in parts]
-            if missing:
-                raise ParseError(f"block is missing factor {missing[0]!r}", n, 1)
-            raise ParseError(f"factors out of order: {order}", n, 1)
-        blocks.append(tuple(parts[name] for name in names))
+    for n, line in meaningful:
+        try:
+            blocks.append(_read_block(line, names, sizes, known))
+        except ParseError:
+            raise _block_error(line, n, names, sizes) from None
     if not blocks:
-        raise ParseError("no blocks", meaningful[-1][0], 1)
+        raise ParseError("no blocks", n, 1)
     return MultipartDesign(v=tuple(sizes), blocks=tuple(blocks),
                            factor_names=tuple(names))
+
+
+def _part_levels(body: str, name: str, size: int) -> tuple[int, ...]:
+    """The sorted 0-based levels of one part's brace body; the ParseError
+    for a bad part carries no position."""
+    items = body.replace(",", " ").split()
+    if not items:
+        raise ParseError(f"empty part for factor {name!r}")
+    levels = []
+    for tok in items:
+        x = int(tok)
+        if not 1 <= x <= size:
+            raise ParseError(f"level {x} out of range 1..{size}")
+        levels.append(x - 1)
+    if len(set(levels)) != len(levels):
+        raise DuplicateLevelInPartError(f"duplicate level in factor {name!r}")
+    return tuple(sorted(levels))
+
+
+def _read_block(line: str, names: list[str], sizes: list[int],
+                known: list[dict[str, tuple[int, ...]]]) -> tuple[tuple[int, ...], ...]:
+    """The block of one block line, reading each brace body not in ``known``.
+
+    Raises a ParseError without a position for any fault; :func:`_block_error`
+    then finds the first fault and its column.
+    """
+    stripped = line.strip()
+    if not stripped.startswith("block:"):
+        raise ParseError("expected 'block:' line")
+    # the text between parts, then each part's factor name and brace body
+    pieces = _PART_RE.split(stripped[len("block:"):])
+    if "".join(pieces[::3]).strip() or pieces[1::3] != names:
+        raise ParseError("malformed block line")
+    block = []
+    for i, body in enumerate(pieces[2::3]):
+        part = known[i].get(body)
+        if part is None:
+            part = known[i][body] = _part_levels(body, names[i], sizes[i])
+        block.append(part)
+    return tuple(block)
+
+
+def _block_error(line: str, n: int, names: list[str], sizes: list[int]) -> ParseError:
+    """The error, with line ``n`` and its column, of a block line that
+    :func:`_read_block` refused: the first of stray text, an unknown or
+    repeated factor, a bad part, and a missing or misplaced factor."""
+    stripped = line.strip()
+    indent = line.find(stripped[0])
+    if not stripped.startswith("block:"):
+        return ParseError("expected 'block:' line", n, indent + 1)
+    body = stripped[len("block:"):]
+    # 1-based column of the body's first character
+    start = indent + len("block:") + 1
+    # blank each part in place, so that the stray text keeps its column
+    bad = re.search(r"\S+", _PART_RE.sub(lambda m: " " * len(m.group(0)), body))
+    if bad:
+        return ParseError(f"unrecognized text {bad.group(0)!r}", n, start + bad.start())
+    size_of = dict(zip(names, sizes))
+    order: list[str] = []
+    for m in _PART_RE.finditer(body):
+        name = m.group(1)
+        col = start + m.start()
+        if name not in size_of:
+            return UnknownFactorError(f"unknown factor {name!r}", n, col)
+        if name in order:
+            return ParseError(f"factor {name!r} repeated in block", n, col)
+        try:
+            _part_levels(m.group(2), name, size_of[name])
+        except ParseError as exc:
+            return type(exc)(str(exc), n, col)
+        order.append(name)
+    missing = [nm for nm in names if nm not in order]
+    if missing:
+        return ParseError(f"block is missing factor {missing[0]!r}", n, 1)
+    return ParseError(f"factors out of order: {order}", n, 1)
 
 
 # --------------------------------------------------------------------------

@@ -18,7 +18,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import accumulate
+from itertools import accumulate, chain
+from operator import index
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -36,28 +37,52 @@ def default_factor_names(m: int) -> tuple[str, ...]:
     return tuple(names)
 
 
-def _incidence(n: int, blocks: Sequence[Sequence[int]]) -> np.ndarray:
+def _incidence(n: int, parts: Sequence[Sequence[int]], offsets: Sequence[int]) -> np.ndarray:
     """The read-only n x b 0/1 matrix of points against blocks; the one
-    function that builds incidence counts."""
-    sizes = np.fromiter(map(len, blocks), dtype=np.intp, count=len(blocks))
-    rows = np.fromiter((p for points in blocks for p in points), dtype=np.intp,
-                       count=int(sizes.sum()))
-    Z = np.zeros((n, len(blocks)), dtype=np.int64)
-    Z[rows, np.repeat(np.arange(len(blocks)), sizes)] = 1
+    function that builds incidence counts.
+
+    With m = len(offsets), block t is the union of the m parts
+    ``parts[t*m : (t+1)*m]``, part i of each shifted by ``offsets[i]``.
+    """
+    m = len(offsets)
+    b = len(parts) // m
+    sizes = np.fromiter(map(len, parts), dtype=np.intp, count=len(parts))
+    levels = np.fromiter(chain.from_iterable(parts), dtype=np.intp, count=int(sizes.sum()))
+    levels += np.repeat(np.tile(np.asarray(offsets, dtype=np.intp), b), sizes)
+    Z = np.zeros((n, b), dtype=np.int64)
+    Z[levels, np.repeat(np.arange(b), sizes.reshape(b, m).sum(axis=1))] = 1
     Z.flags.writeable = False
     return Z
 
 
-def _normalize_part(part: Iterable[int], size: int, what: str) -> tuple[int, ...]:
+def _normalize_part(part: Iterable[int], size: int, where: str, *args) -> tuple[int, ...]:
+    """``part`` as stored: integer levels in 0..size-1, none repeated, in
+    increasing order.  An error names the part as ``where.format(*args)``,
+    which is formatted only on failure."""
     levels = tuple(part)
+    try:
+        levels = tuple(map(index, levels))
+    except TypeError:
+        raise InvalidInputError(
+            f"non-integer level in {where.format(*args)}: {levels}") from None
     if len(set(levels)) != len(levels):
-        raise InvalidInputError(f"duplicate level in {what}: {sorted(levels)}")
+        raise InvalidInputError(f"duplicate level in {where.format(*args)}: {sorted(levels)}")
     if not levels:
-        raise InvalidInputError(f"empty part in {what}")
-    for x in levels:
-        if not 0 <= x < size:
-            raise InvalidInputError(f"level {x} out of range [0, {size}) in {what}")
-    return tuple(sorted(levels))
+        raise InvalidInputError(f"empty part in {where.format(*args)}")
+    stored = tuple(sorted(levels))
+    if stored[0] < 0 or stored[-1] >= size:
+        x = next(x for x in levels if not 0 <= x < size)
+        raise InvalidInputError(f"level {x} out of range [0, {size}) in {where.format(*args)}")
+    return stored
+
+
+def _count_product(A: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """The int64 matrix A B^T of two count matrices, multiplied in float64,
+    which numpy hands to BLAS (it multiplies int64 without it); exact while
+    every count stays below 2**53."""
+    A64 = A.astype(np.float64)
+    B64 = A64 if B is A else B.astype(np.float64)
+    return (A64 @ B64.T).astype(np.int64)
 
 
 def _offsets(sizes: Sequence[int]) -> tuple[int, ...]:
@@ -91,13 +116,27 @@ class MultipartDesign:
         names = tuple(self.factor_names) or default_factor_names(m)
         if len(names) != m or len(set(names)) != m:
             raise InvalidInputError(f"need {m} distinct factor names, got {names}")
+        # Per factor: id of an input part -> its stored form.  Parsed files
+        # and products repeat one object for each distinct part, so each is
+        # checked once.  Keyed on identity, not equality: (0, 1.0) equals
+        # (0, 1) but is no part.  ``inputs`` holds every keyed part, so that
+        # no id is reused while ``checked`` is in use.
+        checked: list[dict[int, tuple[int, ...]]] = [{} for _ in v]
+        inputs = []
         blocks = []
         for t, block in enumerate(self.blocks):
             parts = tuple(block)
             if len(parts) != m:
                 raise InvalidInputError(f"block {t} has {len(parts)} parts, expected {m}")
-            blocks.append(tuple(_normalize_part(p, v[i], f"block {t}, factor {i}")
-                                for i, p in enumerate(parts)))
+            stored = []
+            for i, part in enumerate(parts):
+                known = checked[i].get(id(part))
+                if known is None:
+                    known = checked[i][id(part)] = _normalize_part(
+                        part, v[i], "block {}, factor {}", t, i)
+                    inputs.append(part)
+                stored.append(known)
+            blocks.append(tuple(stored))
         if not blocks:
             raise InvalidInputError("a design needs at least one block")
         object.__setattr__(self, "v", v)
@@ -133,13 +172,13 @@ class MultipartDesign:
     def incidence(self) -> np.ndarray:
         """The read-only sum(v) x b 0/1 matrix Z of zipped points against
         blocks; every count of the design is read from Z or :attr:`gram`."""
-        return _incidence(sum(self.v), self.zipped_blocks)
+        return _incidence(sum(self.v), tuple(chain.from_iterable(self.blocks)), self.offsets)
 
     @cached_property
     def gram(self) -> np.ndarray:
         """The read-only Gram matrix Z Z^T: replications on the diagonal,
         within-factor pair counts and cross-factor counts off it."""
-        G = self.incidence @ self.incidence.T
+        G = _count_product(self.incidence, self.incidence)
         G.flags.writeable = False
         return G
 
@@ -170,7 +209,7 @@ class BlockDesign:
         v = int(self.v)
         if v < 1:
             raise InvalidInputError(f"point count must be positive, got {v}")
-        blocks = tuple(_normalize_part(block, v, f"block {t}")
+        blocks = tuple(_normalize_part(block, v, "block {}", t)
                        for t, block in enumerate(self.blocks))
         if not blocks:
             raise InvalidInputError("a design needs at least one block")
@@ -184,7 +223,7 @@ class BlockDesign:
     @cached_property
     def incidence(self) -> np.ndarray:
         """The read-only v x b 0/1 matrix of points against blocks."""
-        return _incidence(self.v, self.blocks)
+        return _incidence(self.v, self.blocks, (0,))
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, BlockDesign):
@@ -303,7 +342,7 @@ def constant_count(Z: np.ndarray, spans: Sequence[slice]) -> int | None:
             return record(Z[lo:hi, blocks].sum(axis=1))
         if depth == len(spans) - 2:
             last = spans[-1]
-            pairs = Z[lo:hi, blocks] @ Z[last, blocks].T
+            pairs = _count_product(Z[lo:hi, blocks], Z[last, blocks])
             later = np.arange(lo, hi)[:, None] < np.arange(last.start, last.stop)
             return record(pairs[later])
         return all(count(depth + 1, x + 1, blocks[Z[x, blocks] == 1]) for x in range(lo, hi))

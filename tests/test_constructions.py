@@ -275,6 +275,7 @@ def test_orbit_design_factor_not_preserved():
     ((0, 1), (0, 5)),     # level 5 is past the second factor
     ((0, 0, 1), (0, 1)),  # a repeated level
     ((0, -1), (0, 1)),    # a negative level
+    ((0, 1.5), (0, 1)),   # a level that is no integer
 ])
 def test_orbit_design_rejects_seed_levels_outside_their_factor(seed):
     with pytest.raises(InvalidInputError):

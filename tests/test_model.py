@@ -33,6 +33,28 @@ def test_structural_validation():
         MultipartDesign(v=(3,), blocks=())  # no blocks
 
 
+def test_levels_must_be_integers():
+    with pytest.raises(InvalidInputError):
+        MultipartDesign(v=(3,), blocks=(((0, 1.5),), ((1, 2),)))
+    with pytest.raises(InvalidInputError):
+        BlockDesign(v=3, blocks=((0, 1.5),))
+    # an equal integer part earlier in the design does not let 1.0 through
+    with pytest.raises(InvalidInputError):
+        MultipartDesign(v=(3,), blocks=(((0, 1),), ((0, 1.0),)))
+    d = MultipartDesign(v=(3,), blocks=(((np.int64(2), 0),),))
+    assert d.blocks == (((0, 2),),) and type(d.blocks[0][0][0]) is int
+
+
+def test_shared_part_objects_are_checked_per_factor():
+    part = (2, 0)
+    d = MultipartDesign(v=(3, 4), blocks=((part, part), (part, (1, 3))))
+    assert d.blocks == (((0, 2), (0, 2)), ((0, 2), (1, 3)))
+    with pytest.raises(InvalidInputError):
+        MultipartDesign(v=(4, 3), blocks=(((0, 3), (0, 1)), ((0, 3), (0, 3))))
+    with pytest.raises(InvalidInputError):
+        MultipartDesign(v=(4, 3), blocks=((part, part), ((0, 3), (0, 3))))
+
+
 def test_parts_stored_sorted():
     d = MultipartDesign(v=(4, 4), blocks=(((2, 0), (3, 1)),))
     assert d.blocks == (((0, 2), (1, 3)),)
@@ -181,6 +203,7 @@ def test_cached_counts_cannot_be_written():
     d = load_design("fig1")
     before = check_multipart(d)
     for view in (incidence_matrix(d, 0), concurrence_matrix(d, 0), d.incidence, d.gram):
+        assert view.dtype == np.int64
         with pytest.raises(ValueError):
             view[0, 0] = 7
     with pytest.raises(ValueError):
