@@ -85,12 +85,10 @@ def _write_design(design: MultipartDesign, out: str | None, fmt: str):
 def _jsonable(value):
     if isinstance(value, Fraction):
         return str(value) if value.denominator != 1 else value.numerator
-    if isinstance(value, tuple):
+    if isinstance(value, (tuple, list)):
         return [_jsonable(x) for x in value]
     if isinstance(value, dict):
         return {k: _jsonable(v) for k, v in value.items()}
-    if isinstance(value, list):
-        return [_jsonable(x) for x in value]
     return value
 
 
@@ -195,14 +193,18 @@ def _build(args) -> int:
     return EXIT_OK
 
 
-def _verify(args) -> int:
-    design = _load_design(args.file)
-    report = check_multipart(design, allow_degenerate=args.allow_degenerate)
-    if args.format == "json":
+def _report(report, fmt: str, passed: bool) -> int:
+    """Print ``report`` as text or JSON; exit 0 when it passed, else 2."""
+    if fmt == "json":
         print(json.dumps(_jsonable(asdict(report)), indent=2))
     else:
         print(report.summary())
-    return EXIT_OK if report.valid else EXIT_INVALID
+    return EXIT_OK if passed else EXIT_INVALID
+
+
+def _verify(args) -> int:
+    report = check_multipart(_load_design(args.file), allow_degenerate=args.allow_degenerate)
+    return _report(report, args.format, report.valid)
 
 
 def _params(args) -> int:
@@ -212,11 +214,7 @@ def _params(args) -> int:
     m = (len(values) - 1) // 2
     b, v, k = values[0], values[1:1 + m], values[1 + m:]
     report = check_admissible(b, v, k, c=args.c)
-    if args.format == "json":
-        print(json.dumps(_jsonable(asdict(report)), indent=2))
-    else:
-        print(report.summary())
-    return EXIT_OK if report.ok else EXIT_INVALID
+    return _report(report, args.format, report.ok)
 
 
 def _canon(args) -> int:

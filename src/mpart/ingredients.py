@@ -23,7 +23,7 @@ from .errors import (
     NotConstructibleError,
     NotInCatalogError,
 )
-from .model import BlockDesign, BlockPartition, complement_design, constant_count
+from .model import BlockDesign, BlockPartition, MultipartDesign, complement_design, constant_count
 
 # --------------------------------------------------------------------------
 # balance checking
@@ -412,13 +412,6 @@ def _is_prime(n: int) -> bool:
     return all(n % d for d in range(2, int(n ** 0.5) + 1))
 
 
-def _sylvester(order: int) -> np.ndarray:
-    H = np.array([[1]], dtype=np.int64)
-    while H.shape[0] < order:
-        H = np.block([[H, H], [H, -H]])
-    return H
-
-
 def _paley_type_1(q: int) -> np.ndarray:
     """Order q+1 from the quadratic character of Z_q, q prime, q = 3 mod 4."""
     squares = set(_quadratic_residues(q))
@@ -452,27 +445,26 @@ _BUILTIN_H12 = (
 def hadamard_matrix(order: int) -> HadamardMatrix:
     """A verified Hadamard matrix of the given order.
 
-    Construction preference: Sylvester doubling for powers of two, the
-    built-in order-12 matrix, Paley type I when order-1 is a prime
-    congruent to 3 mod 4, then doubling of a constructible half-order.
+    Construction preference: the built-in order-12 matrix, Paley type I
+    when order-1 is a prime congruent to 3 mod 4 and order is not a power
+    of two, then doubling of a constructible half-order, which reaches a
+    power of two from order 1 as Sylvester's construction does.
     """
     if order < 1 or (order > 2 and order % 4):
         raise InvalidInputError(f"no Hadamard matrix of order {order} exists")
-    if order & (order - 1) == 0:
-        return HadamardMatrix(tuple(map(tuple, _sylvester(order))))
+    if order == 1:
+        return HadamardMatrix(((1,),))
     if order == 12:
         return HadamardMatrix(_BUILTIN_H12)
     q = order - 1
-    if _is_prime(q) and q % 4 == 3:
-        return HadamardMatrix(tuple(map(tuple, _paley_type_1(q))))
-    if order % 2 == 0:
-        try:
-            half = hadamard_matrix(order // 2).as_array()
-        except (NotConstructibleError, InvalidInputError):
-            pass
-        else:
-            return HadamardMatrix(tuple(map(tuple, np.block([[half, half], [half, -half]]))))
-    raise NotConstructibleError(f"order {order} is outside the built-in constructions")
+    if order & q and _is_prime(q) and q % 4 == 3:  # order & q is 0 for powers of two
+        return HadamardMatrix(_paley_type_1(q))
+    try:
+        half = hadamard_matrix(order // 2).as_array()
+    except (NotConstructibleError, InvalidInputError):
+        raise NotConstructibleError(
+            f"order {order} is outside the built-in constructions") from None
+    return HadamardMatrix(np.block([[half, half], [half, -half]]))
 
 
 # --------------------------------------------------------------------------
@@ -500,10 +492,11 @@ class OrthogonalArray:
         t = self.strength
         if not 1 <= t <= m:
             raise InvalidInputError(f"strength must be in 1..{m}, got {t}")
+        # Rows are blocks of a design with one point per column symbol: a
+        # t-subset of columns is balanced iff its symbol tuples are.
+        design = MultipartDesign(symbols, tuple(tuple((x,) for x in row) for row in rows))
         for cols in combinations(range(m), t):
-            counts = Counter(tuple(row[c] for c in cols) for row in rows)
-            expected, rem = divmod(len(rows), int(np.prod([symbols[c] for c in cols])))
-            if rem or set(counts.values()) != {expected} or len(counts) * expected != len(rows):
+            if constant_count(design.incidence, [design.spans[c] for c in cols]) is None:
                 raise InvalidInputError(f"columns {cols} are not balanced")
         object.__setattr__(self, "rows", rows)
         object.__setattr__(self, "symbols", symbols)
@@ -543,18 +536,13 @@ def orthogonal_array(symbols: Sequence[int], strength: int) -> OrthogonalArray:
     if strength == 2:
         q = symbols[0]
         if all(s == q for s in symbols) and _is_prime(q) and m <= q + 1:
-            rows = []
-            for a, bsym in product(range(q), repeat=2):
-                row = [a, bsym] + [(a + i * bsym) % q for i in range(1, m - 1)]
-                rows.append(tuple(row[:m]))
-            return OrthogonalArray(rows=tuple(rows), symbols=symbols, strength=2)
+            rows = tuple((a, c, *((a + i * c) % q for i in range(1, m - 1)))
+                         for a, c in product(range(q), repeat=2))
+            return OrthogonalArray(rows=rows, symbols=symbols, strength=2)
         if all(s == 2 for s in symbols):
-            order = 4
-            while order - 1 < m:
-                order += 4
-            H = _normalize_pm_matrix(hadamard_matrix(order).as_array())
-            rows = tuple(tuple(0 if H[i, j] == 1 else 1 for j in range(1, m + 1))
-                         for i in range(order))
+            # the least order 4n with at least m columns after the first
+            H = _normalize_pm_matrix(hadamard_matrix(4 * (m // 4 + 1)).as_array())
+            rows = tuple(map(tuple, (H[:, 1:m + 1] == -1).astype(int).tolist()))
             return OrthogonalArray(rows=rows, symbols=symbols, strength=2)
     raise NotConstructibleError(
         f"no built-in orthogonal array for symbols {symbols} at strength {strength}")

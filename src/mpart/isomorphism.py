@@ -19,7 +19,7 @@ from operator import add, itemgetter, sub
 import numpy as np
 
 from .errors import DEFAULT_BUDGET, BudgetExceededError
-from .model import MultipartDesign, permute_factors
+from .model import MultipartDesign, _count_product, permute_factors
 
 
 @dataclass(frozen=True)
@@ -30,6 +30,11 @@ class CanonicalForm:
     certificate: bytes
 
 
+def _size_profiles(design: MultipartDesign) -> list[tuple[int, ...]]:
+    """The part sizes of each block, one entry per factor."""
+    return [tuple(map(len, block)) for block in design.blocks]
+
+
 def _fingerprint(design: MultipartDesign) -> tuple:
     """Cheap relabeling-invariant summary, used as a certificate prefix.
 
@@ -37,15 +42,15 @@ def _fingerprint(design: MultipartDesign) -> tuple:
     block-meet profiles, which already separates many non-isomorphic
     designs without any search.
     """
-    size_profiles = tuple(sorted(tuple(len(p) for p in block) for block in design.blocks))
     # The meets of blocks s < t, one column per factor: entry (s, t) of Z_i^T Z_i.
     upper = np.triu_indices(design.b, 1)
-    Z = design.incidence
-    meets = np.column_stack([(Z[span].T @ Z[span])[upper] for span in design.spans])
+    transposed = [design.incidence[span].T for span in design.spans]
+    meets = np.column_stack([_count_product(A, A)[upper] for A in transposed])
     meets = meets[np.lexsort(meets.T[::-1])]
     replication = np.diagonal(design.gram).tolist()
     reps = tuple(tuple(sorted(replication[span])) for span in design.spans)
-    return (design.v, size_profiles, reps, tuple(map(tuple, meets.tolist())))
+    return (design.v, tuple(sorted(_size_profiles(design))), reps,
+            tuple(map(tuple, meets.tolist())))
 
 
 @dataclass(frozen=True)
@@ -88,7 +93,7 @@ class _Canonicalizer:
         self.factor_of = [i for i in range(self.m) for _ in range(design.v[i])]
         # Refinement reads the colors of each block's points and of each
         # point's blocks through one getter per block and per point.
-        size_profiles = [tuple(len(part) for part in block) for block in design.blocks]
+        size_profiles = _size_profiles(design)
         size_rank = {size: i for i, size in enumerate(sorted(set(size_profiles)))}
         self.block_size = [size_rank[size] for size in size_profiles]
         self.block_getters = [_getter(points) for points in design.zipped_blocks]
@@ -118,9 +123,7 @@ class _Canonicalizer:
         splits by the rest of the key, in order: a singleton keeps its
         rank unsigned, and a round signs only the points of tied cells.
         """
-        cells: list[list[int]] = [[] for _ in range(max(colors) + 1)]
-        for p, color in enumerate(colors):
-            cells[color].append(p)
+        cells = _cells(colors)
         pair, base = self.pair, self.base
         while True:
             if len(cells) == self.total:
@@ -210,14 +213,7 @@ class _Canonicalizer:
                 f"canonical labeling exceeded {self.budget} nodes",
                 partial=self.best.candidate if self.best else None)
         colors = self._refine(colors)
-        cells: dict[int, list[int]] = {}
-        for p, color in enumerate(colors):
-            cells.setdefault(color, []).append(p)
-        target = None
-        for color in sorted(cells):
-            if len(cells[color]) > 1:
-                target = cells[color]
-                break
+        target = next((cell for cell in _cells(colors) if len(cell) > 1), None)
         if target is None:
             return self._leaf(colors, fixed)
         depth = len(fixed)
@@ -249,6 +245,15 @@ class _Canonicalizer:
         self._search(tuple(self.factor_of), ())
         assert self.best is not None
         return self.best.candidate
+
+
+def _cells(colors: tuple[int, ...]) -> list[list[int]]:
+    """The points of each color, in increasing order, for colors that are
+    the dense ranks 0, 1, ... of the cells."""
+    cells: list[list[int]] = [[] for _ in range(max(colors) + 1)]
+    for p, color in enumerate(colors):
+        cells[color].append(p)
+    return cells
 
 
 def _getter(indices: list[int]) -> itemgetter:
@@ -288,6 +293,27 @@ def canonical_form(design: MultipartDesign, budget: int = DEFAULT_BUDGET,
     return CanonicalForm(design=canonical, certificate=certificate)
 
 
+def _matches(d1: MultipartDesign, candidates, budget: int) -> bool:
+    """True when some design of ``candidates`` has ``d1``'s certificate.
+
+    ``d1``'s fingerprint and certificate are computed at most once, on
+    first use; a candidate whose fingerprint differs is never searched.
+    """
+    fingerprint1 = certificate1 = None
+    for d2 in candidates:
+        if fingerprint1 is None:
+            fingerprint1 = _fingerprint(d1)
+        fingerprint2 = _fingerprint(d2)
+        if fingerprint1 != fingerprint2:
+            continue
+        if certificate1 is None:
+            certificate1 = canonical_form(d1, budget=budget,
+                                          fingerprint=fingerprint1).certificate
+        if canonical_form(d2, budget=budget, fingerprint=fingerprint2).certificate == certificate1:
+            return True
+    return False
+
+
 def are_isomorphic(d1: MultipartDesign, d2: MultipartDesign,
                    budget: int = DEFAULT_BUDGET) -> bool:
     """Certificate equality: same per-factor relabeling class.
@@ -295,43 +321,18 @@ def are_isomorphic(d1: MultipartDesign, d2: MultipartDesign,
     Shape mismatches and fingerprint mismatches decide quickly; only
     designs that agree on every cheap invariant reach the search.
     """
-    if d1.m != d2.m or d1.v != d2.v:
-        return False
-    fingerprint1 = _fingerprint(d1)
-    fingerprint2 = _fingerprint(d2)
-    if fingerprint1 != fingerprint2:
-        return False
-    c1 = canonical_form(d1, budget=budget, fingerprint=fingerprint1)
-    c2 = canonical_form(d2, budget=budget, fingerprint=fingerprint2)
-    return c1.certificate == c2.certificate
+    return d1.v == d2.v and _matches(d1, [d2], budget)
 
 
 def are_weakly_isomorphic(d1: MultipartDesign, d2: MultipartDesign,
                           budget: int = DEFAULT_BUDGET) -> bool:
     """Isomorphism up to exchanging the roles of compatible factors.
 
-    ``d1``'s fingerprint and certificate are computed at most once, on
-    first use, however many factor exchanges are tried.
+    Only the exchanges that keep every factor's level count and multiset
+    of part sizes are tried.
     """
-    if d1.m != d2.m:
-        return False
-    profile1 = [tuple(sorted(len(b[i]) for b in d1.blocks)) for i in range(d1.m)]
-    profile2 = [tuple(sorted(len(b[i]) for b in d2.blocks)) for i in range(d2.m)]
-    fingerprint1 = certificate1 = None
-    for sigma in permutations(range(d2.m)):
-        if any(d1.v[j] != d2.v[sigma[j]] or profile1[j] != profile2[sigma[j]]
-               for j in range(d1.m)):
-            continue
-        exchanged = permute_factors(d2, sigma)
-        if fingerprint1 is None:
-            fingerprint1 = _fingerprint(d1)
-        fingerprint2 = _fingerprint(exchanged)
-        if fingerprint1 != fingerprint2:
-            continue
-        if certificate1 is None:
-            certificate1 = canonical_form(d1, budget=budget,
-                                          fingerprint=fingerprint1).certificate
-        form2 = canonical_form(exchanged, budget=budget, fingerprint=fingerprint2)
-        if form2.certificate == certificate1:
-            return True
-    return False
+    shape1, shape2 = ([(v, sorted(sizes)) for v, sizes in zip(d.v, zip(*_size_profiles(d)))]
+                      for d in (d1, d2))
+    exchanged = (permute_factors(d2, sigma) for sigma in permutations(range(d2.m))
+                 if [shape2[i] for i in sigma] == shape1)
+    return d1.m == d2.m and _matches(d1, exchanged, budget)

@@ -55,6 +55,14 @@ def _incidence(n: int, parts: Sequence[Sequence[int]], offsets: Sequence[int]) -
     return Z
 
 
+def _index(value, what: str) -> int:
+    """``value`` as an int; one without ``__index__`` is refused, not truncated."""
+    try:
+        return index(value)
+    except TypeError:
+        raise InvalidInputError(f"{what} must be an integer, got {value!r}") from None
+
+
 def _normalize_part(part: Iterable[int], size: int, where: str, *args) -> tuple[int, ...]:
     """``part`` as stored: integer levels in 0..size-1, none repeated, in
     increasing order.  An error names the part as ``where.format(*args)``,
@@ -109,7 +117,7 @@ class MultipartDesign:
     factor_names: tuple[str, ...] = ()
 
     def __post_init__(self):
-        v = tuple(int(x) for x in self.v)
+        v = tuple(_index(x, "factor size") for x in self.v)
         if not v or any(x < 1 for x in v):
             raise InvalidInputError(f"factor sizes must be positive, got {v}")
         m = len(v)
@@ -206,7 +214,7 @@ class BlockDesign:
     blocks: tuple[tuple[int, ...], ...]
 
     def __post_init__(self):
-        v = int(self.v)
+        v = _index(self.v, "point count")
         if v < 1:
             raise InvalidInputError(f"point count must be positive, got {v}")
         blocks = tuple(_normalize_part(block, v, "block {}", t)
@@ -376,7 +384,7 @@ def unzip_design(bd: BlockDesign, group_sizes: Sequence[int]) -> MultipartDesign
     otherwise the grouping is not a valid multi-part split and
     :class:`NonUniformIntersectionError` is raised.
     """
-    sizes = tuple(int(x) for x in group_sizes)
+    sizes = tuple(_index(x, "group size") for x in group_sizes)
     if any(x < 1 for x in sizes):
         raise InvalidInputError(f"group sizes must be positive, got {sizes}")
     if sum(sizes) != bd.v:

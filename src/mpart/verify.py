@@ -9,8 +9,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import accumulate, combinations
-from typing import Sequence
+from itertools import accumulate, combinations, islice
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -41,18 +41,20 @@ def cross_matrix(design: MultipartDesign, i: int, j: int) -> np.ndarray:
     return design.gram[factor_rows(design, i), factor_rows(design, j)]
 
 
-def _level_table(design: MultipartDesign, params: MultipartParams,
-                 t: int) -> dict[tuple[int, ...], int] | None:
-    """The constant count of every t-subset of factors, or None: pairs are
-    the cross counts of ``params``, larger subsets are counted once here."""
-    table: dict[tuple[int, ...], int] = {}
-    for factors in combinations(range(design.m), t):
-        value = (params.lam[factors[0]][factors[1]] if t == 2 else
-                 constant_count(design.incidence, [design.spans[i] for i in factors]))
-        if value is None:
-            return None
-        table[factors] = value
-    return table
+def _level_tables(design: MultipartDesign,
+                  params: MultipartParams) -> Iterator[dict[tuple[int, ...], int]]:
+    """For t = 2, 3, ..., m, the constant count of every t-subset of factors,
+    up to the first t at which some subset varies: pairs are the cross
+    counts of ``params``, larger subsets are counted once here."""
+    for t in range(2, design.m + 1):
+        table: dict[tuple[int, ...], int] = {}
+        for factors in combinations(range(design.m), t):
+            value = (params.lam[factors[0]][factors[1]] if t == 2 else
+                     constant_count(design.incidence, [design.spans[i] for i in factors]))
+            if value is None:
+                return
+            table[factors] = value
+        yield table
 
 
 def check_strength(design: MultipartDesign, t: int) -> dict[tuple[int, ...], int] | None:
@@ -63,24 +65,12 @@ def check_strength(design: MultipartDesign, t: int) -> dict[tuple[int, ...], int
     """
     if not 2 <= t <= design.m:
         raise InvalidInputError(f"t must be in 2..{design.m}, got {t}")
-    params = derive_parameters(design)
-    for tt in range(2, t + 1):
-        table = _level_table(design, params, tt)
-        if table is None:
-            return None
-    return table
-
-
-def _strength(design: MultipartDesign, params: MultipartParams) -> int:
-    t = 1
-    while t < design.m and _level_table(design, params, t + 1) is not None:
-        t += 1
-    return t
+    return next(islice(_level_tables(design, derive_parameters(design)), t - 2, None), None)
 
 
 def design_strength(design: MultipartDesign) -> int:
     """Largest t with strength t; 1 when even pairs are unbalanced or m = 1."""
-    return _strength(design, derive_parameters(design))
+    return check_multipart(design).strength
 
 
 @dataclass(frozen=True)
@@ -117,12 +107,9 @@ class VerificationReport:
                 "incomplete" if self.incomplete[i] else "NOT incomplete",
             ]
             lines.append(f"  factor {i}: " + ", ".join(bits))
-        for i in range(self.m):
-            for j in range(i + 1, self.m):
-                if self.cross_balance[i][j]:
-                    lines.append(f"  lambda_{i}{j}={self.cross_lambda[i][j]}")
-                else:
-                    lines.append(f"  lambda_{i}{j} varies")
+        lines += [f"  lambda_{i}{j}={self.cross_lambda[i][j]}" if self.cross_balance[i][j]
+                  else f"  lambda_{i}{j} varies"
+                  for i in range(self.m) for j in range(i + 1, self.m)]
         lines.append(f"  strength: {self.strength}")
         lines.append(f"  verdict: {'valid' if self.valid else 'INVALID'}")
         return "\n".join(lines)
@@ -141,35 +128,23 @@ def check_multipart(design: MultipartDesign,
     m = design.m
     params = derive_parameters(design)
     k, lam = params.k, params.lam
-    sizes_uniform = [x is not None for x in k]
-    within_lambda = [lam[i][i] for i in range(m)]
-    within_balance = [x is not None for x in within_lambda]
-    within_nonzero = [x is not None and x > 0 for x in within_lambda]
-    cross_lambda = [[None if i == j else lam[i][j] for j in range(m)] for i in range(m)]
-    cross_balance = [[i == j or lam[i][j] is not None for j in range(m)] for i in range(m)]
-    incomplete = [k[i] is not None and k[i] < design.v[i] for i in range(m)]
-    strength = _strength(design, params)
-
-    valid = True
-    for i in range(m):
-        if not (sizes_uniform[i] and incomplete[i] and within_balance[i]):
-            valid = False
-        elif within_nonzero[i] and k[i] >= 2:
-            pass
-        elif allow_degenerate and k[i] == 1 and within_lambda[i] == 0:
-            pass
-        else:
-            valid = False
-    if m >= 2:
-        valid = valid and strength >= 2
-
+    sizes_uniform = tuple(x is not None for x in k)
+    within_lambda = tuple(lam[i][i] for i in range(m))
+    within_balance = tuple(x is not None for x in within_lambda)
+    within_nonzero = tuple(x is not None and x > 0 for x in within_lambda)
+    cross_lambda = tuple(tuple(None if i == j else lam[i][j] for j in range(m)) for i in range(m))
+    cross_balance = tuple(tuple(i == j or lam[i][j] is not None for j in range(m))
+                          for i in range(m))
+    incomplete = tuple(k[i] is not None and k[i] < design.v[i] for i in range(m))
+    strength = 1 + sum(1 for _ in _level_tables(design, params))
+    valid = all(sizes_uniform[i] and incomplete[i] and within_balance[i]
+                and (within_nonzero[i] and k[i] >= 2
+                     or allow_degenerate and k[i] == 1 and within_lambda[i] == 0)
+                for i in range(m)) and (m < 2 or strength >= 2)
     return VerificationReport(
-        b=design.b, v=design.v, k=k, r=params.r,
-        sizes_uniform=tuple(sizes_uniform), incomplete=tuple(incomplete),
-        within_lambda=tuple(within_lambda), within_balance=tuple(within_balance),
-        within_nonzero=tuple(within_nonzero),
-        cross_lambda=tuple(tuple(row) for row in cross_lambda),
-        cross_balance=tuple(tuple(row) for row in cross_balance),
+        b=design.b, v=design.v, k=k, r=params.r, sizes_uniform=sizes_uniform,
+        incomplete=incomplete, within_lambda=within_lambda, within_balance=within_balance,
+        within_nonzero=within_nonzero, cross_lambda=cross_lambda, cross_balance=cross_balance,
         strength=strength, allow_degenerate=allow_degenerate, valid=valid,
     )
 
@@ -196,17 +171,14 @@ class AdmissibilityReport:
         return len(self.v)
 
     def summary(self) -> str:
-        def frac(x: Fraction) -> str:
-            return str(x) if x.denominator != 1 else str(x.numerator)
-
         lines = [f"b={self.b} v={self.v} k={self.k}" + (f" c={self.c}" if self.c else "")]
         for i in range(self.m):
             mark = "" if self.r_integral[i] else "  <- not an integer"
-            lines.append(f"  r_{i} = {frac(self.r[i])}{mark}")
+            lines.append(f"  r_{i} = {self.r[i]}{mark}")
         for i in range(self.m):
             for j in range(i, self.m):
                 mark = "" if self.lam_integral[i][j] else "  <- not an integer"
-                lines.append(f"  lambda_{i}{j} = {frac(self.lam[i][j])}{mark}")
+                lines.append(f"  lambda_{i}{j} = {self.lam[i][j]}{mark}")
         need = sum(self.v) - self.m + 1
         lines.append(f"  b >= {need}: {'pass' if self.bound_basic else 'FAIL'}")
         if self.c is not None:
@@ -237,12 +209,10 @@ def check_admissible(b: int, v: Sequence[int], k: Sequence[int],
     m = len(v)
 
     r = tuple(Fraction(b * k[i], v[i]) for i in range(m))
-    lam = [[Fraction(0)] * m for _ in range(m)]
-    for i in range(m):
-        lam[i][i] = (Fraction(b * k[i] * (k[i] - 1), v[i] * (v[i] - 1))
-                     if v[i] > 1 else Fraction(0))
-        for j in range(i + 1, m):
-            lam[i][j] = lam[j][i] = Fraction(b * k[i] * k[j], v[i] * v[j])
+    # A pair within factor i draws its second level from the v_i - 1 others,
+    # k_i - 1 of them in each block.
+    lam = tuple(tuple(Fraction(b * k[i] * (k[j] - (i == j)), v[i] * (v[j] - (i == j)))
+                      for j in range(m)) for i in range(m))
 
     r_integral = tuple(x.denominator == 1 for x in r)
     lam_integral = tuple(tuple(x.denominator == 1 for x in row) for row in lam)
@@ -255,8 +225,7 @@ def check_admissible(b: int, v: Sequence[int], k: Sequence[int],
         ok = ok and c_divides_b and bound_partitioned
 
     return AdmissibilityReport(
-        b=b, v=v, k=k, c=c, r=r,
-        lam=tuple(tuple(row) for row in lam),
+        b=b, v=v, k=k, c=c, r=r, lam=lam,
         r_integral=r_integral, lam_integral=lam_integral,
         bound_basic=bound_basic, c_divides_b=c_divides_b,
         bound_partitioned=bound_partitioned, ok=ok,

@@ -29,6 +29,18 @@ def test_verify_invalid_design(tmp_path, capsys):
     assert "INVALID" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("header, block", [
+    ("C=3 D=3", "C{1,%s} D{1}"),
+    ("C=%s D=3", "C{1,2} D{1}"),
+])
+def test_verify_over_long_number_is_an_input_error(tmp_path, capsys, header, block):
+    path = tmp_path / "long.design"
+    digits = "1" * 5000
+    path.write_text(f"mpart v1\nfactors: {header}\nblock: {block}\n".replace("%s", digits))
+    assert cli_main(["verify", str(path)]) == 1
+    assert capsys.readouterr().err.startswith("error: line ")
+
+
 def test_verify_fixture_shorthand(capsys):
     assert cli_main(["verify", "fixture:fig9"]) == 0
     assert "strength: 2" in capsys.readouterr().out

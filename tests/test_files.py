@@ -64,6 +64,29 @@ def test_parse_level_out_of_range():
         parse_concise("mpart v1\nfactors: C=3 D=3\nblock: C{1,4} D{1,2}\n")
 
 
+def test_parse_refuses_over_long_numbers_with_a_position():
+    # 5000 digits: more than int() reads from a string by default
+    digits = "1" * 5000
+    with pytest.raises(ParseError) as err:
+        parse_concise(f"mpart v1\nfactors: C=3 D=3\nblock: C{{1,2}} D{{1}}\n"
+                      f"block: C{{1, {digits}}} D{{1}}\n")
+    assert (err.value.line, err.value.col) == (4, 8)
+    assert str(err.value).startswith("line 4, col 8: level 111")
+    assert str(err.value).endswith(" out of range 1..3")
+    with pytest.raises(ParseError) as err:
+        parse_concise(f"mpart v1\nfactors: C=3 D={digits}\nblock: C{{1}} D{{1}}\n")
+    assert (err.value.line, err.value.col) == (2, 14)
+    assert "size of factor 'D' is too long: 5000 digits" in str(err.value)
+    # leading zeros are no digits of the value
+    d = parse_concise(f"mpart v1\nfactors: C={'0' * 5000}3\nblock: C{{{'0' * 5000}2}}\n")
+    assert d.v == (3,) and d.blocks == (((1,),),)
+    # the first level out of range is named, long or not
+    for body, level in ((f"4, {digits}", "4"), (f"{'0' * 700}4, {digits}", "4"),
+                        (f"{'0' * 700}1, {digits}, 4", digits)):
+        with pytest.raises(ParseError, match=f"^line 3, col 8: level {level} out of range"):
+            parse_concise(f"mpart v1\nfactors: C=3\nblock: C{{{body}}}\n")
+
+
 @pytest.mark.parametrize("line, col", [
     # the repeated part, not the first part with the same text
     ("block: C{1} C{1} D{1}", 13),

@@ -1,21 +1,26 @@
+import hashlib
 import random
 from collections import Counter
-from itertools import combinations
+from itertools import combinations, product
 
 import numpy as np
 import pytest
 
 from mpart.errors import (
     UNKNOWN,
+    DesignError,
     InvalidInputError,
     NotConstructibleError,
     NotInCatalogError,
 )
 from mpart.fixtures import steiner_3_22_6
 from mpart.ingredients import (
+    HadamardMatrix,
+    OrthogonalArray,
     brute_force_bibd,
     catalog_entries,
     check_t_design,
+    full_factorial_oa,
     get_bibd,
     hadamard_halves,
     hadamard_matrix,
@@ -374,3 +379,66 @@ def test_brute_force_bibd_does_not_recurse_per_block():
     found = brute_force_bibd(3, 2, 400, 1200)
     assert isinstance(found, BlockDesign) and found.b == 1200
     assert check_t_design(found, 2) == 400
+
+
+# SHA-256 over the Hadamard matrices of order 1-128, the orthogonal arrays
+# of every built-in family, and the errors raised for arrays that are
+# refused, recorded before the Sylvester and orthogonal-array balance
+# rules were folded into the general ones: no entry or row may move.
+INGREDIENTS_DIGEST = "8419630bd427eb411f792bef0548693bbc5dc8dc45bc9d3f6fa75746a06a144a"
+
+
+def _refused(build):
+    try:
+        return build()
+    except DesignError as exc:
+        return type(exc).__name__, str(exc)
+
+
+def _ingredient_outputs():
+    """Each Hadamard order 1..128 (or its error); every strength of the
+    arrays with up to four columns over one alphabet of 2..7 symbols, of
+    up to fifteen two-symbol columns and of a few mixed alphabets; full
+    factorials; and one refused array per strength and per check."""
+    for n in range(1, 129):
+        H = _refused(lambda: hadamard_matrix(n))
+        yield ("hadamard", n), H.entries if isinstance(H, HadamardMatrix) else H
+    alphabets = ([(s,) * m for s in range(2, 8) for m in range(1, 5)]
+                 + [(2,) * m for m in range(5, 16)] + [(2, 3), (3, 2), (2, 3, 4), (6, 6, 6)])
+    for symbols in alphabets:
+        for strength in range(1, len(symbols) + 1):
+            oa = _refused(lambda: orthogonal_array(symbols, strength))
+            yield ("oa", symbols, strength), (
+                (oa.rows, oa.symbols, oa.strength) if isinstance(oa, OrthogonalArray) else oa)
+    for symbols in ((3, 4), (6, 10), (2, 2, 3)):
+        yield ("full", symbols), full_factorial_oa(symbols).rows
+    cube = list(product(range(2), repeat=3))
+    refused = [
+        (((0,), (0,), (1,)), (2,), 1),
+        (((0,), (0,)), (2,), 1),
+        (((0, 0), (0, 1), (1, 0), (1, 0)), (2, 2), 2),
+        (((0, 0), (0, 0), (1, 1), (1, 1)), (2, 2), 2),
+        (((0, 0, 0), (0, 1, 1), (1, 0, 1), (1, 1, 1)), (2, 2, 2), 2),
+        (tuple(cube[:-1]) + ((0, 0, 0),), (2, 2, 2), 3),
+        (tuple(row + (row[0],) for row in cube), (2, 2, 2, 2), 3),
+        (((0, 2),), (2, 3), 1),
+        (((0, 3),), (2, 3), 1),
+        (((0, 1), (1,)), (2, 2), 1),
+        ((), (2,), 1),
+        (((0, 1),), (2, 2), 0),
+        (((0, 1),), (2, 2), 3),
+        (((0, 1), (1, 0), (0, 0), (1, 1)), (2, 2), 1),
+    ]
+    for rows, symbols, strength in refused:
+        oa = _refused(lambda: OrthogonalArray(rows, symbols, strength))
+        yield ("array", rows, symbols, strength), (
+            oa.rows if isinstance(oa, OrthogonalArray) else oa)
+
+
+def test_ingredient_outputs_match_the_recorded_digest():
+    h = hashlib.sha256()
+    count = 0
+    for label, out in _ingredient_outputs():
+        h.update(repr((label, out)).encode() + b"\n")
+        count += 1
+    assert (count, h.hexdigest()) == (325, INGREDIENTS_DIGEST)

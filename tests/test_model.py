@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
@@ -43,6 +45,21 @@ def test_levels_must_be_integers():
         MultipartDesign(v=(3,), blocks=(((0, 1),), ((0, 1.0),)))
     d = MultipartDesign(v=(3,), blocks=(((np.int64(2), 0),),))
     assert d.blocks == (((0, 2),),) and type(d.blocks[0][0][0]) is int
+
+
+@pytest.mark.parametrize("size", [3.5, Fraction(3), 3.0])
+def test_sizes_must_be_integers(size):
+    # a size is refused, not truncated, as a level is
+    with pytest.raises(InvalidInputError, match="must be an integer"):
+        MultipartDesign(v=(size,), blocks=(((0, 1),),))
+    with pytest.raises(InvalidInputError, match="must be an integer"):
+        MultipartDesign(v=(3, size), blocks=(((0,), (0, 1)),))
+    with pytest.raises(InvalidInputError, match="must be an integer"):
+        BlockDesign(v=size, blocks=((0, 1),))
+    with pytest.raises(InvalidInputError, match="must be an integer"):
+        unzip_design(BlockDesign(v=6, blocks=((0, 3),)), (3, size))
+    d = MultipartDesign(v=(np.int64(3),), blocks=(((0, 1),),))
+    assert d.v == (3,) and type(d.v[0]) is int
 
 
 def test_shared_part_objects_are_checked_per_factor():
