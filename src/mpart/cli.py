@@ -203,7 +203,8 @@ def _report(report, fmt: str, passed: bool) -> int:
 
 
 def _verify(args) -> int:
-    report = check_multipart(_load_design(args.file), allow_degenerate=args.allow_degenerate)
+    design = _load_design(args.file)
+    report = check_multipart(design, allow_degenerate=args.allow_degenerate)
     return _report(report, args.format, report.valid)
 
 
@@ -337,17 +338,13 @@ def _make_parser() -> _Parser:
     common(p, "--format", "--budget", "--seed")
     p.set_defaults(func=_canon)
 
-    p = sub.add_parser("iso", help="exit 0 if isomorphic, 3 if not")
-    p.add_argument("file1")
-    p.add_argument("file2")
-    common(p, "--budget")
-    p.set_defaults(func=lambda args: _iso(args, weak=False))
-
-    p = sub.add_parser("weak-iso", help="isomorphism up to factor exchange")
-    p.add_argument("file1")
-    p.add_argument("file2")
-    common(p, "--budget")
-    p.set_defaults(func=lambda args: _iso(args, weak=True))
+    for name, weak, text in (("iso", False, "exit 0 if isomorphic, 3 if not"),
+                             ("weak-iso", True, "isomorphism up to factor exchange")):
+        p = sub.add_parser(name, help=text)
+        p.add_argument("file1")
+        p.add_argument("file2")
+        common(p, "--budget")
+        p.set_defaults(func=lambda args, weak=weak: _iso(args, weak=weak))
 
     p = sub.add_parser("partition", help="find c equally replicated block classes")
     p.add_argument("file")

@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import json
 import re
-import sys
 from itertools import product
 from typing import Any
 
@@ -80,12 +79,12 @@ def parse_concise(text: str) -> MultipartDesign:
             raise ParseError(f"bad factor declaration {token!r}", n,
                              factors_line.find(token) + 1)
         digits = m.group(2).lstrip("0") or "0"
-        # int() refuses more digits than the interpreter's limit (none if 0 or absent)
-        if 0 < getattr(sys, "get_int_max_str_digits", int)() < len(digits):
+        try:
+            sizes.append(int(digits))
+        except ValueError:  # more digits than int() reads
             raise ParseError(f"size of factor {m.group(1)!r} is too long: {len(digits)} digits",
-                             n, factors_line.find(token) + 1)
+                             n, factors_line.find(token) + 1) from None
         names.append(m.group(1))
-        sizes.append(int(digits))
     if not names:
         raise ParseError("no factors declared", n, 1)
     if len(set(names)) != len(names):
@@ -111,18 +110,16 @@ def _part_levels(body: str, name: str, size: int) -> tuple[int, ...]:
     items = body.replace(",", " ").split()
     if not items:
         raise ParseError(f"empty part for factor {name!r}")
-    if len(body) > 640:
-        # A body this long may hold more digits than int() reads (Python's
-        # digit limit goes no lower than 640).  Past its leading zeros, a
-        # level with more digits than the size is out of range: it is
-        # refused without being read.
-        width = len(str(size))
-        items = [tok.lstrip("0") or "0" for tok in items]
-        bad = next((tok for tok in items if len(tok) > width or not 1 <= int(tok) <= size), None)
-        if bad is not None:
-            raise ParseError(f"level {bad} out of range 1..{size}")
+    width = len(str(size))
     levels = []
     for tok in items:
+        if len(tok) > width:
+            # Past its leading zeros, a level with more digits than the size
+            # is out of range; it is refused without int(), which may not
+            # read that many digits.
+            tok = tok.lstrip("0") or "0"
+            if len(tok) > width:
+                raise ParseError(f"level {tok} out of range 1..{size}")
         x = int(tok)
         if not 1 <= x <= size:
             raise ParseError(f"level {x} out of range 1..{size}")

@@ -493,8 +493,11 @@ class OrthogonalArray:
         if not 1 <= t <= m:
             raise InvalidInputError(f"strength must be in 1..{m}, got {t}")
         # Rows are blocks of a design with one point per column symbol: a
-        # t-subset of columns is balanced iff its symbol tuples are.
-        design = MultipartDesign(symbols, tuple(tuple((x,) for x in row) for row in rows))
+        # t-subset of columns is balanced iff its symbol tuples are.  Each
+        # distinct one-level part is one shared tuple, checked once.
+        parts = [tuple((x,) for x in range(s)) for s in symbols]
+        blocks = tuple(tuple(parts[c][x] for c, x in enumerate(row)) for row in rows)
+        design = MultipartDesign(symbols, blocks)
         for cols in combinations(range(m), t):
             if constant_count(design.incidence, [design.spans[c] for c in cols]) is None:
                 raise InvalidInputError(f"columns {cols} are not balanced")
@@ -536,13 +539,17 @@ def orthogonal_array(symbols: Sequence[int], strength: int) -> OrthogonalArray:
     if strength == 2:
         q = symbols[0]
         if all(s == q for s in symbols) and _is_prime(q) and m <= q + 1:
-            rows = tuple((a, c, *((a + i * c) % q for i in range(1, m - 1)))
-                         for a, c in product(range(q), repeat=2))
-            return OrthogonalArray(rows=rows, symbols=symbols, strength=2)
+            rows = []
+            for a, bsym in product(range(q), repeat=2):
+                row = [a, bsym] + [(a + i * bsym) % q for i in range(1, m - 1)]
+                rows.append(tuple(row[:m]))
+            return OrthogonalArray(rows=tuple(rows), symbols=symbols, strength=2)
         if all(s == 2 for s in symbols):
             # the least order 4n with at least m columns after the first
-            H = _normalize_pm_matrix(hadamard_matrix(4 * (m // 4 + 1)).as_array())
-            rows = tuple(map(tuple, (H[:, 1:m + 1] == -1).astype(int).tolist()))
+            order = 4 * (m // 4 + 1)
+            H = _normalize_pm_matrix(hadamard_matrix(order).as_array())
+            rows = tuple(tuple(0 if H[i, j] == 1 else 1 for j in range(1, m + 1))
+                         for i in range(order))
             return OrthogonalArray(rows=rows, symbols=symbols, strength=2)
     raise NotConstructibleError(
         f"no built-in orthogonal array for symbols {symbols} at strength {strength}")

@@ -107,9 +107,12 @@ class VerificationReport:
                 "incomplete" if self.incomplete[i] else "NOT incomplete",
             ]
             lines.append(f"  factor {i}: " + ", ".join(bits))
-        lines += [f"  lambda_{i}{j}={self.cross_lambda[i][j]}" if self.cross_balance[i][j]
-                  else f"  lambda_{i}{j} varies"
-                  for i in range(self.m) for j in range(i + 1, self.m)]
+        for i in range(self.m):
+            for j in range(i + 1, self.m):
+                if self.cross_balance[i][j]:
+                    lines.append(f"  lambda_{i}{j}={self.cross_lambda[i][j]}")
+                else:
+                    lines.append(f"  lambda_{i}{j} varies")
         lines.append(f"  strength: {self.strength}")
         lines.append(f"  verdict: {'valid' if self.valid else 'INVALID'}")
         return "\n".join(lines)
@@ -128,23 +131,35 @@ def check_multipart(design: MultipartDesign,
     m = design.m
     params = derive_parameters(design)
     k, lam = params.k, params.lam
-    sizes_uniform = tuple(x is not None for x in k)
-    within_lambda = tuple(lam[i][i] for i in range(m))
-    within_balance = tuple(x is not None for x in within_lambda)
-    within_nonzero = tuple(x is not None and x > 0 for x in within_lambda)
-    cross_lambda = tuple(tuple(None if i == j else lam[i][j] for j in range(m)) for i in range(m))
-    cross_balance = tuple(tuple(i == j or lam[i][j] is not None for j in range(m))
-                          for i in range(m))
-    incomplete = tuple(k[i] is not None and k[i] < design.v[i] for i in range(m))
+    sizes_uniform = [x is not None for x in k]
+    within_lambda = [lam[i][i] for i in range(m)]
+    within_balance = [x is not None for x in within_lambda]
+    within_nonzero = [x is not None and x > 0 for x in within_lambda]
+    cross_lambda = [[None if i == j else lam[i][j] for j in range(m)] for i in range(m)]
+    cross_balance = [[i == j or lam[i][j] is not None for j in range(m)] for i in range(m)]
+    incomplete = [k[i] is not None and k[i] < design.v[i] for i in range(m)]
     strength = 1 + sum(1 for _ in _level_tables(design, params))
-    valid = all(sizes_uniform[i] and incomplete[i] and within_balance[i]
-                and (within_nonzero[i] and k[i] >= 2
-                     or allow_degenerate and k[i] == 1 and within_lambda[i] == 0)
-                for i in range(m)) and (m < 2 or strength >= 2)
+
+    valid = True
+    for i in range(m):
+        if not (sizes_uniform[i] and incomplete[i] and within_balance[i]):
+            valid = False
+        elif within_nonzero[i] and k[i] >= 2:
+            pass
+        elif allow_degenerate and k[i] == 1 and within_lambda[i] == 0:
+            pass
+        else:
+            valid = False
+    if m >= 2:
+        valid = valid and strength >= 2
+
     return VerificationReport(
-        b=design.b, v=design.v, k=k, r=params.r, sizes_uniform=sizes_uniform,
-        incomplete=incomplete, within_lambda=within_lambda, within_balance=within_balance,
-        within_nonzero=within_nonzero, cross_lambda=cross_lambda, cross_balance=cross_balance,
+        b=design.b, v=design.v, k=k, r=params.r,
+        sizes_uniform=tuple(sizes_uniform), incomplete=tuple(incomplete),
+        within_lambda=tuple(within_lambda), within_balance=tuple(within_balance),
+        within_nonzero=tuple(within_nonzero),
+        cross_lambda=tuple(tuple(row) for row in cross_lambda),
+        cross_balance=tuple(tuple(row) for row in cross_balance),
         strength=strength, allow_degenerate=allow_degenerate, valid=valid,
     )
 
