@@ -288,7 +288,8 @@ def _make_parser() -> _Parser:
     shared = {
         "--format": dict(choices=("text", "json"), default="text"),
         "--budget": dict(type=_count, default=DEFAULT_BUDGET,
-                         help="search-tree node limit; exit 4 when it runs out"),
+                         help="search-tree node limit (a partition search may spend it "
+                              "in each of its two phases); exit 4 when it runs out"),
         "--seed": dict(type=int, default=0, help="seed of the --selfcheck relabelings"),
     }
 

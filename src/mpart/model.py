@@ -49,7 +49,10 @@ def _incidence(n: int, parts: Sequence[Sequence[int]], offsets: Sequence[int]) -
     sizes = np.fromiter(map(len, parts), dtype=np.intp, count=len(parts))
     levels = np.fromiter(chain.from_iterable(parts), dtype=np.intp, count=int(sizes.sum()))
     levels += np.repeat(np.tile(np.asarray(offsets, dtype=np.intp), b), sizes)
-    Z = np.zeros((n, b), dtype=np.int64)
+    try:
+        Z = np.zeros((n, b), dtype=np.int64)
+    except ValueError:  # more rows than an array can index
+        raise InvalidInputError(f"{n} levels are too many to count") from None
     Z[levels, np.repeat(np.arange(b), sizes.reshape(b, m).sum(axis=1))] = 1
     Z.flags.writeable = False
     return Z

@@ -10,6 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate, combinations, islice
+from math import prod
 from typing import Iterator, Sequence
 
 import numpy as np
@@ -259,34 +260,77 @@ def find_partition(design: MultipartDesign, c: int,
                    budget: int = DEFAULT_BUDGET):
     """A c-class partition witness, None (none exists), or UNKNOWN.
 
-    Exact backtracking over class assignments in block-index order with
-    per-level occurrence quotas; block 0 is pinned to class 0 and a
-    block may only open class j once classes below j are open, so the
-    witness returned is the lexicographically least canonical one.
-    Every class tried for a block counts as one node against ``budget``.
     Divisibility failures (c not dividing b or some level count) decide
-    "none exists" immediately.  The search keeps its own stack, so a
-    design of any size cannot overflow Python's.
+    "none exists" immediately.  Otherwise up to three steps run, each
+    only when the steps before it leave the answer open:
+
+    1. Phase 1 backtracks over class assignments in block-index order
+       (``_Quotas.first_phase``).  When it decides, its witness is the
+       lexicographically least canonical one.
+    2. A product's witness read off its factors (``_product_witness``),
+       returned only if ``verify_partition`` accepts it.
+    3. Phase 2, a complete search that branches on the most constrained
+       (class, level) pair (``_Quotas.second_phase``).
+
+    Each phase may spend ``budget`` nodes, so up to 2 x ``budget`` in
+    all.  None always comes from divisibility or an exhausted search;
+    UNKNOWN only when both phases run out.  Both phases keep their own stacks, so a design
+    of any size cannot overflow Python's.
+    """
+    if c < 1:
+        raise InvalidInputError(f"class count must be positive, got {c}")
+    if c == 1:
+        return BlockPartition((tuple(range(design.b)),))
+    quotas = _quotas(design, c)
+    if quotas is None:
+        return None
+    result = quotas.first_phase(budget)
+    if result is UNKNOWN:
+        result = _product_witness(design, c) or quotas.second_phase(budget)
+    return result
+
+
+def _product_witness(design: MultipartDesign, c: int) -> BlockPartition | None:
+    """Classes by the sum, mod c, of each block's part indices, when the
+    blocks are the full product of their factors' distinct parts and the
+    classes verify; else None, which decides nothing.
+
+    Each factor's distinct parts are indexed in order of first
+    appearance.  The classes verify when, for each factor, another
+    factor has a multiple of c distinct parts, as (7,3,1)^3 at c = 7.
+    """
+    index: list[dict[tuple[int, ...], int]] = [{} for _ in design.v]
+    for block in design.blocks:
+        for parts, part in zip(index, block):
+            parts.setdefault(part, len(parts))
+    if design.b != prod(map(len, index)):
+        return None
+    assigned = [sum(parts[part] for parts, part in zip(index, block)) % c
+                for block in design.blocks]
+    if any(assigned.count(j) != design.b // c for j in range(c)):
+        return None
+    partition = _partition(assigned, c)
+    return partition if verify_partition(design, partition) else None
+
+
+def _quotas(design: MultipartDesign, c: int) -> _Quotas | None:
+    """The setup both phases of ``find_partition`` share, for 2 <= c; None
+    when c does not divide b or some level's replication.
 
     A class replicates every level equally if and only if it replicates
     every complemented level equally.  So a dense factor, whose parts
     fill more than half its levels (2 sum(r) > b v_i), is searched on
     the complement of each part, with quota (b - r)/c per level: quotas
     there fill up, and prune, long before they do on the parts.  The
-    valid partitions and the order of the walk are unchanged, so the
-    witness is too; ``budget`` counts the nodes of this search.
+    valid partitions and the order of phase 1's walk are unchanged, so
+    its witness is too.
     """
-    if c < 1:
-        raise InvalidInputError(f"class count must be positive, got {c}")
     b = design.b
-    if c == 1:
-        return BlockPartition((tuple(range(b)),))
     if b % c:
         return None
     replication = np.diagonal(design.gram)
     if (replication % c).any():
         return None
-
     Z = design.incidence
     counts = replication.tolist()
     dense = [2 * sum(counts[span]) > b * size for span, size in zip(design.spans, design.v)]
@@ -294,51 +338,205 @@ def find_partition(design: MultipartDesign, c: int,
         rows = np.repeat(dense, design.v)
         Z = np.where(rows[:, None], 1 - Z, Z)
         counts = np.where(rows, b - replication, replication).tolist()
-    quota = [r // c for r in counts]
-    # Each block's searched points (the rows of its column of Z) and their bitmask.
+    # Each block's searched points: the rows of its column of Z.
     levels = np.nonzero(Z.T)[1].tolist()
     ends = list(accumulate(Z.sum(axis=0).tolist()))
     points = [levels[start:end] for start, end in zip([0] + ends, ends)]
-    bit = [1 << p for p in range(len(quota))]
-    masks = [sum(map(bit.__getitem__, block)) for block in points]
-    class_size = b // c
-    fill = [0] * c
-    usage = [[0] * len(quota) for _ in range(c)]
-    # The points class j holds to quota; a block fits iff it has none of them.
-    saturated = [sum(bit[p] for p, q in enumerate(quota) if not q)] * c
-    # A placed block t is in class tried[t] - 1; blocks before t open opened[t] classes.
-    tried = [0] * b
-    opened = [0] * (b + 1)
-    nodes = t = 0
-    while t < b:
-        j = tried[t]
-        if j == min(c, opened[t] + 1):
-            if t == 0:
-                return None
-            tried[t] = 0
-            t -= 1
-            j = tried[t] - 1
-            fill[j] -= 1
-            saturated[j] &= ~masks[t]
-            use = usage[j]
-            for p in points[t]:
-                use[p] -= 1
-            continue
-        nodes += 1
-        if nodes > budget:
-            return UNKNOWN
-        tried[t] = j + 1
-        if fill[j] < class_size and not masks[t] & saturated[j]:
-            fill[j] += 1
-            use = usage[j]
-            for p in points[t]:
-                use[p] += 1
-                if use[p] == quota[p]:
-                    saturated[j] |= bit[p]
-            opened[t + 1] = max(opened[t], j + 1)
-            t += 1
+    return _Quotas(c, [r // c for r in counts], points)
 
-    classes = [[] for _ in range(c)]
-    for t, j in enumerate(tried):
-        classes[j - 1].append(t)
-    return BlockPartition(tuple(tuple(cls) for cls in classes))
+
+def _partition(assigned: Sequence[int], c: int) -> BlockPartition:
+    """The partition that puts block t in class ``assigned[t]``."""
+    classes: list[list[int]] = [[] for _ in range(c)]
+    for t, j in enumerate(assigned):
+        classes[j].append(t)
+    return BlockPartition(tuple(map(tuple, classes)))
+
+
+class _Quotas:
+    """Each block's searched points, and what every class must hold: each
+    point ``quota[p]`` times, and ``class_size`` = b/c blocks."""
+
+    def __init__(self, c: int, quota: list[int], points: list[list[int]]):
+        self.c = c
+        self.quota = quota
+        self.points = points
+        self.class_size = len(points) // c
+
+    def first_phase(self, budget: int):
+        """Phase 1: backtracking over class assignments in block-index order.
+
+        Block 0 is pinned to class 0 and a block may only open class j
+        once classes below j are open, so the witness is the
+        lexicographically least canonical one.  Every class tried for a
+        block counts as one node against ``budget``.  A block fits a
+        class that is not full and holds none of its points to quota:
+        one AND of the block's bitmask with the class's.
+        """
+        c, quota, points, class_size = self.c, self.quota, self.points, self.class_size
+        b = len(points)
+        bit = [1 << p for p in range(len(quota))]
+        masks = [sum(map(bit.__getitem__, block)) for block in points]
+        fill = [0] * c
+        usage = [[0] * len(quota) for _ in range(c)]
+        # The points class j holds to quota; a block fits iff it has none of them.
+        saturated = [sum(bit[p] for p, q in enumerate(quota) if not q)] * c
+        # A placed block t is in class tried[t] - 1; blocks before t open opened[t] classes.
+        tried = [0] * b
+        opened = [0] * (b + 1)
+        nodes = t = 0
+        while t < b:
+            j = tried[t]
+            if j == min(c, opened[t] + 1):
+                if t == 0:
+                    return None
+                tried[t] = 0
+                t -= 1
+                j = tried[t] - 1
+                fill[j] -= 1
+                saturated[j] &= ~masks[t]
+                use = usage[j]
+                for p in points[t]:
+                    use[p] -= 1
+                continue
+            nodes += 1
+            if nodes > budget:
+                return UNKNOWN
+            tried[t] = j + 1
+            if fill[j] < class_size and not masks[t] & saturated[j]:
+                fill[j] += 1
+                use = usage[j]
+                for p in points[t]:
+                    use[p] += 1
+                    if use[p] == quota[p]:
+                        saturated[j] |= bit[p]
+                opened[t + 1] = max(opened[t], j + 1)
+                t += 1
+        return _partition([j - 1 for j in tried], c)
+
+    def second_phase(self, budget: int):
+        """Phase 2: a complete search on the most constrained (class, point).
+
+        Each class j and point p is a constraint: j still needs
+        ``need = quota[p] - use`` blocks through p, and ``fit`` unplaced
+        blocks through p may still go into j.  One more point, in every
+        block, stands for the class size.  The search branches on the
+        constraint with the least slack ``fit - need``, and on its first
+        fitting block: the block goes into j, or it is excluded from j.
+        A class that holds a point to quota excludes every unplaced
+        block through it.  A branch fails as soon as some constraint
+        has fewer fitting blocks than it needs, or an unplaced block is
+        excluded from every class.
+
+        Empty classes are interchangeable, so only the lowest one may be
+        opened, and a block kept out of it is kept out of every empty
+        class.  The search is complete: None means no partition exists.
+        Every branch taken counts one node against ``budget``.
+        """
+        c, b, class_size = self.c, len(self.points), self.class_size
+        size = len(self.quota)
+        n = size + 1
+        points = [block + [size] for block in self.points]
+        through: list[list[int]] = [[] for _ in range(n)]
+        for t, block in enumerate(points):
+            for p in block:
+                through[p].append(t)
+        # Constraint (j, p) is entry j * n + p.
+        need = (self.quota + [class_size]) * c
+        fit = [len(blocks) for blocks in through] * c
+        allowed = [(1 << c) - 1] * b
+        placed = [-1] * b
+        # Undo records (t, j, mask): block t placed in class j, where mask
+        # held its allowed classes, or excluded from class j when mask is 0.
+        trail: list[tuple[int, int, int]] = []
+
+        def exclude(t: int, j: int) -> bool:
+            """Keep unplaced block t out of class j; False when it fits no class."""
+            allowed[t] &= ~(1 << j)
+            trail.append((t, j, 0))
+            base = j * n
+            for p in points[t]:
+                fit[base + p] -= 1
+            return allowed[t] != 0
+
+        def place(t: int, j: int) -> bool:
+            """Put block t in class j and exclude from j every unplaced block
+            through a point j now holds to quota."""
+            mask = allowed[t]
+            allowed[t] = 0
+            placed[t] = j
+            trail.append((t, j, mask))
+            full = []
+            for i in range(c):
+                if mask >> i & 1:
+                    base = i * n
+                    for p in points[t]:
+                        fit[base + p] -= 1
+                        if i == j:
+                            need[base + p] -= 1
+                            if not need[base + p]:
+                                full.append(p)
+            return all(exclude(s, j) for p in full for s in through[p] if allowed[s] >> j & 1)
+
+        def undo(mark: int) -> None:
+            while len(trail) > mark:
+                t, j, mask = trail.pop()
+                if not mask:
+                    allowed[t] |= 1 << j
+                    base = j * n
+                    for p in points[t]:
+                        fit[base + p] += 1
+                    continue
+                placed[t] = -1
+                allowed[t] = mask
+                for i in range(c):
+                    if mask >> i & 1:
+                        base = i * n
+                        for p in points[t]:
+                            fit[base + p] += 1
+                            if i == j:
+                                need[base + p] += 1
+
+        def empty(j: int) -> bool:
+            return need[j * n + size] == class_size
+
+        def constraint() -> tuple[int, int, int] | None:
+            """(slack, class, point) of the open constraint with the least
+            slack, over the open classes and the lowest empty one (the
+            other empty classes are the same); None when every block is
+            placed."""
+            best = None
+            for j in range(c):
+                base = j * n
+                for p in range(n):
+                    if need[base + p]:
+                        slack = fit[base + p] - need[base + p]
+                        if best is None or slack < best[0]:
+                            best = (slack, j, p)
+                if empty(j):
+                    break
+            return best
+
+        choices: list[tuple[int, int, int]] = []  # (trail length, block, class)
+        nodes = 0
+        ok = True
+        while True:
+            if ok:
+                best = constraint()
+                if best is None:
+                    return _partition(placed, c)
+                slack, j, p = best
+                ok = slack >= 0
+            if not (ok or choices):
+                return None
+            nodes += 1
+            if nodes > budget:
+                return UNKNOWN
+            if ok:
+                t = next(s for s in through[p] if allowed[s] >> j & 1)
+                choices.append((len(trail), t, j))
+                ok = place(t, j)
+            else:
+                mark, t, j = choices.pop()
+                undo(mark)
+                ok = all(exclude(t, i) for i in (range(j, c) if empty(j) else (j,)))

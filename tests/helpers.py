@@ -12,6 +12,7 @@ from collections import Counter
 from itertools import combinations, product
 
 from mpart.model import MultipartDesign
+from mpart.verify import _quotas
 
 
 def oracle_pair_counts(blocks, factor: int) -> Counter:
@@ -138,3 +139,15 @@ def oracle_partition_exists(blocks, v: tuple[int, ...], c: int) -> bool:
         return False
 
     return split(tuple(range(b)), None)
+
+
+def first_phase(design: MultipartDesign, c: int, budget: int):
+    """``find_partition``'s phase 1 alone: block-index-order backtracking."""
+    quotas = _quotas(design, c)
+    return None if quotas is None else quotas.first_phase(budget)
+
+
+def second_phase(design: MultipartDesign, c: int, budget: int):
+    """``find_partition``'s phase 2 alone: the most-constrained-first search."""
+    quotas = _quotas(design, c)
+    return None if quotas is None else quotas.second_phase(budget)

@@ -41,6 +41,15 @@ def test_verify_over_long_number_is_an_input_error(tmp_path, capsys, header, blo
     assert capsys.readouterr().err.startswith("error: line ")
 
 
+def test_verify_of_a_factor_too_large_to_count_is_an_input_error(tmp_path, capsys):
+    # numpy refuses an array this size before allocating anything.
+    path = tmp_path / "huge.design"
+    path.write_text("mpart v1\nfactors: C=100000000000000000000\nblock: C{1,2}\n")
+    assert cli_main(["verify", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err == "error: 100000000000000000000 levels are too many to count\n"
+
+
 def test_verify_fixture_shorthand(capsys):
     assert cli_main(["verify", "fixture:fig9"]) == 0
     assert "strength: 2" in capsys.readouterr().out
@@ -73,7 +82,9 @@ def test_partition_outcomes(capsys):
     assert "class 1: blocks 1 2 3 4" in capsys.readouterr().out
     assert cli_main(["partition", "fixture:fig1", "--c", "10"]) == 2
     capsys.readouterr()
-    assert cli_main(["partition", "fixture:fig4a", "--c", "10", "--budget", "3"]) == 4
+    # Phase 2 refutes 10 classes of fig4a at 2 nodes (phase 1 needs 65).
+    assert cli_main(["partition", "fixture:fig4a", "--c", "10", "--budget", "1"]) == 4
+    assert cli_main(["partition", "fixture:fig4a", "--c", "10", "--budget", "2"]) == 2
 
 
 def test_render_modes(capsys):
@@ -182,16 +193,20 @@ def _had16_path(tmp_path) -> str:
 
 
 def test_build_class_matched_budget_exhausted(tmp_path, capsys):
-    # Hadamard 16 is 7-partitionable, but the search needs more than 20 nodes
-    assert cli_main(["build", "class-matched", "--design", _had16_path(tmp_path),
-                     "--classes", "7", "--ingredient", "7,3,1", "--budget", "20"]) == 4
+    # Hadamard 16 is 7-partitionable; phase 2 decides it at 28 nodes.
+    args = ["build", "class-matched", "--design", _had16_path(tmp_path),
+            "--classes", "7", "--ingredient", "7,3,1", "--budget"]
+    assert cli_main(args + ["27"]) == 4
     assert "partition search budget exhausted" in capsys.readouterr().err
+    assert cli_main(args + ["28"]) == 0
 
 
 def test_build_oa_budget_exhausted_and_not_partitionable(capsys):
     args = ["build", "oa", "--ingredient", "4,2,1", "--ingredient", "4,2,1"]
-    assert cli_main(args + ["--classes", "3", "--budget", "1"]) == 4
+    assert cli_main(args + ["--classes", "3", "--budget", "5"]) == 4
     assert "partition search budget exhausted" in capsys.readouterr().err
+    assert cli_main(args + ["--classes", "3", "--budget", "6"]) == 0
+    capsys.readouterr()
     assert cli_main(args + ["--classes", "4"]) == 2
     assert "not 4-partitionable" in capsys.readouterr().err
 
@@ -289,10 +304,16 @@ def test_partition_of_a_2401_block_design_never_raises(tmp_path, capsys):
     from mpart.constructions import cartesian_product
     from mpart.files import serialize_concise
     from mpart.ingredients import get_bibd
+    from mpart.model import BlockPartition
+    from mpart.verify import verify_partition
 
+    design = cartesian_product([get_bibd(7, 3, 1)] * 4)
     path = tmp_path / "731x731x731x731.design"
-    path.write_text(serialize_concise(cartesian_product([get_bibd(7, 3, 1)] * 4)))
-    assert cli_main(["partition", str(path), "--c", "7", "--budget", "50000"]) in (0, 4)
+    path.write_text(serialize_concise(design))
+    assert cli_main(["partition", str(path), "--c", "7", "--budget", "50000",
+                     "--format", "json"]) == 0
+    classes = [[t - 1 for t in cls] for cls in json.loads(capsys.readouterr().out)]
+    assert verify_partition(design, BlockPartition(tuple(map(tuple, classes))))
 
 
 def _numbers(value):

@@ -3,11 +3,14 @@
 A class replicates every level of a factor equally if and only if it
 replicates every complemented level equally, so complementing the parts
 of a factor leaves the valid partitions, and the lexicographically least
-one that ``find_partition`` returns, unchanged.  Small designs are also
-checked against an exhaustive split.
+one that ``find_partition``'s phase 1 returns, unchanged.  Phase 2 alone
+must give the same yes/no.  Small designs are also checked against an
+exhaustive split.
 """
 
 from __future__ import annotations
+
+from itertools import product
 
 import pytest
 
@@ -16,9 +19,9 @@ st = pytest.importorskip("hypothesis.strategies")
 
 from mpart.errors import UNKNOWN  # noqa: E402
 from mpart.model import MultipartDesign  # noqa: E402
-from mpart.verify import find_partition, verify_partition  # noqa: E402
+from mpart.verify import _product_witness, find_partition, verify_partition  # noqa: E402
 
-from helpers import oracle_partition_exists  # noqa: E402
+from helpers import oracle_partition_exists, second_phase  # noqa: E402
 
 
 @st.composite
@@ -66,3 +69,32 @@ def test_complementing_a_factor_keeps_the_answer(design, c, data):
         assert verify_partition(design, result)
     if design.b <= 9:
         assert (result is not None) == oracle_partition_exists(design.blocks, design.v, c)
+
+
+@st.composite
+def products(draw) -> MultipartDesign:
+    """The full product of a few distinct parts per factor, in some order."""
+    v = draw(st.lists(st.integers(1, 5), min_size=1, max_size=3))
+    parts = [draw(st.lists(_part(size), min_size=1, max_size=4, unique=True)) for size in v]
+    blocks = draw(st.permutations(list(product(*parts))))
+    return MultipartDesign(v=tuple(v), blocks=tuple(blocks))
+
+
+@_SETTINGS
+@hypothesis.given(st.one_of(designs(), products()), st.integers(2, 4), st.data())
+def test_second_phase_and_the_product_witness_are_exact(design, c, data):
+    proper = [i for i, size in enumerate(design.v)
+              if all(len(block[i]) < size for block in design.blocks)]
+    factors = data.draw(st.sets(st.sampled_from(proper)) if proper else st.just(set()))
+    complemented = _complemented(design, factors)
+    result = second_phase(design, c, budget=100_000)
+    other = second_phase(complemented, c, budget=100_000)
+    assert result is not UNKNOWN and other is not UNKNOWN
+    assert (result is None) == (other is None)
+    if result is not None:
+        assert verify_partition(design, result) and verify_partition(complemented, other)
+    if design.b <= 9:
+        assert (result is not None) == oracle_partition_exists(design.blocks, design.v, c)
+    witness = _product_witness(design, c)
+    if witness is not None:
+        assert result is not None and verify_partition(design, witness)

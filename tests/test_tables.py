@@ -4,8 +4,12 @@ import hashlib
 import pytest
 
 from mpart.cli import cli_main
-from mpart.errors import BudgetExceededError, InvalidInputError
+from mpart.errors import UNKNOWN, BudgetExceededError, InvalidInputError
+from mpart.ingredients import get_bibd
+from mpart.model import as_multipart
 from mpart.tables import _Enumerator, enumerate_reachable, render_rows
+
+from helpers import first_phase
 
 # SHA-256 of the output of `mpart tables` with these arguments, recorded
 # before the partition search moved to complemented parts.
@@ -137,12 +141,19 @@ def test_least_b_tables_match_the_recorded_digests(capsys):
 
 def test_undecided_partition_search_fails_the_table(capsys):
     # The table to b = 60 splits all pairs of 11 into 5 classes, a search
-    # that decides at 39025 nodes (LEAST_DECIDING_BUDGET in test_verify).
-    assert cli_main(["tables", "--max-b", "60", "--budget", "39024"]) == 4
-    assert "all pairs of 11 with 5 classes is undecided" in capsys.readouterr().err
+    # whose phase 1 decides at 39025 nodes (LEAST_DECIDING_BUDGET in
+    # test_verify).
+    pairs = as_multipart(get_bibd(11, 2, 1))
+    assert first_phase(pairs, 5, 39024) is UNKNOWN
+    assert first_phase(pairs, 5, 39025) is not UNKNOWN
+    # With phase 2 the table's last search to decide is 2-(16,6,2) into 2
+    # classes (none exists), which phase 2 decides at 116 nodes.
+    assert cli_main(["tables", "--max-b", "60", "--budget", "115"]) == 4
+    assert ("2-(16,6,2) from a difference set in (Z2)^4 with 2 classes is undecided"
+            in capsys.readouterr().err)
     with pytest.raises(BudgetExceededError):
-        enumerate_reachable(max_b=60, partition_budget=39024)
-    assert cli_main(["tables", "--max-b", "60", "--budget", "39025"]) == 0
+        enumerate_reachable(max_b=60, partition_budget=115)
+    assert cli_main(["tables", "--max-b", "60", "--budget", "116"]) == 0
 
 
 def test_enumeration_leaves_no_enumerator_alive():

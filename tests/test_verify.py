@@ -20,10 +20,12 @@ from mpart.verify import (
 )
 
 from helpers import (
+    first_phase,
     oracle_cross_counts,
     oracle_pair_counts,
     oracle_partition_exists,
     random_design,
+    second_phase,
 )
 
 
@@ -203,8 +205,11 @@ def test_find_partition_quota_failure_is_immediate_none():
 
 
 def test_find_partition_budget_unknown():
+    # Phase 1 needs 65 nodes to refute 10 classes of fig4a; phase 2 needs 2.
     d = load_design("fig4a")
-    assert find_partition(d, 10, budget=3) is UNKNOWN
+    assert first_phase(d, 10, budget=3) is UNKNOWN
+    assert find_partition(d, 10, budget=1) is UNKNOWN
+    assert find_partition(d, 10, budget=2) is None
 
 
 def test_find_partition_witness_always_verifies():
@@ -236,14 +241,18 @@ def test_find_partition_agrees_with_exhaustive_search():
             assert result is not UNKNOWN
             expected = oracle_partition_exists(d.blocks, d.v, c)
             assert (result is not None) == expected, (d, c)
+            alone = second_phase(d, c, budget=100_000)
+            assert alone is not UNKNOWN and (alone is not None) == expected, (d, c)
+            assert alone is None or verify_partition(d, alone)
             outcomes[expected] += 1
     assert outcomes[True] >= 10 and outcomes[False] >= 10
 
 
-# Least budget, in search nodes, at which find_partition decides, for every
-# primary catalog design of at most 64 blocks and class count c whose search
-# does not end at the divisibility checks; recorded from the recursive search
-# before it was made iterative.  Every other divisor c decides at budget 0.
+# Least budget, in search nodes, at which find_partition's phase 1 decides,
+# for every primary catalog design of at most 64 blocks and class count c
+# whose search does not end at the divisibility checks; recorded from the
+# recursive search before it was made iterative.  Every other divisor c
+# decides at budget 0.
 LEAST_DECIDING_BUDGET = {
     "all pairs of 4": {3: (12, True)},
     "all pairs of 5": {2: (23, True)},
@@ -296,8 +305,81 @@ def test_find_partition_spends_the_recorded_budget():
             if c in before:
                 assert before[c] is None or budget <= before[c], (entry.name, c)
             if budget:
-                assert find_partition(d, c, budget=budget - 1) is UNKNOWN, (entry.name, c)
-            result = find_partition(d, c, budget=budget)
+                assert first_phase(d, c, budget - 1) is UNKNOWN, (entry.name, c)
+            result = first_phase(d, c, budget)
             assert (result is not None) == exists, (entry.name, c)
+            assert find_partition(d, c, budget=budget) == result, (entry.name, c)
             if exists:
                 assert verify_partition(d, result)
+
+
+def test_second_phase_alone_agrees_with_the_recorded_answers():
+    from mpart.ingredients import catalog_entries
+
+    decided = 0
+    for entry in catalog_entries(max_blocks=64):
+        d = as_multipart(entry.build())
+        searched = LEAST_DECIDING_BUDGET.get(entry.name.removeprefix("complement of "), {})
+        for c in range(2, d.b + 1):
+            if d.b % c:
+                continue
+            result = second_phase(d, c, budget=50_000)
+            if result is UNKNOWN:
+                continue
+            decided += 1
+            assert (result is not None) == searched.get(c, (0, False))[1], (entry.name, c)
+            assert result is None or verify_partition(d, result)
+    assert decided > 300
+
+
+# The searches phase 1 leaves undecided at 50000 nodes in some block order:
+# phase 2 decides the catalog ones, and the product witness the products.
+LISTED_SEARCHES = {
+    "halves of a Hadamard matrix of order 16": (3, 5),
+    "complement of all pairs of 10": (9,),
+    "complement of all pairs of 11": (5,),
+}
+
+
+def _listed_searches():
+    from mpart.constructions import cartesian_product
+    from mpart.ingredients import catalog_entries
+
+    for entry in catalog_entries(max_blocks=64):
+        for c in LISTED_SEARCHES.get(entry.name, ()):
+            yield as_multipart(entry.build()), c, False
+    for power in (3, 4):
+        yield cartesian_product([get_bibd(7, 3, 1)] * power), 7, True
+
+
+def test_listed_searches_decide_in_every_block_order():
+    from mpart.model import reorder_blocks
+    from mpart.verify import _product_witness
+
+    for d, c, product in _listed_searches():
+        result = find_partition(d, c, budget=50_000)
+        assert result is not UNKNOWN and verify_partition(d, result), (d.b, c)
+        for seed in range(11):
+            order = random.Random(seed).sample(range(d.b), d.b) if seed else range(d.b)
+            shuffled = reorder_blocks(d, order)
+            if product:
+                witness = _product_witness(shuffled, c)
+            else:
+                witness = second_phase(shuffled, c, budget=50_000)
+            assert witness is not None and witness is not UNKNOWN, (d.b, c, seed)
+            assert verify_partition(shuffled, witness)
+
+
+def test_product_witness_needs_the_full_product_and_verifies():
+    from mpart.constructions import cartesian_product
+    from mpart.verify import _product_witness
+
+    d = cartesian_product([get_bibd(7, 3, 1)] * 2)
+    assert verify_partition(d, _product_witness(d, 7))
+    # One block dropped and another repeated: b is still 7 x 7.
+    repeated = MultipartDesign(v=d.v, blocks=d.blocks[:-1] + d.blocks[:1])
+    assert _product_witness(repeated, 7) is None
+    # Classes by index sum mod 3 hold 7 blocks each, but the 7 parts of
+    # the first factor do not spread evenly over 3 classes.
+    d = cartesian_product([get_bibd(7, 3, 1), get_bibd(3, 2, 1)])
+    assert _product_witness(d, 3) is None
