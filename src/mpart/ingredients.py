@@ -1,9 +1,10 @@
 """Building blocks consumed by the constructions.
 
-Small pair-balanced designs (a validated catalog), resolvable designs,
-Hadamard matrices, orthogonal arrays, and a brute-force existence
-oracle.  Every catalog design is validated computationally on first use
-rather than trusted from any table.
+Small pair-balanced designs (a validated catalog), resolutions into
+parallel classes (found by the block-partition search of
+:mod:`mpart.verify`), Hadamard matrices, orthogonal arrays, and a
+brute-force existence oracle.  Every catalog design is validated
+computationally on first use rather than trusted from any table.
 """
 
 from __future__ import annotations
@@ -23,7 +24,8 @@ from .errors import (
     NotConstructibleError,
     NotInCatalogError,
 )
-from .model import BlockDesign, BlockPartition, MultipartDesign, complement_design, constant_count
+from .model import BlockDesign, MultipartDesign, as_multipart, complement_design, constant_count
+from .verify import find_partition
 
 # --------------------------------------------------------------------------
 # balance checking
@@ -297,71 +299,18 @@ def get_bibd(v: int, k: int, lam: int) -> BlockDesign:
 def resolvable_classes(design: BlockDesign, budget: int = DEFAULT_BUDGET):
     """Partition the blocks into parallel classes, None, or UNKNOWN.
 
-    Each class covers every point exactly once.  Exact backtracking,
-    returning the lexicographically least resolution; None means no
-    resolution exists (or the sizes make one impossible).  Each class
-    is filled in increasing block order, every block through the least
-    uncovered point being tried in turn, and every block tried counts
-    as one node against ``budget``; UNKNOWN means the budget ran out
-    first.  The search keeps its own stack, so a design of any size
-    cannot overflow Python's.
+    A parallel class covers every point exactly once: it is a class of a
+    c-partition at c = r, where every point's quota is 1.  So this is
+    :func:`~mpart.verify.find_partition` on the 1-part view at c = r,
+    under its contract: the lexicographically least resolution when
+    phase 1 decides, up to 2 x ``budget`` nodes, and UNKNOWN only when
+    both phases run out.  None also when the blocks differ in size or
+    the points in replication, where some point's quota would not be 1.
     """
-    sizes = {len(b) for b in design.blocks}
-    if len(sizes) != 1:
+    r = check_t_design(design, 1)
+    if r is None:
         return None
-    k = sizes.pop()
-    v = design.v
-    if v % k or (design.b * k) % v:
-        return None
-    per_class = v // k
-
-    by_point: list[list[int]] = [[] for _ in range(v)]
-    for t, block in enumerate(design.blocks):
-        for x in block:
-            by_point[x].append(t)
-
-    used = [False] * design.b
-    covered = [False] * v
-    chosen: list[int] = []
-    # The blocks through the pivot point at each depth, and the next one to try.
-    options = [by_point[0]]
-    tried = [0]
-    nodes = 0
-    while len(chosen) < design.b:
-        blocks, i = options[-1], tried[-1]
-        last = chosen[-1] if len(chosen) % per_class else -1
-        while i < len(blocks):
-            t = blocks[i]
-            i += 1
-            nodes += 1
-            if nodes > budget:
-                return UNKNOWN
-            if not used[t] and t > last and not any(covered[x] for x in design.blocks[t]):
-                break
-        else:
-            options.pop()
-            tried.pop()
-            if not chosen:
-                return None
-            t = chosen.pop()
-            used[t] = False
-            if len(chosen) % per_class == per_class - 1:
-                # t completed a class: the class before it covered every point
-                covered = [True] * v
-            for x in design.blocks[t]:
-                covered[x] = False
-            continue
-        tried[-1] = i
-        used[t] = True
-        chosen.append(t)
-        for x in design.blocks[t]:
-            covered[x] = True
-        if len(chosen) % per_class == 0:
-            covered = [False] * v
-        options.append(by_point[covered.index(False)])
-        tried.append(0)
-    return BlockPartition(tuple(tuple(chosen[start:start + per_class])
-                                for start in range(0, design.b, per_class)))
+    return find_partition(as_multipart(design), r, budget)
 
 
 # --------------------------------------------------------------------------

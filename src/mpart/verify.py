@@ -274,8 +274,8 @@ def find_partition(design: MultipartDesign, c: int,
 
     Each phase may spend ``budget`` nodes, so up to 2 x ``budget`` in
     all.  None always comes from divisibility or an exhausted search;
-    UNKNOWN only when both phases run out.  Both phases keep their own stacks, so a design
-    of any size cannot overflow Python's.
+    UNKNOWN only when both phases run out.  Both phases keep their own
+    stacks, so a design of any size cannot overflow Python's.
     """
     if c < 1:
         raise InvalidInputError(f"class count must be positive, got {c}")

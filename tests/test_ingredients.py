@@ -28,9 +28,15 @@ from mpart.ingredients import (
     orthogonal_array,
     resolvable_classes,
 )
-from mpart.model import BlockDesign
+from mpart.model import BlockDesign, as_multipart
+from mpart.verify import find_partition
 
-from helpers import oracle_constant, oracle_pair_counts
+from helpers import (
+    oracle_constant,
+    oracle_pair_counts,
+    oracle_partition_exists,
+    oracle_subset_counts,
+)
 
 
 def test_check_t_design_fano():
@@ -127,54 +133,6 @@ def test_unique_6_3_2_not_resolvable():
     assert resolvable_classes(d) is None
 
 
-def _reference_resolvable_classes(design: BlockDesign):
-    """The recursive, unbudgeted search that resolvable_classes replaced."""
-    sizes = {len(b) for b in design.blocks}
-    if len(sizes) != 1:
-        return None
-    k = sizes.pop()
-    v = design.v
-    if v % k or (design.b * k) % v:
-        return None
-    per_class = v // k
-    n_classes = design.b * k // v
-
-    by_point: list[list[int]] = [[] for _ in range(v)]
-    for t, block in enumerate(design.blocks):
-        for x in block:
-            by_point[x].append(t)
-
-    used = [False] * design.b
-    classes: list[tuple[int, ...]] = []
-
-    def build(current: list[int], covered: set[int]) -> bool:
-        if len(current) == per_class:
-            classes.append(tuple(current))
-            if len(classes) == n_classes:
-                return True
-            if build([], set()):
-                return True
-            classes.pop()
-            return False
-        pivot = min(set(range(v)) - covered)
-        for t in by_point[pivot]:
-            if used[t] or not covered.isdisjoint(design.blocks[t]):
-                continue
-            if current and t < current[-1]:
-                continue
-            used[t] = True
-            current.append(t)
-            if build(current, covered | set(design.blocks[t])):
-                return True
-            current.pop()
-            used[t] = False
-        return False
-
-    if build([], set()):
-        return tuple(classes)
-    return None
-
-
 def _random_block_design(rng: random.Random) -> BlockDesign:
     """Random parallel classes, a few blocks replaced by copies of others, shuffled."""
     k = rng.randint(1, 3)
@@ -189,24 +147,63 @@ def _random_block_design(rng: random.Random) -> BlockDesign:
     return BlockDesign(v=v, blocks=tuple(blocks))
 
 
-def test_resolvable_classes_matches_the_reference():
+# Indices, in the order test_resolvable_classes_agrees_with_the_oracle
+# builds them, of the designs that the earlier least-uncovered-point search
+# resolved: every one must still resolve.
+RESOLVED_BY_THE_POINT_SEARCH = (
+    3, 17, 23, 25, 42, 53, 57, 63, 77, 102, 121, 123, 131, 132, 134, 141, 142, 152, 158,
+    161, 164, 169, 171, 174, 176, 184, 186, 190, 191, 192, 195, 196, 199, 200, 205, 214,
+    215, 216, 219, 223, 225, 226, 227, 234, 235, 236, 240, 241, 247, 249, 251, 252, 255,
+    266, 276, 278, 281, 282, 286, 287, 289, 304, 306, 309, 317, 320, 321, 324, 326, 333,
+    339, 346, 349, 351, 354, 355, 361, 363, 370, 371, 372, 375, 381, 383, 385, 391, 399,
+    400, 404, 407, 417, 419,
+)
+
+
+def test_resolvable_classes_agrees_with_the_oracle():
     designs = [entry.build() for entry in catalog_entries(max_blocks=80)]
     rng = random.Random(0x1507)
     designs += [_random_block_design(rng) for _ in range(300)]
     resolved = 0
-    for design in designs:
-        expected = _reference_resolvable_classes(design)
+    for i, design in enumerate(designs):
         got = resolvable_classes(design)
-        assert (got if got is None else got.classes) == expected, design
-        resolved += expected is not None
+        assert got is not UNKNOWN, design
+        if got is not None:
+            for cls in got.classes:
+                assert sorted(x for t in cls for x in design.blocks[t]) == list(range(design.v))
+        r = check_t_design(design, 1)
+        if design.b <= 12 and r is not None:
+            blocks = [(block,) for block in design.blocks]
+            assert (got is not None) == oracle_partition_exists(blocks, (design.v,), r), design
+        if i in RESOLVED_BY_THE_POINT_SEARCH:
+            assert got is not None, design
+        resolved += got is not None
     assert resolved >= 80 and len(designs) - resolved >= 100
 
 
+def test_resolvable_classes_finds_a_class_off_the_least_uncovered_point():
+    # The class (0, 1, 5) meets points 0, 1 and 4 in blocks 1, 5 and 0: a
+    # search that fills each class through the least uncovered point, in
+    # increasing block order, never reaches it.
+    design = BlockDesign(v=9, blocks=((4, 5, 8), (0, 3, 7), (3, 6, 7),
+                                      (0, 1, 4), (2, 5, 8), (1, 2, 6)))
+    assert resolvable_classes(design).classes == ((0, 1, 5), (2, 3, 4))
+
+
+def test_resolvable_classes_needs_constant_replication():
+    # Point 0 lies in every block: at c = 2 its quota would be 2, so the
+    # 2-partition below exists but is no resolution.
+    design = BlockDesign(v=4, blocks=((0, 1), (0, 1), (0, 2), (0, 2)))
+    assert find_partition(as_multipart(design), 2) is not None
+    assert resolvable_classes(design) is None
+
+
 def test_resolvable_classes_runs_out_of_budget():
-    assert resolvable_classes(kirkman_15(), budget=100) is UNKNOWN
+    assert resolvable_classes(kirkman_15(), budget=34) is UNKNOWN
+    assert resolvable_classes(kirkman_15(), budget=35) is not None
     # undecided is not "no"
-    assert resolvable_classes(get_bibd(6, 3, 2), budget=5) is UNKNOWN
-    assert resolvable_classes(get_bibd(6, 3, 2), budget=100) is None
+    assert resolvable_classes(get_bibd(6, 3, 2), budget=1) is UNKNOWN
+    assert resolvable_classes(get_bibd(6, 3, 2), budget=2) is None
 
 
 def test_resolvable_classes_of_a_long_design_never_raises():
@@ -372,6 +369,20 @@ def test_brute_force_bibd_matches_the_recursive_search(params):
     assert brute_force_bibd(*params, budget=low) is UNKNOWN
     assert brute_force_bibd(*params, budget=high) == _recursive_brute_force_bibd(
         *params, budget=high)
+
+
+@pytest.mark.parametrize("params", BRUTE_FORCE_PARAMS)
+def test_brute_force_bibd_finds_a_design_that_exists(params):
+    # Each of these 2-(v,k,lam) designs exists (Colbourn & Dinitz, Handbook
+    # of Combinatorial Designs, 2nd ed., 2007): recount the one found.
+    v, k, lam, b = params
+    found = brute_force_bibd(*params)
+    assert isinstance(found, BlockDesign) and found.b == b
+    assert {len(set(block)) for block in found.blocks} == {k}
+    r = lam * (v - 1) // (k - 1)
+    for t, count in ((1, r), (2, lam)):
+        subsets = combinations(range(v), t)
+        assert oracle_constant(oracle_subset_counts(found.blocks, t), subsets) == count
 
 
 def test_brute_force_bibd_does_not_recurse_per_block():
