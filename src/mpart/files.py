@@ -191,8 +191,9 @@ def _block_error(line: str, n: int, names: list[str], sizes: list[int]) -> Parse
 # plain block lists (ingredient fixtures): 1-based points, one block per line
 
 
-def parse_blocks(text: str, v: int | None = None) -> BlockDesign:
-    """Fixture format: space-separated 1-based point labels, '#' comments."""
+def parse_blocks(text: str) -> BlockDesign:
+    """Fixture format: space-separated 1-based point labels, '#' comments;
+    the points are 1 to the largest label."""
     blocks = []
     top = 0
     for n, raw in enumerate(text.splitlines(), start=1):
@@ -209,15 +210,11 @@ def parse_blocks(text: str, v: int | None = None) -> BlockDesign:
         blocks.append(tuple(x - 1 for x in points))
     if not blocks:
         raise ParseError("no blocks", 1, 1)
-    if v is None:
-        v = top
-    return BlockDesign(v=v, blocks=tuple(blocks))
+    return BlockDesign(v=top, blocks=tuple(blocks))
 
 
-def serialize_blocks(bd: BlockDesign, comments: tuple[str, ...] = ()) -> str:
-    lines = [f"# {comment}" for comment in comments]
-    lines += [" ".join(str(x + 1) for x in block) for block in bd.blocks]
-    return "\n".join(lines) + "\n"
+def serialize_blocks(bd: BlockDesign) -> str:
+    return "\n".join(" ".join(str(x + 1) for x in block) for block in bd.blocks) + "\n"
 
 
 # --------------------------------------------------------------------------

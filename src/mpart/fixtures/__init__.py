@@ -3,8 +3,9 @@
 ``*.design`` files hold multi-part designs in the concise format;
 ``*.blocks`` files hold plain block designs (one line per block,
 1-based points, ``#`` comments).  The two large Steiner systems are
-validated with :func:`mpart.ingredients.check_t_design` on first load
-and cached; a corrupted file raises instead of propagating bad data.
+validated with :func:`mpart.ingredients.check_t_design` on first load,
+by every caller (the CLI's ``fixture:`` names included), and cached; a
+corrupted file raises instead of propagating bad data.
 """
 
 from __future__ import annotations
@@ -27,6 +28,9 @@ BLOCK_FIXTURES = ("design_3_22_6_1", "design_4_23_7_1", "design_2_16_4_1",
 # removing it from the blocks through it reproduces design_3_22_6_1.
 EXTENSION_POINT_23 = 22
 
+# Steiner systems S(t, k, v) that loading checks: fixture -> (t, v, b).
+_STEINER = {"design_3_22_6_1": (3, 22, 77), "design_4_23_7_1": (4, 23, 253)}
+
 
 def fixture_text(filename: str) -> str:
     return (_resource_files(__package__) / filename).read_text()
@@ -45,22 +49,19 @@ def load_block_design(name: str) -> BlockDesign:
     """A shipped plain block design by fixture name."""
     if name not in BLOCK_FIXTURES:
         raise InvalidInputError(f"unknown block fixture {name!r}; have {BLOCK_FIXTURES}")
-    return parse_blocks(fixture_text(name + ".blocks"))
+    design = parse_blocks(fixture_text(name + ".blocks"))
+    if name in _STEINER:
+        t, v, b = _STEINER[name]
+        if design.v != v or design.b != b or check_t_design(design, t) != 1:
+            raise InvalidInputError(f"{name} fixture failed validation")
+    return design
 
 
-@lru_cache(maxsize=None)
 def steiner_3_22_6() -> BlockDesign:
     """The 77-block system on 22 points where every 3-set lies in one block."""
-    design = load_block_design("design_3_22_6_1")
-    if design.v != 22 or design.b != 77 or check_t_design(design, 3) != 1:
-        raise InvalidInputError("design_3_22_6_1 fixture failed validation")
-    return design
+    return load_block_design("design_3_22_6_1")
 
 
-@lru_cache(maxsize=None)
 def steiner_4_23_7() -> BlockDesign:
     """The 253-block system on 23 points where every 4-set lies in one block."""
-    design = load_block_design("design_4_23_7_1")
-    if design.v != 23 or design.b != 253 or check_t_design(design, 4) != 1:
-        raise InvalidInputError("design_4_23_7_1 fixture failed validation")
-    return design
+    return load_block_design("design_4_23_7_1")

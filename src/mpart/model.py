@@ -453,11 +453,7 @@ def permute_factors(design: MultipartDesign, order: Sequence[int]) -> MultipartD
     """Reorder factors so new position j holds old factor ``order[j]``."""
     if sorted(order) != list(range(design.m)):
         raise InvalidInputError(f"not a permutation of factors: {order}")
-    return MultipartDesign(
-        v=tuple(design.v[i] for i in order),
-        blocks=tuple(tuple(block[i] for i in order) for block in design.blocks),
-        factor_names=tuple(design.factor_names[i] for i in order),
-    )
+    return select_factors(design, order)
 
 
 def select_factors(design: MultipartDesign, factors: Sequence[int]) -> MultipartDesign:

@@ -2,8 +2,11 @@
 
 Reproduces the least-block-count tables for two-factor designs: full
 products (construction 1), class-matched subproducts (2), Hadamard
-splits (3) and symmetric-design splits (4).  Every emitted row comes
-from an actually constructed and verified design, deduplicated to the
+splits (3) and symmetric-design splits (4).  A row of constructions
+2-4 comes from a design that is constructed and passes
+``check_multipart`` here; a row of construction 1 is computed from its
+two ingredients' parameters, which their full product always has (the
+test suite builds and verifies each).  Rows are deduplicated to the
 least block count per (v, k) signature.
 """
 
@@ -25,8 +28,8 @@ from .errors import (
     InvalidInputError,
     NotConstructibleError,
 )
-from .ingredients import CatalogEntry, catalog_entries, hadamard_matrix
-from .model import BlockDesign, BlockPartition, MultipartDesign, as_multipart
+from .ingredients import CatalogEntry, catalog_entries, get_bibd, hadamard_matrix
+from .model import BlockPartition, MultipartDesign, as_multipart
 from .verify import check_admissible, check_multipart, find_partition
 
 # Catalog designs of at most this many blocks are the tables' ingredients.
@@ -81,27 +84,20 @@ class _Enumerator:
         self.entries = catalog_entries(max_blocks=INGREDIENT_BLOCKS)
         self.primaries = catalog_entries(max_blocks=INGREDIENT_BLOCKS,
                                          include_complements=False)
-        self._designs: dict[str, BlockDesign] = {}
-        self._partitions: dict[tuple[str, int], BlockPartition | None] = {}
+        self._partitions: dict[tuple[CatalogEntry, int], BlockPartition | None] = {}
 
-    def design_of(self, entry: CatalogEntry) -> BlockDesign:
-        if entry.name not in self._designs:
-            self._designs[entry.name] = entry.build()
-        return self._designs[entry.name]
-
-    def partitions_of(self, name: str, c: int) -> BlockPartition | None:
+    def partitions_of(self, entry: CatalogEntry, c: int) -> BlockPartition | None:
         """The c-class partition of a catalog design, or None when none
         exists; an undecided search raises instead of dropping rows."""
-        if (name, c) not in self._partitions:
-            entry = next(e for e in self.entries if e.name == name)
-            result = find_partition(as_multipart(self.design_of(entry)), c,
+        if (entry, c) not in self._partitions:
+            result = find_partition(as_multipart(get_bibd(entry.v, entry.k, entry.lam)), c,
                                     budget=self.partition_budget)
             if result is UNKNOWN:
                 raise BudgetExceededError(
-                    f"partition search on {name} with {c} classes is undecided "
+                    f"partition search on {entry.name} with {c} classes is undecided "
                     f"after {self.partition_budget} nodes")
-            self._partitions[name, c] = result
-        return self._partitions[name, c]
+            self._partitions[entry, c] = result
+        return self._partitions[entry, c]
 
     # ---- construction 1: full products
 
@@ -121,18 +117,17 @@ class _Enumerator:
             for c in range(2, e2.b + 1):
                 if e2.b % c:
                     continue
-                if all((e1.b % c) or (e1.b * e2.b // c > self.max_b)
-                       for e1 in self.entries):
+                firsts = [e1 for e1 in self.entries
+                          if e1.b % c == 0 and e1.b * e2.b // c <= self.max_b]
+                if not firsts:
                     continue
-                partition = self.partitions_of(e2.name, c)
+                partition = self.partitions_of(e2, c)
                 if partition is None:
                     continue
-                d2 = self.design_of(e2)
-                for e1 in self.entries:
+                d2 = get_bibd(e2.v, e2.k, e2.lam)
+                for e1 in firsts:
                     b = e1.b * e2.b // c
-                    if e1.b % c or b > self.max_b:
-                        continue
-                    design = subcartesian_product(self.design_of(e1), d2, partition)
+                    design = subcartesian_product(get_bibd(e1.v, e1.k, e1.lam), d2, partition)
                     sig = _verified_signature(design)
                     if sig is None:
                         continue
@@ -166,7 +161,7 @@ class _Enumerator:
                 if entry is None or entry.lam < 2:
                     continue
             try:
-                split = symmetric_block_split(self.design_of(entry), 0)
+                split = symmetric_block_split(get_bibd(entry.v, entry.k, entry.lam), 0)
             except DesignError:
                 continue
             sig = _verified_signature(split)

@@ -338,11 +338,13 @@ def _quotas(design: MultipartDesign, c: int) -> _Quotas | None:
         rows = np.repeat(dense, design.v)
         Z = np.where(rows[:, None], 1 - Z, Z)
         counts = np.where(rows, b - replication, replication).tolist()
-    # Each block's searched points: the rows of its column of Z.
+    # Each block's searched points: the rows of its column of Z, then one
+    # more point, in every block, whose quota b/c is the class size.
+    size = len(counts)
     levels = np.nonzero(Z.T)[1].tolist()
     ends = list(accumulate(Z.sum(axis=0).tolist()))
-    points = [levels[start:end] for start, end in zip([0] + ends, ends)]
-    return _Quotas(c, [r // c for r in counts], points)
+    points = [levels[start:end] + [size] for start, end in zip([0] + ends, ends)]
+    return _Quotas(c, [r // c for r in counts] + [b // c], points)
 
 
 def _partition(assigned: Sequence[int], c: int) -> BlockPartition:
@@ -354,14 +356,14 @@ def _partition(assigned: Sequence[int], c: int) -> BlockPartition:
 
 
 class _Quotas:
-    """Each block's searched points, and what every class must hold: each
-    point ``quota[p]`` times, and ``class_size`` = b/c blocks."""
+    """Each block's searched points, and how often every class must hold
+    each point p: ``quota[p]`` times.  The last point lies in every block
+    and stands for the class size."""
 
     def __init__(self, c: int, quota: list[int], points: list[list[int]]):
         self.c = c
         self.quota = quota
         self.points = points
-        self.class_size = len(points) // c
 
     def first_phase(self, budget: int):
         """Phase 1: backtracking over class assignments in block-index order.
@@ -370,14 +372,14 @@ class _Quotas:
         once classes below j are open, so the witness is the
         lexicographically least canonical one.  Every class tried for a
         block counts as one node against ``budget``.  A block fits a
-        class that is not full and holds none of its points to quota:
-        one AND of the block's bitmask with the class's.
+        class that holds none of its points to quota (a full class holds
+        the last one to quota): one AND of the block's bitmask with the
+        class's.
         """
-        c, quota, points, class_size = self.c, self.quota, self.points, self.class_size
+        c, quota, points = self.c, self.quota, self.points
         b = len(points)
         bit = [1 << p for p in range(len(quota))]
         masks = [sum(map(bit.__getitem__, block)) for block in points]
-        fill = [0] * c
         usage = [[0] * len(quota) for _ in range(c)]
         # The points class j holds to quota; a block fits iff it has none of them.
         saturated = [sum(bit[p] for p, q in enumerate(quota) if not q)] * c
@@ -393,7 +395,6 @@ class _Quotas:
                 tried[t] = 0
                 t -= 1
                 j = tried[t] - 1
-                fill[j] -= 1
                 saturated[j] &= ~masks[t]
                 use = usage[j]
                 for p in points[t]:
@@ -403,8 +404,7 @@ class _Quotas:
             if nodes > budget:
                 return UNKNOWN
             tried[t] = j + 1
-            if fill[j] < class_size and not masks[t] & saturated[j]:
-                fill[j] += 1
+            if not masks[t] & saturated[j]:
                 use = usage[j]
                 for p in points[t]:
                     use[p] += 1
@@ -419,8 +419,7 @@ class _Quotas:
 
         Each class j and point p is a constraint: j still needs
         ``need = quota[p] - use`` blocks through p, and ``fit`` unplaced
-        blocks through p may still go into j.  One more point, in every
-        block, stands for the class size.  The search branches on the
+        blocks through p may still go into j.  The search branches on the
         constraint with the least slack ``fit - need``, and on its first
         fitting block: the block goes into j, or it is excluded from j.
         A class that holds a point to quota excludes every unplaced
@@ -433,72 +432,61 @@ class _Quotas:
         class.  The search is complete: None means no partition exists.
         Every branch taken counts one node against ``budget``.
         """
-        c, b, class_size = self.c, len(self.points), self.class_size
-        size = len(self.quota)
-        n = size + 1
-        points = [block + [size] for block in self.points]
+        c, quota, points = self.c, self.quota, self.points
+        b, n = len(points), len(quota)
         through: list[list[int]] = [[] for _ in range(n)]
         for t, block in enumerate(points):
             for p in block:
                 through[p].append(t)
         # Constraint (j, p) is entry j * n + p.
-        need = (self.quota + [class_size]) * c
+        need = quota * c
         fit = [len(blocks) for blocks in through] * c
         allowed = [(1 << c) - 1] * b
-        placed = [-1] * b
-        # Undo records (t, j, mask): block t placed in class j, where mask
-        # held its allowed classes, or excluded from class j when mask is 0.
-        trail: list[tuple[int, int, int]] = []
+        placed = [0] * b  # read only once every block is placed
+        # Undo records (t, j, placing): block t counted toward class j's
+        # needs when placing, else kept out of class j.
+        trail: list[tuple[int, int, bool]] = []
 
         def exclude(t: int, j: int) -> bool:
             """Keep unplaced block t out of class j; False when it fits no class."""
             allowed[t] &= ~(1 << j)
-            trail.append((t, j, 0))
+            trail.append((t, j, False))
             base = j * n
             for p in points[t]:
                 fit[base + p] -= 1
             return allowed[t] != 0
 
         def place(t: int, j: int) -> bool:
-            """Put block t in class j and exclude from j every unplaced block
-            through a point j now holds to quota."""
-            mask = allowed[t]
-            allowed[t] = 0
-            placed[t] = j
-            trail.append((t, j, mask))
-            full = []
+            """Put block t in class j, so out of every class it may still
+            enter, and exclude from j every unplaced block through a
+            point j now holds to quota."""
             for i in range(c):
-                if mask >> i & 1:
-                    base = i * n
-                    for p in points[t]:
-                        fit[base + p] -= 1
-                        if i == j:
-                            need[base + p] -= 1
-                            if not need[base + p]:
-                                full.append(p)
+                if allowed[t] >> i & 1:
+                    exclude(t, i)
+            placed[t] = j
+            trail.append((t, j, True))
+            base = j * n
+            full = []
+            for p in points[t]:
+                need[base + p] -= 1
+                if not need[base + p]:
+                    full.append(p)
             return all(exclude(s, j) for p in full for s in through[p] if allowed[s] >> j & 1)
 
         def undo(mark: int) -> None:
             while len(trail) > mark:
-                t, j, mask = trail.pop()
-                if not mask:
+                t, j, placing = trail.pop()
+                base = j * n
+                if placing:
+                    for p in points[t]:
+                        need[base + p] += 1
+                else:
                     allowed[t] |= 1 << j
-                    base = j * n
                     for p in points[t]:
                         fit[base + p] += 1
-                    continue
-                placed[t] = -1
-                allowed[t] = mask
-                for i in range(c):
-                    if mask >> i & 1:
-                        base = i * n
-                        for p in points[t]:
-                            fit[base + p] += 1
-                            if i == j:
-                                need[base + p] += 1
 
         def empty(j: int) -> bool:
-            return need[j * n + size] == class_size
+            return need[j * n + n - 1] == quota[-1]
 
         def constraint() -> tuple[int, int, int] | None:
             """(slack, class, point) of the open constraint with the least

@@ -66,6 +66,13 @@ def test_params_fail(capsys):
     assert "not an integer" in capsys.readouterr().out
 
 
+def test_params_partitioned_bound(capsys):
+    # c = 2 divides b = 10, but a 2-class design needs b >= 6 + 5 + 2 - 2.
+    assert cli_main(["params", "10", "6", "5", "3", "2", "--c", "2"]) == 2
+    out = capsys.readouterr().out
+    assert "c | b: pass" in out and "b >= 11: FAIL" in out
+
+
 def test_params_json(capsys):
     assert cli_main(["params", "--format", "json", "20", "6", "6", "3", "3", "--c", "10"]) == 0
     data = json.loads(capsys.readouterr().out)
@@ -266,10 +273,33 @@ def test_usage_errors_exit_1(capsys):
     ["build", "cartesian", "--ingredient", "7,x,1"],
     ["build", "subcartesian", "--ingredient", "7,3,1", "--ingredient", "7,3,1",
      "--classes", "3", "--budget", "-1"],
+    ["build", "subcartesian", "--ingredient", "7,3,1", "--classes", "7"],
+    ["build", "symmetric-split", "--ingredient", "11,5,2", "--ingredient", "7,3,1"],
+    ["build", "product", "--design", "fixture:fig1"],
 ])
 def test_build_input_errors_are_usage_errors(argv, capsys):
     assert cli_main(argv) == 1
     assert capsys.readouterr().err.startswith("usage error: ")
+
+
+def test_a_corrupted_steiner_fixture_is_an_input_error(monkeypatch, capsys):
+    from mpart import fixtures
+
+    # Move one point of the first block: the sizes stay, a 3-set is lost.
+    lines = fixture_text("design_3_22_6_1.blocks").splitlines()
+    n = next(n for n, line in enumerate(lines) if line and not line.startswith("#"))
+    points = lines[n].split()
+    points[-1] = next(str(p) for p in range(1, 23) if str(p) not in points)
+    lines[n] = " ".join(points)
+    monkeypatch.setattr(fixtures, "fixture_text", lambda filename: "\n".join(lines) + "\n")
+    fixtures.load_block_design.cache_clear()
+    try:
+        code = cli_main(["build", "meet-filter", "--host", "fixture:design_3_22_6_1",
+                         "--special", "1 2 3 9 12 21", "--t", "2"])
+    finally:
+        fixtures.load_block_design.cache_clear()
+    assert code == 1
+    assert capsys.readouterr().err == "error: design_3_22_6_1 fixture failed validation\n"
 
 
 @pytest.mark.parametrize("argv", [

@@ -5,6 +5,7 @@ import pytest
 from mpart.errors import (
     DualRequiresTwoFactorsError,
     DuplicateLevelInPartError,
+    InvalidInputError,
     ParseError,
     UnknownFactorError,
 )
@@ -104,6 +105,18 @@ def test_parse_error_columns(line, col):
     assert line[col - 1] in "CDX1}"
 
 
+@pytest.mark.parametrize("text, message", [
+    ("", "line 1, col 1: empty input"),
+    ("mpart v1\n", "line 1, col 1: missing factors line"),
+    ("mpart v1\nblock: C{1}\n", "line 2, col 1: expected 'factors:' line"),
+    ("mpart v1\nfactors: C=3 C=3\nblock: C{1} C{1}\n", "line 2, col 1: duplicate factor names"),
+])
+def test_parse_header_errors(text, message):
+    with pytest.raises(ParseError) as err:
+        parse_concise(text)
+    assert str(err.value) == message
+
+
 def test_parse_bad_header():
     with pytest.raises(ParseError):
         parse_concise("mpart v2\nfactors: C=3\nblock: C{1,2}\n")
@@ -130,6 +143,11 @@ def test_render_full_fig2b():
     assert first == "Block 1: (C1,D1) (C1,D5) (C2,D1) (C2,D5) (C3,D1) (C3,D5)"
 
 
+def test_render_refuses_an_unknown_mode():
+    with pytest.raises(InvalidInputError, match="unknown rendering mode 'grid'"):
+        render(load_design("fig1"), mode="grid")
+
+
 def test_render_dual_needs_two_factors():
     with pytest.raises(DualRequiresTwoFactorsError):
         render(load_design("fig8a"), "dual")
@@ -141,6 +159,13 @@ def test_json_round_trip():
     assert data["params"]["b"] == 20
     assert from_json_dict(data) == d
     assert from_json_dict(to_json_dict(d)).factor_names == d.factor_names
+
+
+def test_json_refuses_other_versions():
+    data = to_json_dict(load_design("fig1"))
+    data["version"] = 2
+    with pytest.raises(ParseError, match="not a version-1 design document"):
+        from_json_dict(data)
 
 
 def test_json_carries_derived_parameters():
@@ -162,3 +187,8 @@ def test_parse_blocks_format():
 def test_parse_blocks_rejects_zero():
     with pytest.raises(ParseError):
         parse_blocks("0 1 2\n")
+
+
+def test_parse_blocks_needs_a_block():
+    with pytest.raises(ParseError, match="no blocks"):
+        parse_blocks("# comment only\n\n")

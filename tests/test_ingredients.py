@@ -28,8 +28,8 @@ from mpart.ingredients import (
     orthogonal_array,
     resolvable_classes,
 )
-from mpart.model import BlockDesign, as_multipart
-from mpart.verify import find_partition
+from mpart.model import BlockDesign, BlockPartition, as_multipart
+from mpart.verify import find_partition, verify_partition
 
 from helpers import (
     oracle_constant,
@@ -194,13 +194,21 @@ def test_resolvable_classes_needs_constant_replication():
     # Point 0 lies in every block: at c = 2 its quota would be 2, so the
     # 2-partition below exists but is no resolution.
     design = BlockDesign(v=4, blocks=((0, 1), (0, 1), (0, 2), (0, 2)))
-    assert find_partition(as_multipart(design), 2) is not None
+    partition = find_partition(as_multipart(design), 2)
+    assert isinstance(partition, BlockPartition)
+    assert verify_partition(as_multipart(design), partition)
     assert resolvable_classes(design) is None
 
 
 def test_resolvable_classes_runs_out_of_budget():
     assert resolvable_classes(kirkman_15(), budget=34) is UNKNOWN
-    assert resolvable_classes(kirkman_15(), budget=35) is not None
+    # At 35 nodes the answer is a resolution: 7 classes, each covering each
+    # of the 15 points once.
+    kirkman = kirkman_15()
+    resolution = resolvable_classes(kirkman, budget=35)
+    assert isinstance(resolution, BlockPartition) and resolution.c == 7
+    for cls in resolution.classes:
+        assert sorted(p for t in cls for p in kirkman.blocks[t]) == list(range(15))
     # undecided is not "no"
     assert resolvable_classes(get_bibd(6, 3, 2), budget=1) is UNKNOWN
     assert resolvable_classes(get_bibd(6, 3, 2), budget=2) is None

@@ -4,10 +4,12 @@ import hashlib
 import pytest
 
 from mpart.cli import cli_main
+from mpart.constructions import cartesian_product
 from mpart.errors import UNKNOWN, BudgetExceededError, InvalidInputError
-from mpart.ingredients import get_bibd
+from mpart.ingredients import catalog_entries, get_bibd
 from mpart.model import as_multipart
-from mpart.tables import _Enumerator, enumerate_reachable, render_rows
+from mpart.tables import INGREDIENT_BLOCKS, _Enumerator, enumerate_reachable, render_rows
+from mpart.verify import check_multipart
 
 from helpers import first_phase
 
@@ -62,6 +64,23 @@ def test_cartesian_table_contains_known_rows():
     assert (9, (3, 3), (2, 2)) in got
     assert (12, (4, 3), (3, 2)) in got
     assert (16, (4, 4), (3, 3)) in got
+
+
+def test_every_full_product_row_builds_and_verifies():
+    # Construction 1's rows are computed from their ingredients'
+    # parameters; a full product of catalog designs with those parameters
+    # must verify with the row's b, v and k.
+    entries = catalog_entries(max_blocks=INGREDIENT_BLOCKS)
+    rows = enumerate_reachable(max_b=60, constructions=(1,))
+    assert rows
+    for row in rows:
+        e1, e2 = next((e1, e2) for e1 in entries for e2 in entries
+                      if (e1.v, e1.k, e2.v, e2.k) == (row.v[0], row.k[0], row.v[1], row.k[1])
+                      and e1.b * e2.b == row.b)
+        design = cartesian_product([get_bibd(e.v, e.k, e.lam) for e in (e1, e2)])
+        report = check_multipart(design)
+        assert report.valid, row
+        assert (report.b, report.v, report.k) == (row.b, row.v, row.k), row
 
 
 def test_cartesian_table_b21_least_b_agreement():
