@@ -43,7 +43,6 @@ from .verify import (
     verify_partition,
 )
 from .constructions import (
-    ClassMatching,
     arrange_by_classes,
     augment,
     cartesian_product,

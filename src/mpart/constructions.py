@@ -10,7 +10,6 @@ filtering construction.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
 from itertools import product
 from typing import Sequence
 
@@ -37,34 +36,9 @@ from .model import (
     _complement,
     _normalize_part,
     _offsets,
-    default_factor_names,
-    replicates_equally,
     unzip_design,
 )
-
-
-@dataclass(frozen=True)
-class ClassMatching:
-    """A bijection j -> perm[j] matching class indices of two groupings."""
-
-    perm: tuple[int, ...]
-
-    def __post_init__(self):
-        perm = tuple(int(x) for x in self.perm)
-        if sorted(perm) != list(range(len(perm))):
-            raise InvalidInputError(f"not a permutation: {perm}")
-        object.__setattr__(self, "perm", perm)
-
-    @property
-    def c(self) -> int:
-        return len(self.perm)
-
-    @classmethod
-    def identity(cls, c: int) -> "ClassMatching":
-        return cls(tuple(range(c)))
-
-    def __getitem__(self, j: int) -> int:
-        return self.perm[j]
+from .verify import verify_partition
 
 
 def _require_2_design(bd: BlockDesign, role: str) -> int:
@@ -82,7 +56,7 @@ def _require_uniform_classes(bd: BlockDesign | MultipartDesign, partition: Block
     if partition.b != bd.b:
         raise ClassCountMismatchError(
             f"{role}: partition covers {partition.b} blocks, design has {bd.b}")
-    if not replicates_equally(bd.incidence, partition):
+    if not verify_partition(bd, partition):
         raise ClassNotUniformError(
             f"{role}: classes do not replicate every point equally")
 
@@ -130,31 +104,26 @@ def cartesian_product(parts: Sequence[BlockDesign]) -> MultipartDesign:
 
 
 def subcartesian_product(d1: BlockDesign, d2: BlockDesign,
-                         p2: BlockPartition,
-                         matching: ClassMatching | None = None) -> MultipartDesign:
+                         p2: BlockPartition) -> MultipartDesign:
     """Product taken class-by-class instead of in full.
 
     The blocks of ``d1`` are cut into c groups of b1/c in index order;
-    group g is crossed with class ``matching[g]`` of ``d2`` only, giving
-    b1*b2/c blocks.  Classes of ``p2`` must replicate every point of
-    ``d2`` equally.
+    group g is crossed with class g of ``p2`` only, giving b1*b2/c
+    blocks.  The order of the classes is the matching: for another
+    pairing, pass ``p2`` with its classes reordered.  Classes of ``p2``
+    must replicate every point of ``d2`` equally.
     """
     _require_2_design(d1, "first ingredient")
     _require_2_design(d2, "second ingredient")
     _require_uniform_classes(d2, p2, "second ingredient")
     c = p2.c
-    if matching is None:
-        matching = ClassMatching.identity(c)
-    if matching.c != c:
-        raise ClassCountMismatchError(
-            f"matching has {matching.c} classes, partition has {c}")
     if d1.b % c:
         raise ClassCountMismatchError(
             f"class count {c} does not divide the {d1.b} blocks of the first ingredient")
     group = d1.b // c
     blocks = []
     for t1, block1 in enumerate(d1.blocks):
-        cls = p2.classes[matching[t1 // group]]
+        cls = p2.classes[t1 // group]
         for t2 in cls:
             blocks.append((block1, d2.blocks[t2]))
     return MultipartDesign(v=(d1.v, d2.v), blocks=tuple(blocks))
@@ -359,14 +328,15 @@ def meet_filter(host: BlockDesign, special: Sequence[int], t: int) -> MultipartD
 
 def oa_compose(parts: Sequence[BlockDesign],
                partitions: Sequence[BlockPartition],
-               oa: OrthogonalArray,
-               matchings: Sequence[ClassMatching] | None = None) -> MultipartDesign:
+               oa: OrthogonalArray) -> MultipartDesign:
     """Cross one block per ingredient, chosen class-by-class via an array.
 
     For every class j and array row, the row's symbol in column i picks
-    a block (in index order) from class j of ingredient i; the chosen
-    blocks are crossed into one block of the result.  b = c * rows, and
-    the strength matches the array's (verified by the caller).
+    a block (in index order) from class j of ``partitions[i]``; the
+    chosen blocks are crossed into one block of the result.  The order
+    of each partition's classes is the matching: for another pairing,
+    pass a partition with its classes reordered.  b = c * rows, and the
+    strength matches the array's (verified by the caller).
     """
     parts = tuple(parts)
     partitions = tuple(partitions)
@@ -381,10 +351,6 @@ def oa_compose(parts: Sequence[BlockDesign],
     if len(cs) != 1:
         raise ClassCountMismatchError(f"class counts differ: {sorted(cs)}")
     c = cs.pop()
-    if matchings is None:
-        matchings = tuple(ClassMatching.identity(c) for _ in range(m))
-    if len(matchings) != m or any(mt.c != c for mt in matchings):
-        raise ClassCountMismatchError("one matching of the full class count per ingredient")
 
     for i, (bd, partition) in enumerate(zip(parts, partitions)):
         _require_2_design(bd, f"ingredient {i}")
@@ -395,7 +361,7 @@ def oa_compose(parts: Sequence[BlockDesign],
 
     blocks = []
     for j in range(c):
-        chosen_classes = [sorted(partitions[i].classes[matchings[i][j]]) for i in range(m)]
+        chosen_classes = [partitions[i].classes[j] for i in range(m)]
         for row in oa.rows:
             blocks.append(tuple(parts[i].blocks[chosen_classes[i][row[i]]]
                                 for i in range(m)))
@@ -406,8 +372,7 @@ def multipart_product(a: MultipartDesign, b: MultipartDesign) -> MultipartDesign
     """Concatenate every block of ``a`` with every block of ``b``."""
     blocks = tuple(block_a + block_b
                    for block_a in a.blocks for block_b in b.blocks)
-    return MultipartDesign(v=a.v + b.v, blocks=blocks,
-                           factor_names=default_factor_names(a.m + b.m))
+    return MultipartDesign(v=a.v + b.v, blocks=blocks)
 
 
 def class_matched_product(theta: MultipartDesign, p: BlockPartition,
@@ -427,5 +392,4 @@ def class_matched_product(theta: MultipartDesign, p: BlockPartition,
     for j, cls in enumerate(p.classes):
         for t in cls:
             extended[t] = theta.blocks[t] + (delta.blocks[j],)
-    return MultipartDesign(v=theta.v + (delta.v,), blocks=tuple(extended),
-                           factor_names=default_factor_names(theta.m + 1))
+    return MultipartDesign(v=theta.v + (delta.v,), blocks=tuple(extended))

@@ -10,7 +10,7 @@ computationally on first use rather than trusted from any table.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import combinations, product
 from typing import Callable, Sequence
@@ -172,15 +172,21 @@ def hadamard_halves(order: int) -> BlockDesign:
 
 @dataclass(frozen=True)
 class CatalogEntry:
-    """One catalog design: its parameters and a builder."""
+    """One catalog design: its parameters and a builder; b follows from (v, k, lam)."""
 
     v: int
     k: int
     lam: int
-    b: int
     name: str
     build: Callable[[], BlockDesign]
-    symmetric: bool = False
+    b: int = field(init=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "b", self.lam * self.v * (self.v - 1) // (self.k * (self.k - 1)))
+
+    @property
+    def symmetric(self) -> bool:
+        return self.b == self.v
 
     def complement(self) -> "CatalogEntry | None":
         """The complementary design (k -> v - k, lam -> lam + b - 2r), or
@@ -190,30 +196,23 @@ class CatalogEntry:
         lamc = self.lam + self.b - 2 * (self.b * self.k // self.v)
         if kc < 2 or lamc < 1:
             return None
-        return CatalogEntry(self.v, kc, lamc, self.b, f"complement of {self.name}",
-                            lambda: complement_design(self.build()),
-                            symmetric=self.symmetric)
+        return CatalogEntry(self.v, kc, lamc, f"complement of {self.name}",
+                            lambda: complement_design(self.build()))
 
 
 def _fixed_entries() -> tuple[CatalogEntry, ...]:
-    entries = []
-    for (v, k, lam), bases in _DIFFERENCE_FAMILIES.items():
-        b = lam * v * (v - 1) // (k * (k - 1))
-        entries.append(CatalogEntry(v, k, lam, b, f"cyclic 2-({v},{k},{lam})",
-                                    lambda v=v, bases=bases: cyclic_development(v, bases),
-                                    symmetric=(b == v)))
-    entries.append(CatalogEntry(16, 6, 2, 16, "2-(16,6,2) from a difference set in (Z2)^4",
-                                lambda: BlockDesign(16, _BLOCKS_16_6_2), symmetric=True))
-    entries.append(CatalogEntry(25, 9, 3, 25, "2-(25,9,3) by backtracking",
-                                lambda: BlockDesign(25, _BLOCKS_25_9_3), symmetric=True))
-    entries.append(CatalogEntry(6, 3, 2, 10, "2-(6,3,2) by brute force",
-                                lambda: _brute_662()))
-    entries.append(CatalogEntry(9, 3, 1, 12, "affine plane of order 3",
-                                lambda: affine_plane(3)))
-    entries.append(CatalogEntry(15, 3, 1, 35, "Kirkman triple system",
-                                kirkman_15))
+    entries = [CatalogEntry(v, k, lam, f"cyclic 2-({v},{k},{lam})",
+                            lambda v=v, bases=bases: cyclic_development(v, bases))
+               for (v, k, lam), bases in _DIFFERENCE_FAMILIES.items()]
+    entries.append(CatalogEntry(16, 6, 2, "2-(16,6,2) from a difference set in (Z2)^4",
+                                lambda: BlockDesign(16, _BLOCKS_16_6_2)))
+    entries.append(CatalogEntry(25, 9, 3, "2-(25,9,3) by backtracking",
+                                lambda: BlockDesign(25, _BLOCKS_25_9_3)))
+    entries.append(CatalogEntry(6, 3, 2, "2-(6,3,2) by brute force", _brute_662))
+    entries.append(CatalogEntry(9, 3, 1, "affine plane of order 3", lambda: affine_plane(3)))
+    entries.append(CatalogEntry(15, 3, 1, "Kirkman triple system", kirkman_15))
     for order in (8, 12, 16):
-        entries.append(CatalogEntry(order, order // 2, order // 2 - 1, 2 * (order - 1),
+        entries.append(CatalogEntry(order, order // 2, order // 2 - 1,
                                     f"halves of a Hadamard matrix of order {order}",
                                     lambda order=order: hadamard_halves(order)))
     return tuple(entries)
@@ -222,10 +221,9 @@ def _fixed_entries() -> tuple[CatalogEntry, ...]:
 def _family_entry(v: int, k: int) -> CatalogEntry:
     """All pairs of a v-set (k = 2) or all its (v-1)-subsets (k = v - 1)."""
     if k == 2:
-        return CatalogEntry(v, 2, 1, v * (v - 1) // 2, f"all pairs of {v}",
-                            lambda: pair_design(v), symmetric=(v == 3))
-    return CatalogEntry(v, v - 1, v - 2, v, f"all {v - 1}-subsets of {v}",
-                        lambda: near_complete_design(v), symmetric=True)
+        return CatalogEntry(v, 2, 1, f"all pairs of {v}", lambda: pair_design(v))
+    return CatalogEntry(v, v - 1, v - 2, f"all {v - 1}-subsets of {v}",
+                        lambda: near_complete_design(v))
 
 
 def _brute_662() -> BlockDesign:
@@ -261,13 +259,19 @@ def catalog_entries(max_blocks: int = 64,
 
 
 @lru_cache(maxsize=None)
+def _catalog_index() -> dict[tuple[int, int, int], CatalogEntry]:
+    """Each catalog design of at most 256 blocks by its (v, k, lam); the
+    listing has one entry per key."""
+    return {(e.v, e.k, e.lam): e for e in catalog_entries(max_blocks=256)}
+
+
+@lru_cache(maxsize=None)
 def _validated(key: tuple[int, int, int]) -> BlockDesign:
     v, k, lam = key
     if (k, lam) in ((2, 1), (v - 1, v - 2)):
         entry = _family_entry(v, k)
     else:
-        entry = next((e for e in catalog_entries(max_blocks=256)
-                      if (e.v, e.k, e.lam) == key), None)
+        entry = _catalog_index().get(key)
     if entry is None:
         raise NotInCatalogError(f"no 2-({v},{k},{lam}) in the built-in catalog")
     design = entry.build()

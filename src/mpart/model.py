@@ -250,7 +250,9 @@ class BlockDesign:
 
 @dataclass(frozen=True)
 class BlockPartition:
-    """Grouping of block indices 0..b-1 into equal-size disjoint classes."""
+    """Grouping of block indices 0..b-1 into equal-size disjoint classes,
+    each stored sorted.  The classes keep their given order, which is the
+    class matching of the class-wise constructions."""
 
     classes: tuple[tuple[int, ...], ...]
 
@@ -361,14 +363,6 @@ def constant_count(Z: np.ndarray, spans: Sequence[slice]) -> int | None:
     if not count(0, 0, np.arange(Z.shape[1])) or not values:
         return None
     return values.pop()
-
-
-def replicates_equally(Z: np.ndarray, partition: BlockPartition) -> bool:
-    """True iff every row of the incidence matrix ``Z`` has the same sum over
-    the columns of each class of ``partition``."""
-    first = Z[:, partition.classes[0]].sum(axis=1)
-    return all(np.array_equal(Z[:, cls].sum(axis=1), first)
-               for cls in partition.classes[1:])
 
 
 def zip_design(design: MultipartDesign) -> BlockDesign:

@@ -158,8 +158,9 @@ class _Enumerator:
                 continue
             if entry.lam < 2:
                 entry = entry.complement()
-                if entry is None or entry.lam < 2:
-                    continue
+            # k - lam < 2 would give the split's first factor k = 1.
+            if entry is None or entry.lam < 2 or entry.k - entry.lam < 2:
+                continue
             try:
                 split = symmetric_block_split(get_bibd(entry.v, entry.k, entry.lam), 0)
             except DesignError:
@@ -222,11 +223,8 @@ def enumerate_reachable(max_b: int,
     for (v, k), cands in best.items():
         b = cands[0].b
         tags = tuple(sorted({tag for c in cands for tag in c.constructions}))
-        if 3 in tags:
-            r = b // 4
-        else:
-            r_values = [c.r for c in cands if c.r is not None]
-            r = max(r_values) if r_values else None
+        r_values = [c.r for c in cands if c.r is not None]
+        r = max(r_values) if r_values else None
         sym_values = [c.sym for c in cands if c.sym is not None]
         sym = sym_values[0] if sym_values else None
         assert check_admissible(b, v, k).ok

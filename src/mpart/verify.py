@@ -17,13 +17,13 @@ import numpy as np
 
 from .errors import DEFAULT_BUDGET, UNKNOWN, InvalidInputError
 from .model import (
+    BlockDesign,
     BlockPartition,
     MultipartDesign,
     MultipartParams,
     constant_count,
     derive_parameters,
     factor_rows,
-    replicates_equally,
 )
 
 
@@ -248,12 +248,16 @@ def check_admissible(b: int, v: Sequence[int], k: Sequence[int],
     )
 
 
-def verify_partition(design: MultipartDesign, partition: BlockPartition) -> bool:
-    """True iff every level of every factor is equally replicated per class."""
+def verify_partition(design: MultipartDesign | BlockDesign, partition: BlockPartition) -> bool:
+    """True iff every level of every factor (every point of a
+    :class:`BlockDesign`) is equally replicated per class."""
     if partition.b != design.b:
         raise InvalidInputError(
             f"partition covers {partition.b} blocks, design has {design.b}")
-    return replicates_equally(design.incidence, partition)
+    Z = design.incidence
+    first = Z[:, partition.classes[0]].sum(axis=1)
+    return all(np.array_equal(Z[:, cls].sum(axis=1), first)
+               for cls in partition.classes[1:])
 
 
 def find_partition(design: MultipartDesign, c: int,

@@ -4,7 +4,6 @@ import random
 import pytest
 
 from mpart.constructions import (
-    ClassMatching,
     arrange_by_classes,
     augment,
     cartesian_product,
@@ -21,6 +20,7 @@ from mpart.constructions import (
 )
 from mpart.errors import (
     ClassCountMismatchError,
+    ClassNotUniformError,
     DesignError,
     ComplementTooSmallError,
     FactorNotPreservedError,
@@ -52,6 +52,7 @@ from mpart.ingredients import (
 from mpart.isomorphism import are_isomorphic
 from mpart.model import (
     BlockDesign,
+    BlockPartition,
     MultipartDesign,
     as_multipart,
     complement_design,
@@ -133,6 +134,17 @@ def test_subcartesian_class_count_must_divide():
     classes = resolvable_classes(d2)
     with pytest.raises(ClassCountMismatchError):
         subcartesian_product(get_bibd(7, 3, 1), d2, classes)  # 3 does not divide 7
+
+
+def test_unequal_classes_are_refused_by_every_class_construction():
+    r421 = get_bibd(4, 2, 1)
+    unequal = BlockPartition(((0, 1), (2, 3), (4, 5)))  # class 0 holds point 0 twice
+    with pytest.raises(ClassNotUniformError):
+        subcartesian_product(get_bibd(3, 2, 1), r421, unequal)
+    with pytest.raises(ClassNotUniformError):
+        oa_compose([r421] * 3, [unequal] * 3, orthogonal_array((2, 2, 2), 2))
+    with pytest.raises(ClassNotUniformError):
+        class_matched_product(as_multipart(r421), unequal, get_bibd(3, 2, 1))
 
 
 # ---------------------------------------------------------------- hadamard
@@ -442,13 +454,6 @@ def test_part_swap_involution():
         d = random_design(rng, max_v=7, min_part=2, max_part_slack=2)
         f = rng.randrange(d.m)
         assert part_swap(part_swap(d, f), f).blocks == d.blocks
-
-
-def test_class_matching_validation():
-    m = ClassMatching.identity(3)
-    assert m[2] == 2
-    with pytest.raises(InvalidInputError):
-        ClassMatching((0, 0, 1))
 
 
 # ---------------------------------------------------------------- pinned split outputs

@@ -1,7 +1,6 @@
 import pytest
 
 from mpart.constructions import (
-    ClassMatching,
     multipart_product,
     oa_compose,
     subcartesian_product,
@@ -10,15 +9,18 @@ from mpart.files import parse_concise, serialize_concise
 from mpart.fixtures import load_design
 from mpart.ingredients import get_bibd, orthogonal_array, resolvable_classes
 from mpart.isomorphism import are_isomorphic, canonical_form
-from mpart.model import MultipartDesign, as_multipart
+from mpart.model import BlockPartition, MultipartDesign, as_multipart
 from mpart.verify import check_multipart
+
+
+def _reordered(partition: BlockPartition, order) -> BlockPartition:
+    return BlockPartition(tuple(partition.classes[j] for j in order))
 
 
 def test_subcartesian_nonidentity_matching_still_valid():
     r421 = get_bibd(4, 2, 1)
-    classes = resolvable_classes(r421)
-    shifted = ClassMatching((1, 2, 0))
-    d = subcartesian_product(get_bibd(3, 2, 1), r421, classes, shifted)
+    shifted = _reordered(resolvable_classes(r421), (1, 2, 0))
+    d = subcartesian_product(get_bibd(3, 2, 1), r421, shifted)
     assert d.b == 6
     assert check_multipart(d).valid
     assert are_isomorphic(d, load_design("fig3"))
@@ -28,9 +30,8 @@ def test_oa_compose_nonidentity_matchings_still_valid():
     r421 = get_bibd(4, 2, 1)
     classes = resolvable_classes(r421)
     oa = orthogonal_array((2, 2, 2), 2)
-    matchings = [ClassMatching((0, 1, 2)), ClassMatching((1, 2, 0)),
-                 ClassMatching((2, 0, 1))]
-    d = oa_compose([r421] * 3, [classes] * 3, oa, matchings)
+    partitions = [_reordered(classes, order) for order in ((0, 1, 2), (1, 2, 0), (2, 0, 1))]
+    d = oa_compose([r421] * 3, partitions, oa)
     report = check_multipart(d)
     assert report.valid
     assert report.strength == 2

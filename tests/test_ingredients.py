@@ -93,11 +93,16 @@ def test_get_bibd_complements_and_errors():
 
 
 def test_every_catalog_entry_validates():
-    for entry in catalog_entries(max_blocks=64):
+    entries = catalog_entries(max_blocks=256)
+    keys = [(e.v, e.k, e.lam) for e in entries]
+    assert len(set(keys)) == len(keys)
+    for entry in entries:
         design = entry.build()
         assert design.b == entry.b, entry.name
+        assert entry.symmetric == (design.b == design.v), entry.name
         assert {len(b) for b in design.blocks} == {entry.k}, entry.name
         assert check_t_design(design, 2) == entry.lam, entry.name
+        assert get_bibd(entry.v, entry.k, entry.lam).blocks == design.blocks, entry.name
 
 
 def test_resolvable_classes_pair_design_4():

@@ -118,6 +118,13 @@ def test_subcartesian_hadamard_minus_cartesian():
         assert row.r == r, (v, k)
 
 
+def test_hadamard_rows_carry_the_class_count_of_a_quarter_of_b():
+    for kwargs in ({}, {"constructions": (2, 3), "exclude": (1,)}):
+        rows = [r for r in enumerate_reachable(max_b=250, **kwargs) if 3 in r.constructions]
+        assert rows, kwargs
+        assert all(r.r == r.b // 4 for r in rows), kwargs
+
+
 def test_excluded_rows_are_dropped():
     rows = enumerate_reachable(max_b=60, constructions=(2, 3), exclude=(1,))
     signatures = {(r.v, r.k): r.b for r in rows}

@@ -187,6 +187,12 @@ def test_verify_partition_hadamard_row_pairs():
     assert verify_partition(d, row_pair_partition(d))
 
 
+def test_verify_partition_of_a_block_design():
+    pairs = get_bibd(4, 2, 1)
+    assert verify_partition(pairs, BlockPartition(((0, 5), (1, 4), (2, 3))))
+    assert not verify_partition(pairs, BlockPartition(((0, 1), (2, 3), (4, 5))))
+
+
 def test_find_partition_fig8b():
     d = load_design("fig8b")
     p = find_partition(d, 3)
