@@ -288,8 +288,11 @@ def _make_parser() -> _Parser:
     shared = {
         "--format": dict(choices=("text", "json"), default="text"),
         "--budget": dict(type=_count, default=DEFAULT_BUDGET,
-                         help="search-tree node limit (a partition search may spend it "
-                              "in each of its two phases); exit 4 when it runs out"),
+                         help="search-tree node limit; exit 4 when it runs out.  A "
+                              "partition search's two phases alternate on doubling slices "
+                              "from 1024 nodes until each has spent it (up to twice it in "
+                              "all); its witness is the least one only when phase 1 "
+                              "decides within the first slice"),
         "--seed": dict(type=int, default=0, help="seed of the --selfcheck relabelings"),
     }
 

@@ -13,6 +13,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import combinations, product
+from math import prod
 from typing import Callable, Sequence
 
 import numpy as np
@@ -24,7 +25,7 @@ from .errors import (
     NotConstructibleError,
     NotInCatalogError,
 )
-from .model import BlockDesign, MultipartDesign, as_multipart, complement_design, constant_count
+from .model import BlockDesign, as_multipart, complement_design, constant_count
 from .verify import find_partition
 
 # --------------------------------------------------------------------------
@@ -445,14 +446,15 @@ class OrthogonalArray:
         t = self.strength
         if not 1 <= t <= m:
             raise InvalidInputError(f"strength must be in 1..{m}, got {t}")
-        # Rows are blocks of a design with one point per column symbol: a
-        # t-subset of columns is balanced iff its symbol tuples are.  Each
-        # distinct one-level part is one shared tuple, checked once.
-        parts = [tuple((x,) for x in range(s)) for s in symbols]
-        blocks = tuple(tuple(parts[c][x] for c, x in enumerate(row)) for row in rows)
-        design = MultipartDesign(symbols, blocks)
+        # A t-subset of columns is balanced iff every tuple of its symbols
+        # is in equally many rows: one count over the rows' tuples, each
+        # read as one mixed-radix number.
+        array = np.array(rows)
         for cols in combinations(range(m), t):
-            if constant_count(design.incidence, [design.spans[c] for c in cols]) is None:
+            sizes = [symbols[c] for c in cols]
+            tuples = prod(sizes)
+            if tuples > len(rows) or np.ptp(np.bincount(
+                    np.ravel_multi_index(array[:, cols].T, sizes), minlength=tuples)):
                 raise InvalidInputError(f"columns {cols} are not balanced")
         object.__setattr__(self, "rows", rows)
         object.__setattr__(self, "symbols", symbols)

@@ -9,9 +9,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import reduce
 from itertools import accumulate, combinations, islice
 from math import prod
-from typing import Iterator, Sequence
+from operator import or_
+from typing import Generator, Iterator, Sequence
 
 import numpy as np
 
@@ -25,6 +27,10 @@ from .model import (
     derive_parameters,
     factor_rows,
 )
+
+# The nodes each phase of find_partition spends before the other runs;
+# every later slice is twice the one before.
+FIRST_SLICE = 1024
 
 
 def concurrence_matrix(design: MultipartDesign, factor: int) -> np.ndarray:
@@ -265,21 +271,26 @@ def find_partition(design: MultipartDesign, c: int,
     """A c-class partition witness, None (none exists), or UNKNOWN.
 
     Divisibility failures (c not dividing b or some level count) decide
-    "none exists" immediately.  Otherwise up to three steps run, each
-    only when the steps before it leave the answer open:
+    "none exists" immediately.  Otherwise three steps may run:
 
     1. Phase 1 backtracks over class assignments in block-index order
-       (``_Quotas.first_phase``).  When it decides, its witness is the
-       lexicographically least canonical one.
+       (``_Quotas.first_steps``).  Its witness is the lexicographically
+       least canonical one.
     2. A product's witness read off its factors (``_product_witness``),
        returned only if ``verify_partition`` accepts it.
     3. Phase 2, a complete search that branches on the most constrained
-       (class, level) pair (``_Quotas.second_phase``).
+       (class, level) pair (``_Quotas.second_steps``).
 
-    Each phase may spend ``budget`` nodes, so up to 2 x ``budget`` in
-    all.  None always comes from divisibility or an exhausted search;
-    UNKNOWN only when both phases run out.  Both phases keep their own
-    stacks, so a design of any size cannot overflow Python's.
+    The phases alternate on doubling slices: phase 1 spends the first
+    ``min(FIRST_SLICE, budget)`` nodes, the product witness is tried
+    once, phase 2 spends as many nodes, and each later slice is twice
+    the one before, until each phase has spent ``budget`` nodes.  So
+    the lexicographically least witness is promised only when phase 1
+    decides within the first slice, and a search spends at most
+    2 x ``budget`` nodes in all.  None always comes from divisibility
+    or an exhausted search; UNKNOWN only when both phases run out.
+    Both phases keep their own stacks, so a design of any size cannot
+    overflow Python's.
     """
     if c < 1:
         raise InvalidInputError(f"class count must be positive, got {c}")
@@ -288,10 +299,21 @@ def find_partition(design: MultipartDesign, c: int,
     quotas = _quotas(design, c)
     if quotas is None:
         return None
-    result = quotas.first_phase(budget)
-    if result is UNKNOWN:
-        result = _product_witness(design, c) or quotas.second_phase(budget)
-    return result
+    first, second = _Search(quotas.first_steps()), None
+    limit, size = 0, min(FIRST_SLICE, budget)
+    while True:
+        limit += size
+        result = first.run(limit)
+        if result is UNKNOWN:
+            if second is None:
+                witness = _product_witness(design, c)
+                if witness is not None:
+                    return witness
+                second = _Search(quotas.second_steps())
+            result = second.run(limit)
+        if result is not UNKNOWN or limit == budget:
+            return result
+        size = min(2 * size, budget - limit)
 
 
 def _product_witness(design: MultipartDesign, c: int) -> BlockPartition | None:
@@ -359,6 +381,30 @@ def _partition(assigned: Sequence[int], c: int) -> BlockPartition:
     return BlockPartition(tuple(map(tuple, classes)))
 
 
+class _Search:
+    """A phase of ``find_partition`` run in slices.
+
+    ``steps`` is the phase's generator.  Sent a node limit, it searches
+    until it decides and returns (answer, nodes spent), or until it has
+    spent the limit and yields the nodes spent; it keeps its whole state
+    in between, so no node is searched twice.
+    """
+
+    def __init__(self, steps: Generator[int, int, tuple]):
+        self.steps = steps
+        self.nodes = next(steps)
+
+    def run(self, limit: int):
+        """Resume until the phase decides or has spent ``limit`` nodes in
+        all: its answer, else UNKNOWN."""
+        try:
+            self.nodes = self.steps.send(limit)
+        except StopIteration as stop:
+            answer, self.nodes = stop.value
+            return answer
+        return UNKNOWN
+
+
 class _Quotas:
     """Each block's searched points, and how often every class must hold
     each point p: ``quota[p]`` times.  The last point lies in every block
@@ -370,15 +416,22 @@ class _Quotas:
         self.points = points
 
     def first_phase(self, budget: int):
+        """Phase 1 in one run of at most ``budget`` nodes."""
+        return _Search(self.first_steps()).run(budget)
+
+    def second_phase(self, budget: int):
+        """Phase 2 in one run of at most ``budget`` nodes."""
+        return _Search(self.second_steps()).run(budget)
+
+    def first_steps(self) -> Generator[int, int, tuple]:
         """Phase 1: backtracking over class assignments in block-index order.
 
         Block 0 is pinned to class 0 and a block may only open class j
         once classes below j are open, so the witness is the
         lexicographically least canonical one.  Every class tried for a
-        block counts as one node against ``budget``.  A block fits a
-        class that holds none of its points to quota (a full class holds
-        the last one to quota): one AND of the block's bitmask with the
-        class's.
+        block counts as one node.  A block fits a class that holds none
+        of its points to quota (a full class holds the last one to
+        quota): one AND of the block's bitmask with the class's.
         """
         c, quota, points = self.c, self.quota, self.points
         b = len(points)
@@ -391,11 +444,12 @@ class _Quotas:
         tried = [0] * b
         opened = [0] * (b + 1)
         nodes = t = 0
+        limit = yield nodes
         while t < b:
             j = tried[t]
             if j == min(c, opened[t] + 1):
                 if t == 0:
-                    return None
+                    return None, nodes
                 tried[t] = 0
                 t -= 1
                 j = tried[t] - 1
@@ -404,9 +458,9 @@ class _Quotas:
                 for p in points[t]:
                     use[p] -= 1
                 continue
+            while nodes >= limit:
+                limit = yield nodes
             nodes += 1
-            if nodes > budget:
-                return UNKNOWN
             tried[t] = j + 1
             if not masks[t] & saturated[j]:
                 use = usage[j]
@@ -416,9 +470,9 @@ class _Quotas:
                         saturated[j] |= bit[p]
                 opened[t + 1] = max(opened[t], j + 1)
                 t += 1
-        return _partition([j - 1 for j in tried], c)
+        return _partition([j - 1 for j in tried], c), nodes
 
-    def second_phase(self, budget: int):
+    def second_steps(self) -> Generator[int, int, tuple]:
         """Phase 2: a complete search on the most constrained (class, point).
 
         Each class j and point p is a constraint: j still needs
@@ -434,101 +488,114 @@ class _Quotas:
         Empty classes are interchangeable, so only the lowest one may be
         opened, and a block kept out of it is kept out of every empty
         class.  The search is complete: None means no partition exists.
-        Every branch taken counts one node against ``budget``.
+        Every branch taken counts one node.
+
+        The blocks a class may take, and the blocks through a point, are
+        bitmasks, so a class that fills a point drops all their blocks
+        at once.  Each constraint has one integer key, ordered by slack,
+        then class, then point, so the constraint to branch on is the
+        least key; every empty class is a copy of the lowest one with
+        greater keys.  A branch saves the keys and the class bitmasks,
+        and backtracking restores them.
         """
         c, quota, points = self.c, self.quota, self.points
         b, n = len(points), len(quota)
-        through: list[list[int]] = [[] for _ in range(n)]
+        through = [0] * n  # through[p]: the blocks through point p
         for t, block in enumerate(points):
             for p in block:
-                through[p].append(t)
-        # Constraint (j, p) is entry j * n + p.
+                through[p] |= 1 << t
+        # allowed[j]: the unplaced blocks that may still go into class j.
+        allowed = [(1 << b) - 1] * c
         need = quota * c
-        fit = [len(blocks) for blocks in through] * c
-        allowed = [(1 << c) - 1] * b
+        # Constraint (j, p) is entry k = j * n + p, keyed slack * size + k.
+        # An open key stays below FULL.  Closing a constraint, whose slack
+        # is then its fit, adds FULL, and no block through it is excluded
+        # from its class afterwards, so a closed key stays at FULL or above.
+        size = c * n
+        FULL = b * size
+        key = [(through[k % n].bit_count() - need[k]) * size + k + (not need[k]) * FULL
+               for k in range(size)]
         placed = [0] * b  # read only once every block is placed
-        # Undo records (t, j, placing): block t counted toward class j's
-        # needs when placing, else kept out of class j.
-        trail: list[tuple[int, int, bool]] = []
 
-        def exclude(t: int, j: int) -> bool:
-            """Keep unplaced block t out of class j; False when it fits no class."""
-            allowed[t] &= ~(1 << j)
-            trail.append((t, j, False))
-            base = j * n
-            for p in points[t]:
-                fit[base + p] -= 1
-            return allowed[t] != 0
+        def exclude(t: int, classes) -> int:
+            """Keep block t, which each of ``classes`` may take, out of
+            them: the least key this lowers."""
+            bit, low = 1 << t, FULL
+            for i in classes:
+                allowed[i] ^= bit
+                base = i * n
+                for p in points[t]:
+                    k = base + p
+                    key[k] -= size
+                    if key[k] < low:
+                        low = key[k]
+            return low
 
-        def place(t: int, j: int) -> bool:
-            """Put block t in class j, so out of every class it may still
-            enter, and exclude from j every unplaced block through a
-            point j now holds to quota."""
-            for i in range(c):
-                if allowed[t] >> i & 1:
-                    exclude(t, i)
+        def place(t: int, j: int) -> int:
+            """Put block t in class j, so out of every other class it may
+            enter, and drop from j every block through a point j now
+            holds to quota: the least key this lowers, below 0 when the
+            branch fails (a slack below 0, or a dropped block that fits
+            no class)."""
             placed[t] = j
-            trail.append((t, j, True))
             base = j * n
-            full = []
+            full = 0
             for p in points[t]:
-                need[base + p] -= 1
-                if not need[base + p]:
-                    full.append(p)
-            return all(exclude(s, j) for p in full for s in through[p] if allowed[s] >> j & 1)
+                k = base + p
+                need[k] -= 1
+                if not need[k]:
+                    key[k] += FULL
+                    full |= through[p]
+            bit = 1 << t
+            allowed[j] ^= bit
+            low = exclude(t, [i for i, mask in enumerate(allowed) if mask & bit])
+            dropped = allowed[j] & full
+            if low < 0 or not dropped:
+                return low
+            allowed[j] ^= dropped
+            if dropped & ~reduce(or_, allowed):
+                return -1
+            for p, mask in enumerate(through):
+                k = base + p
+                if need[k]:
+                    key[k] -= (dropped & mask).bit_count() * size
+                    if key[k] < low:
+                        low = key[k]
+            return low
 
-        def undo(mark: int) -> None:
-            while len(trail) > mark:
-                t, j, placing = trail.pop()
-                base = j * n
-                if placing:
-                    for p in points[t]:
-                        need[base + p] += 1
-                else:
-                    allowed[t] |= 1 << j
-                    for p in points[t]:
-                        fit[base + p] += 1
-
-        def empty(j: int) -> bool:
-            return need[j * n + n - 1] == quota[-1]
-
-        def constraint() -> tuple[int, int, int] | None:
-            """(slack, class, point) of the open constraint with the least
-            slack, over the open classes and the lowest empty one (the
-            other empty classes are the same); None when every block is
-            placed."""
-            best = None
-            for j in range(c):
-                base = j * n
-                for p in range(n):
-                    if need[base + p]:
-                        slack = fit[base + p] - need[base + p]
-                        if best is None or slack < best[0]:
-                            best = (slack, j, p)
-                if empty(j):
-                    break
-            return best
-
-        choices: list[tuple[int, int, int]] = []  # (trail length, block, class)
+        # The state before each branch taken, with its block and class.
+        choices: list[tuple[list[int], list[int], int, int]] = []
         nodes = 0
+        limit = yield nodes
+        # The least key.  A branch lowers only keys it touches, and the
+        # key it branched on stays unless its constraint closes, so only
+        # then must every key be read again.
+        least = min(key)
         ok = True
         while True:
             if ok:
-                best = constraint()
-                if best is None:
-                    return _partition(placed, c)
-                slack, j, p = best
+                if least >= FULL:
+                    return _partition(placed, c), nodes
+                slack, k = divmod(least, size)
                 ok = slack >= 0
             if not (ok or choices):
-                return None
+                return None, nodes
+            while nodes >= limit:
+                limit = yield nodes
             nodes += 1
-            if nodes > budget:
-                return UNKNOWN
             if ok:
-                t = next(s for s in through[p] if allowed[s] >> j & 1)
-                choices.append((len(trail), t, j))
-                ok = place(t, j)
+                j, p = divmod(k, n)
+                fits = allowed[j] & through[p]
+                t = (fits & -fits).bit_length() - 1
+                choices.append((key[:], allowed[:], t, j))
+                low = place(t, j)
+                ok = low >= 0
+                if ok:
+                    least = min(least, low) if need[k] else min(key)
             else:
-                mark, t, j = choices.pop()
-                undo(mark)
-                ok = all(exclude(t, i) for i in (range(j, c) if empty(j) else (j,)))
+                key, allowed, t, j = choices.pop()
+                for p in points[t]:
+                    need[j * n + p] += 1
+                # The key branched on is among those lowered, and was the least.
+                least = exclude(t, range(j, c) if need[j * n + n - 1] == quota[-1] else (j,))
+                ok = reduce(or_, allowed) >> t & 1

@@ -35,6 +35,7 @@ from helpers import (
     oracle_constant,
     oracle_pair_counts,
     oracle_partition_exists,
+    oracle_strength_counts,
     oracle_subset_counts,
 )
 
@@ -285,6 +286,35 @@ def test_orthogonal_array_full_factorial():
 def test_orthogonal_array_not_constructible():
     with pytest.raises(NotConstructibleError):
         orthogonal_array((6, 6, 6), 2)  # 6 is not prime
+
+
+def test_orthogonal_array_check_agrees_with_the_oracle():
+    rng = random.Random(15)
+    verdicts = Counter()
+    for trial in range(400):
+        if trial % 4:
+            symbols = tuple(rng.randint(1, 3) for _ in range(rng.randint(1, 4)))
+            rows = list(product(*map(range, symbols))) * rng.randint(1, 2)
+        else:
+            symbols = (3,) * 4
+            rows = list(orthogonal_array(symbols, 2).rows)
+        # Change a few rows: some arrays stay balanced, most do not.
+        for _ in range(rng.choice((0, 0, 1, 2))):
+            rows[rng.randrange(len(rows))] = tuple(rng.randrange(s) for s in symbols)
+        rng.shuffle(rows)
+        t = rng.randint(1, len(symbols))
+        blocks = [tuple((x,) for x in row) for row in rows]
+        balanced = all(
+            oracle_constant(oracle_strength_counts(blocks, cols),
+                            product(*(range(symbols[c]) for c in cols))) is not None
+            for cols in combinations(range(len(symbols)), t))
+        verdicts[balanced] += 1
+        if balanced:
+            assert OrthogonalArray(rows=tuple(rows), symbols=symbols, strength=t).s == len(rows)
+        else:
+            with pytest.raises(InvalidInputError, match="not balanced"):
+                OrthogonalArray(rows=tuple(rows), symbols=symbols, strength=t)
+    assert min(verdicts.values()) >= 50
 
 
 def test_brute_force_bibd_fano():

@@ -9,6 +9,8 @@ from mpart.fixtures import load_design
 from mpart.ingredients import get_bibd
 from mpart.model import BlockPartition, MultipartDesign, as_multipart
 from mpart.verify import (
+    FIRST_SLICE,
+    _Search,
     check_admissible,
     check_multipart,
     check_strength,
@@ -298,6 +300,7 @@ COMPLEMENT_BUDGET_ON_THE_PARTS = {
 def test_find_partition_spends_the_recorded_budget():
     from mpart.ingredients import catalog_entries
 
+    beyond = 0
     for entry in catalog_entries(max_blocks=64):
         d = as_multipart(entry.build())
         primary = entry.name.removeprefix("complement of ")
@@ -314,9 +317,18 @@ def test_find_partition_spends_the_recorded_budget():
                 assert first_phase(d, c, budget - 1) is UNKNOWN, (entry.name, c)
             result = first_phase(d, c, budget)
             assert (result is not None) == exists, (entry.name, c)
-            assert find_partition(d, c, budget=budget) == result, (entry.name, c)
             if exists:
                 assert verify_partition(d, result)
+            found = find_partition(d, c, budget=budget)
+            if budget <= FIRST_SLICE:
+                assert found == result, (entry.name, c)
+            else:
+                # Phase 2 decides within the first slice, before phase 1.
+                beyond += 1
+                assert found is not None and found is not UNKNOWN, (entry.name, c)
+                assert verify_partition(d, found), (entry.name, c)
+    # All pairs of 10 at c = 9, of 11 at c = 5, and their complements.
+    assert beyond == 4
 
 
 def test_second_phase_alone_agrees_with_the_recorded_answers():
@@ -389,3 +401,99 @@ def test_product_witness_needs_the_full_product_and_verifies():
     # the first factor do not spread evenly over 3 classes.
     d = cartesian_product([get_bibd(7, 3, 1), get_bibd(3, 2, 1)])
     assert _product_witness(d, 3) is None
+
+
+def _at_once(steps, budget: int):
+    """A phase run once with ``budget`` nodes: its answer and nodes spent."""
+    search = _Search(steps)
+    return search.run(budget), search.nodes
+
+
+def _in_slices(steps, budget: int):
+    """A phase resumed on slices of 1, 1, 2, 4, ... nodes up to ``budget``."""
+    search, limit = _Search(steps), 1
+    while True:
+        answer = search.run(limit)
+        if answer is not UNKNOWN or limit == budget:
+            return answer, search.nodes
+        limit = min(2 * limit, budget)
+
+
+def _phases_in_slices(quotas, first_budget: int, second_budget: int):
+    """Both phases, each the same in slices as at once: (answer, nodes) each."""
+    runs = []
+    for steps, budget in ((quotas.first_steps, first_budget),
+                          (quotas.second_steps, second_budget)):
+        whole = _at_once(steps(), budget)
+        assert _in_slices(steps(), budget) == whole
+        runs.append(whole)
+    return runs
+
+
+def test_slicing_never_changes_a_phase():
+    from mpart.ingredients import catalog_entries
+    from mpart.verify import _quotas
+
+    searches = 0
+    for entry in catalog_entries(max_blocks=64):
+        d = as_multipart(entry.build())
+        primary = entry.name.removeprefix("complement of ")
+        for c, (budget, exists) in LEAST_DECIDING_BUDGET.get(primary, {}).items():
+            (first, nodes), (second, _) = _phases_in_slices(_quotas(d, c), budget, 50_000)
+            assert nodes == budget and (first is not None) == exists, (entry.name, c)
+            assert second is not UNKNOWN and (second is not None) == exists, (entry.name, c)
+            searches += 1
+    assert searches == sum(map(len, LEAST_DECIDING_BUDGET.values())) + sum(
+        map(len, COMPLEMENT_BUDGET_ON_THE_PARTS.values()))
+
+
+def test_slicing_keeps_the_recorded_phase_2_counts(tmp_path):
+    """The searches that phase 1 leaves undecided in the partition-tables
+    benchmark, in its block order and level relabeling for each recorded
+    seed: phase 2 spends the recorded nodes, in slices or at once, and
+    the products decide by their witness."""
+    import json
+    import sys
+    from pathlib import Path
+
+    from mpart.verify import _product_witness, _quotas
+
+    root = Path(__file__).resolve().parent.parent
+    sys.path.insert(0, str(root / "bench"))
+    import ops
+
+    class Kept(ops.Round):
+        """The benchmark's round, each input design kept instead of written."""
+
+        def design(self, label, design):
+            self.files[str(len(self.files))] = design
+            return str(len(self.files) - 1)
+
+    recorded = json.loads((root / "BENCH_10.json").read_text())["undecided_searches"]["searches"]
+    known = json.loads((root / "bench" / "known.json").read_text())
+    bases = ops.Bases(root / "src")
+    seeds = sorted({int(seed) for counts in recorded.values() for seed in counts})
+    checked = 0
+    for seed in seeds:
+        rnd = Kept(tmp_path, "partition-tables", seed)
+        ops.partition_round(rnd, bases, known)
+        for op in rnd.ops:
+            name = op.key.removeprefix("partition/")
+            if name not in recorded:
+                continue
+            kept = rnd.files[op.argv[1]]
+            d = MultipartDesign(v=kept.v, blocks=kept.blocks)
+            c = int(op.argv[op.argv.index("--c") + 1])
+            expected = recorded[name][str(seed)]
+            product = expected == "witness"
+            (first, _), (second, nodes) = _phases_in_slices(
+                _quotas(d, c), 4 * FIRST_SLICE, 200 if product else 50_000)
+            assert first is UNKNOWN, (name, seed)
+            if product:
+                witness = _product_witness(d, c)
+                assert verify_partition(d, witness), (name, seed)
+                assert find_partition(d, c, budget=50_000) == witness, (name, seed)
+            else:
+                assert nodes == expected and verify_partition(d, second), (name, seed)
+            checked += 1
+    assert checked == sum(map(len, recorded.values()))
