@@ -9,10 +9,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import reduce
 from itertools import accumulate, combinations, islice
 from math import prod
-from operator import or_
 from typing import Generator, Iterator, Sequence
 
 import numpy as np
@@ -489,94 +487,90 @@ class _Quotas:
         opened, and a block kept out of it is kept out of every empty
         class.  The search is complete: None means no partition exists.
         Every branch taken counts one node.
-
-        The blocks a class may take, and the blocks through a point, are
-        bitmasks, so a class that fills a point drops all their blocks
-        at once.  Each constraint has one integer key, ordered by slack,
-        then class, then point, so the constraint to branch on is the
-        least key; every empty class is a copy of the lowest one with
-        greater keys.  A branch saves the keys and the class bitmasks,
-        and backtracking restores them.
         """
         c, quota, points = self.c, self.quota, self.points
         b, n = len(points), len(quota)
-        through = [0] * n  # through[p]: the blocks through point p
+        through: list[list[int]] = [[] for _ in range(n)]
         for t, block in enumerate(points):
             for p in block:
-                through[p] |= 1 << t
-        # allowed[j]: the unplaced blocks that may still go into class j.
-        allowed = [(1 << b) - 1] * c
+                through[p].append(t)
+        # Constraint (j, p) is entry j * n + p.
         need = quota * c
-        # Constraint (j, p) is entry k = j * n + p, keyed slack * size + k.
-        # An open key stays below FULL.  Closing a constraint, whose slack
-        # is then its fit, adds FULL, and no block through it is excluded
-        # from its class afterwards, so a closed key stays at FULL or above.
-        size = c * n
-        FULL = b * size
-        key = [(through[k % n].bit_count() - need[k]) * size + k + (not need[k]) * FULL
-               for k in range(size)]
+        fit = [len(blocks) for blocks in through] * c
+        allowed = [(1 << c) - 1] * b
         placed = [0] * b  # read only once every block is placed
+        # Undo records (t, j, placing): block t counted toward class j's
+        # needs when placing, else kept out of class j.
+        trail: list[tuple[int, int, bool]] = []
 
-        def exclude(t: int, classes) -> int:
-            """Keep block t, which each of ``classes`` may take, out of
-            them: the least key this lowers."""
-            bit, low = 1 << t, FULL
-            for i in classes:
-                allowed[i] ^= bit
-                base = i * n
-                for p in points[t]:
-                    k = base + p
-                    key[k] -= size
-                    if key[k] < low:
-                        low = key[k]
-            return low
-
-        def place(t: int, j: int) -> int:
-            """Put block t in class j, so out of every other class it may
-            enter, and drop from j every block through a point j now
-            holds to quota: the least key this lowers, below 0 when the
-            branch fails (a slack below 0, or a dropped block that fits
-            no class)."""
-            placed[t] = j
+        def exclude(t: int, j: int) -> bool:
+            """Keep unplaced block t out of class j; False when it fits no class."""
+            allowed[t] &= ~(1 << j)
+            trail.append((t, j, False))
             base = j * n
-            full = 0
             for p in points[t]:
-                k = base + p
-                need[k] -= 1
-                if not need[k]:
-                    key[k] += FULL
-                    full |= through[p]
-            bit = 1 << t
-            allowed[j] ^= bit
-            low = exclude(t, [i for i, mask in enumerate(allowed) if mask & bit])
-            dropped = allowed[j] & full
-            if low < 0 or not dropped:
-                return low
-            allowed[j] ^= dropped
-            if dropped & ~reduce(or_, allowed):
-                return -1
-            for p, mask in enumerate(through):
-                k = base + p
-                if need[k]:
-                    key[k] -= (dropped & mask).bit_count() * size
-                    if key[k] < low:
-                        low = key[k]
-            return low
+                fit[base + p] -= 1
+            return allowed[t] != 0
 
-        # The state before each branch taken, with its block and class.
-        choices: list[tuple[list[int], list[int], int, int]] = []
+        def place(t: int, j: int) -> bool:
+            """Put block t in class j, so out of every class it may still
+            enter, and exclude from j every unplaced block through a
+            point j now holds to quota."""
+            for i in range(c):
+                if allowed[t] >> i & 1:
+                    exclude(t, i)
+            placed[t] = j
+            trail.append((t, j, True))
+            base = j * n
+            full = []
+            for p in points[t]:
+                need[base + p] -= 1
+                if not need[base + p]:
+                    full.append(p)
+            return all(exclude(s, j) for p in full for s in through[p] if allowed[s] >> j & 1)
+
+        def undo(mark: int) -> None:
+            while len(trail) > mark:
+                t, j, placing = trail.pop()
+                base = j * n
+                if placing:
+                    for p in points[t]:
+                        need[base + p] += 1
+                else:
+                    allowed[t] |= 1 << j
+                    for p in points[t]:
+                        fit[base + p] += 1
+
+        def empty(j: int) -> bool:
+            return need[j * n + n - 1] == quota[-1]
+
+        def constraint() -> tuple[int, int, int] | None:
+            """(slack, class, point) of the open constraint with the least
+            slack, over the open classes and the lowest empty one (the
+            other empty classes are the same); None when every block is
+            placed."""
+            best = None
+            for j in range(c):
+                base = j * n
+                for p in range(n):
+                    if need[base + p]:
+                        slack = fit[base + p] - need[base + p]
+                        if best is None or slack < best[0]:
+                            best = (slack, j, p)
+                if empty(j):
+                    break
+            return best
+
+        choices: list[tuple[int, int, int]] = []  # (trail length, block, class)
         nodes = 0
         limit = yield nodes
-        # The least key.  A branch lowers only keys it touches, and the
-        # key it branched on stays unless its constraint closes, so only
-        # then must every key be read again.
-        least = min(key)
         ok = True
         while True:
             if ok:
-                if least >= FULL:
+                best = constraint()
+                if best is None:
                     return _partition(placed, c), nodes
-                slack, k = divmod(least, size)
+                slack, j, p = best
                 ok = slack >= 0
             if not (ok or choices):
                 return None, nodes
@@ -584,18 +578,10 @@ class _Quotas:
                 limit = yield nodes
             nodes += 1
             if ok:
-                j, p = divmod(k, n)
-                fits = allowed[j] & through[p]
-                t = (fits & -fits).bit_length() - 1
-                choices.append((key[:], allowed[:], t, j))
-                low = place(t, j)
-                ok = low >= 0
-                if ok:
-                    least = min(least, low) if need[k] else min(key)
+                t = next(s for s in through[p] if allowed[s] >> j & 1)
+                choices.append((len(trail), t, j))
+                ok = place(t, j)
             else:
-                key, allowed, t, j = choices.pop()
-                for p in points[t]:
-                    need[j * n + p] += 1
-                # The key branched on is among those lowered, and was the least.
-                least = exclude(t, range(j, c) if need[j * n + n - 1] == quota[-1] else (j,))
-                ok = reduce(or_, allowed) >> t & 1
+                mark, t, j = choices.pop()
+                undo(mark)
+                ok = all(exclude(t, i) for i in (range(j, c) if empty(j) else (j,)))

@@ -447,44 +447,40 @@ def test_slicing_never_changes_a_phase():
         map(len, COMPLEMENT_BUDGET_ON_THE_PARTS.values()))
 
 
-def test_slicing_keeps_the_recorded_phase_2_counts(tmp_path):
+def test_slicing_keeps_the_recorded_phase_2_counts():
     """The searches that phase 1 leaves undecided in the partition-tables
     benchmark, in its block order and level relabeling for each recorded
     seed: phase 2 spends the recorded nodes, in slices or at once, and
     the products decide by their witness."""
     import json
-    import sys
     from pathlib import Path
 
+    from mpart.constructions import cartesian_product
+    from mpart.ingredients import catalog_entries
     from mpart.verify import _product_witness, _quotas
 
-    root = Path(__file__).resolve().parent.parent
-    sys.path.insert(0, str(root / "bench"))
-    import ops
-
-    class Kept(ops.Round):
-        """The benchmark's round, each input design kept instead of written."""
-
-        def design(self, label, design):
-            self.files[str(len(self.files))] = design
-            return str(len(self.files) - 1)
-
-    recorded = json.loads((root / "BENCH_10.json").read_text())["undecided_searches"]["searches"]
-    known = json.loads((root / "bench" / "known.json").read_text())
-    bases = ops.Bases(root / "src")
-    seeds = sorted({int(seed) for counts in recorded.values() for seed in counts})
+    here = Path(__file__).resolve().parent
+    inputs = json.loads((here / "undecided_searches.json").read_text())["searches"]
+    recorded = json.loads((here.parent / "BENCH_10.json").read_text())[
+        "undecided_searches"]["searches"]
+    assert inputs.keys() == recorded.keys()
+    entries = {entry.name: entry for entry in catalog_entries(max_blocks=64)}
     checked = 0
-    for seed in seeds:
-        rnd = Kept(tmp_path, "partition-tables", seed)
-        ops.partition_round(rnd, bases, known)
-        for op in rnd.ops:
-            name = op.key.removeprefix("partition/")
-            if name not in recorded:
-                continue
-            kept = rnd.files[op.argv[1]]
-            d = MultipartDesign(v=kept.v, blocks=kept.blocks)
-            c = int(op.argv[op.argv.index("--c") + 1])
-            expected = recorded[name][str(seed)]
+    for name, search in inputs.items():
+        c = search["c"]
+        if "product" in search:
+            blocks = cartesian_product([get_bibd(*vkl) for vkl in search["product"]]).blocks
+        else:
+            built = entries[search["entry"]].build().blocks
+            blocks = [(built[t],) for t in search["order"]]
+        assert search["levels"].keys() == recorded[name].keys(), name
+        for seed, levels in search["levels"].items():
+            d = MultipartDesign(
+                v=tuple(map(len, levels)),
+                blocks=tuple(tuple(tuple(sorted(level[x] for x in part))
+                                   for level, part in zip(levels, block))
+                             for block in blocks))
+            expected = recorded[name][seed]
             product = expected == "witness"
             (first, _), (second, nodes) = _phases_in_slices(
                 _quotas(d, c), 4 * FIRST_SLICE, 200 if product else 50_000)
