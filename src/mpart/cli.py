@@ -292,7 +292,10 @@ def _make_parser() -> _Parser:
                               "partition search's two phases alternate on doubling slices "
                               "from 1024 nodes until each has spent it (up to twice it in "
                               "all); its witness is the least one only when phase 1 "
-                              "decides within the first slice"),
+                              "decides within the first slice.  For iso and weak-iso it "
+                              "bounds the first design's search and each first path of "
+                              "the second; that search stops at its first match, so a "
+                              "yes may come within a budget canon would exhaust"),
         "--seed": dict(type=int, default=0, help="seed of the --selfcheck relabelings"),
     }
 

@@ -7,7 +7,9 @@ sorted block list over all per-factor relabelings, found by iterative
 refinement on level invariants (replication, concurrence fingerprints,
 cross fingerprints) with backtracking over the residual permutations,
 pruned by the automorphisms the search finds.
-Two designs are isomorphic iff their certificates are equal.
+Two designs are isomorphic iff their certificates are equal; the
+isomorphism tests decide that without computing either certificate, by
+looking for the second design's first leaf among the first design's leaves.
 """
 
 from __future__ import annotations
@@ -110,6 +112,7 @@ class _Canonicalizer:
         self.first: _Leaf | None = None
         self.best: _Leaf | None = None
         self.autos: list[tuple[int, ...]] = []
+        self.targets: set[tuple] = set()
 
     def _refine(self, colors: tuple[int, ...]) -> tuple[int, ...]:
         """Split the cells of ``colors`` until no cell splits.
@@ -176,6 +179,8 @@ class _Canonicalizer:
         point's canonical position.
         """
         candidate = self._candidate(colors)
+        if self.targets and tuple(candidate) in self.targets:
+            return _MATCH
         if self.first is None:
             self.first = self.best = _Leaf(path, colors, candidate)
             return None
@@ -206,14 +211,8 @@ class _Canonicalizer:
 
     def _search(self, colors: tuple[int, ...], fixed: tuple[int, ...]) -> int | None:
         """Explore the subtree below ``fixed``; return the depth to jump back
-        to when an automorphism leaf ends it early."""
-        self.nodes += 1
-        if self.nodes > self.budget:
-            raise BudgetExceededError(
-                f"canonical labeling exceeded {self.budget} nodes",
-                partial=self.best.candidate if self.best else None)
-        colors = self._refine(colors)
-        target = next((cell for cell in _cells(colors) if len(cell) > 1), None)
+        to when an automorphism leaf ends it early, or ``_MATCH``."""
+        colors, target = self._node(colors)
         if target is None:
             return self._leaf(colors, fixed)
         depth = len(fixed)
@@ -233,18 +232,52 @@ class _Canonicalizer:
                 continue
             covered.add(p)
             _close(covered, [p], fixing)
-            branched = [2 * c + 1 for c in colors]
-            branched[p] -= 1
-            rank = {c: i for i, c in enumerate(sorted(set(branched)))}
-            jump = self._search(tuple(rank[c] for c in branched), fixed + (p,))
+            jump = self._search(_individualize(colors, p), fixed + (p,))
             if jump is not None and jump < depth:
                 return jump
         return None
+
+    def _node(self, colors: tuple[int, ...]) -> tuple[tuple[int, ...], list[int] | None]:
+        """Count a node against the budget and refine its coloring; return
+        the refined colors and the first tied cell, None at a leaf."""
+        self.nodes += 1
+        if self.nodes > self.budget:
+            raise BudgetExceededError(
+                f"canonical labeling exceeded {self.budget} nodes",
+                partial=self.best.candidate if self.best else None)
+        colors = self._refine(colors)
+        return colors, next((cell for cell in _cells(colors) if len(cell) > 1), None)
 
     def run(self) -> list:
         self._search(tuple(self.factor_of), ())
         assert self.best is not None
         return self.best.candidate
+
+    def first_leaf(self) -> tuple:
+        """The candidate at the end of the search's first path, which
+        individualizes the first point of the first tied cell at every node."""
+        colors, target = self._node(tuple(self.factor_of))
+        while target is not None:
+            colors, target = self._node(_individualize(colors, target[0]))
+        return tuple(self._candidate(colors))
+
+    def meets(self, targets: set[tuple]) -> bool:
+        """Search until a leaf whose candidate is in ``targets``; False
+        when the search ends without one."""
+        self.targets = targets
+        return self._search(tuple(self.factor_of), ()) == _MATCH
+
+
+# A jump back above the root: a leaf met a target and ends the whole search.
+_MATCH = -1
+
+
+def _individualize(colors: tuple[int, ...], p: int) -> tuple[int, ...]:
+    """``colors`` with ``p`` split off just ahead of the rest of its cell."""
+    branched = [2 * c + 1 for c in colors]
+    branched[p] -= 1
+    rank = {c: i for i, c in enumerate(sorted(set(branched)))}
+    return tuple(rank[c] for c in branched)
 
 
 def _cells(colors: tuple[int, ...]) -> list[list[int]]:
@@ -275,43 +308,41 @@ def _close(orbit: set[int], start: list[int], generators: list[tuple[int, ...]])
                 stack.append(r)
 
 
-def canonical_form(design: MultipartDesign, budget: int = DEFAULT_BUDGET,
-                   fingerprint: tuple | None = None) -> CanonicalForm:
+def canonical_form(design: MultipartDesign, budget: int = DEFAULT_BUDGET) -> CanonicalForm:
     """Deterministic canonical representative of a design.
 
     Invariant under any per-factor level permutation and any block
     permutation.  Raises BudgetExceededError (carrying the best partial
     certificate) if the search does not finish within ``budget`` nodes.
-    ``fingerprint``, when given, must be ``_fingerprint(design)``.
     """
     blocks = _Canonicalizer(design, budget).run()
     canonical = MultipartDesign(v=design.v, blocks=tuple(blocks),
                                 factor_names=design.factor_names)
-    if fingerprint is None:
-        fingerprint = _fingerprint(design)
-    certificate = repr((fingerprint, blocks)).encode()
+    certificate = repr((_fingerprint(design), blocks)).encode()
     return CanonicalForm(design=canonical, certificate=certificate)
 
 
-def _matches(d1: MultipartDesign, candidates, budget: int) -> bool:
-    """True when some design of ``candidates`` has ``d1``'s certificate.
+def _matches(d1: MultipartDesign, designs, budget: int) -> bool:
+    """True when some design of ``designs`` is isomorphic to ``d1``.
 
-    ``d1``'s fingerprint and certificate are computed at most once, on
-    first use; a candidate whose fingerprint differs is never searched.
+    A design whose fingerprint differs from ``d1``'s is never searched.
+    Each other design follows only its first root-to-leaf path, and
+    ``d1``'s pruned search stops at the first leaf whose candidate is
+    one of those paths' leaf candidates.  Equal candidates are equal
+    relabeled block lists, so a match is an isomorphism.  Under an
+    isomorphism the other design's tree is the image of ``d1``'s, and
+    pruning skips only automorphic images, which have the same
+    candidates, so a search that ends without a match proves there is
+    none.  ``budget`` bounds each path and the search.
     """
-    fingerprint1 = certificate1 = None
-    for d2 in candidates:
+    fingerprint1 = None
+    targets = set()
+    for d2 in designs:
         if fingerprint1 is None:
             fingerprint1 = _fingerprint(d1)
-        fingerprint2 = _fingerprint(d2)
-        if fingerprint1 != fingerprint2:
-            continue
-        if certificate1 is None:
-            certificate1 = canonical_form(d1, budget=budget,
-                                          fingerprint=fingerprint1).certificate
-        if canonical_form(d2, budget=budget, fingerprint=fingerprint2).certificate == certificate1:
-            return True
-    return False
+        if _fingerprint(d2) == fingerprint1:
+            targets.add(_Canonicalizer(d2, budget).first_leaf())
+    return bool(targets) and _Canonicalizer(d1, budget).meets(targets)
 
 
 def are_isomorphic(d1: MultipartDesign, d2: MultipartDesign,

@@ -84,6 +84,56 @@ def test_weak_iso_exit_codes():
     assert cli_main(["iso", "fixture:fig1", "fixture:fig1"]) == 0
 
 
+# Equal fingerprints, not weakly isomorphic: two factor exchanges of the
+# second design pass the fingerprint check, and the first design refines to
+# a leaf at its root, so its search is one node.
+WEAK_PAIR = (
+    "mpart v1\nfactors: C=4 D=4 E=4\nblock: C{1,2} D{2,3} E{3,4}\n"
+    "block: C{2,4} D{1,3} E{2,4}\nblock: C{1,3} D{1,4} E{1,2}\n"
+    "block: C{2,3} D{3,4} E{1,4}\n",
+    "mpart v1\nfactors: C=4 D=4 E=4\nblock: C{1,2} D{1,4} E{2,3}\n"
+    "block: C{2,4} D{2,4} E{2,4}\nblock: C{3,4} D{3,4} E{1,4}\n"
+    "block: C{1,4} D{2,3} E{1,2}\n",
+)
+# C levels joined as a triangle plus an edge, and as a path, with every D
+# level in every block: equal fingerprints, not isomorphic.  The first
+# design's search takes 45 nodes, the second's first path 7.
+TRIANGLE, PATH = (
+    "mpart v1\nfactors: C=5 D=6\n" + "".join(
+        f"block: C{{{edge}}} D{{1,2,3,4,5,6}}\n" for edge in edges)
+    for edges in (("2,3", "3,5", "1,4", "2,5"), ("2,4", "1,5", "4,5", "2,3")))
+
+
+def _write(tmp_path, name: str, text: str) -> str:
+    path = tmp_path / name
+    path.write_text(text)
+    return str(path)
+
+
+def test_an_exhausted_iso_budget_exits_4_never_3(tmp_path, capsys):
+    weak = [_write(tmp_path, f"weak{i}.design", text) for i, text in enumerate(WEAK_PAIR)]
+    assert cli_main(["weak-iso", *weak, "--budget", "0"]) == 4
+    assert cli_main(["weak-iso", *weak, "--budget", "1"]) == 3
+    pair = [_write(tmp_path, "triangle.design", TRIANGLE),
+            _write(tmp_path, "path.design", PATH)]
+    for budget in range(45):
+        assert cli_main(["iso", *pair, "--budget", str(budget)]) == 4
+    assert cli_main(["iso", *pair, "--budget", "45"]) == 3
+    capsys.readouterr()
+
+
+def test_iso_may_say_yes_within_a_budget_canon_exhausts(tmp_path, capsys):
+    triangle = _write(tmp_path, "triangle.design", TRIANGLE)
+    # the same design with its levels and blocks relabeled
+    relabeled = _write(tmp_path, "relabeled.design", (
+        "mpart v1\nfactors: C=5 D=6\n" + "".join(
+            f"block: C{{{edge}}} D{{6,5,4,3,2,1}}\n"
+            for edge in ("1,5", "4,2", "5,3", "1,3"))))
+    assert cli_main(["canon", triangle, "--budget", "9"]) == 4
+    assert cli_main(["iso", triangle, relabeled, "--budget", "9"]) == 0
+    assert capsys.readouterr().out == "isomorphic\n"
+
+
 def test_partition_outcomes(capsys):
     assert cli_main(["partition", "fixture:fig8b", "--c", "3"]) == 0
     assert "class 1: blocks 1 2 3 4" in capsys.readouterr().out

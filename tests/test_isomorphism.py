@@ -128,16 +128,29 @@ def test_weak_iso_canonicalizes_the_first_design_once(monkeypatch):
     d2 = MultipartDesign(v=(4, 4, 4), blocks=(
         ((0, 1), (0, 3), (1, 2)), ((1, 3), (1, 3), (1, 3)),
         ((2, 3), (2, 3), (0, 3)), ((0, 3), (1, 2), (0, 1))))
-    canonicalized = []
+    searches = []
 
-    def counting(design, *args, **kwargs):
-        canonicalized.append(design)
-        return canonical_form(design, *args, **kwargs)
+    class Counting(iso._Canonicalizer):
+        def __init__(self, design, budget):
+            super().__init__(design, budget)
+            searches.append(self)
 
-    monkeypatch.setattr(iso, "canonical_form", counting)
+    monkeypatch.setattr(iso, "_Canonicalizer", Counting)
     assert not are_weakly_isomorphic(d1, d2)
-    assert sum(design is d1 for design in canonicalized) == 1
-    assert len(canonicalized) == 3
+    monkeypatch.undo()
+    *paths, search = searches
+    # the first design is searched in full, once ...
+    assert search.design is d1
+    whole = iso._Canonicalizer(d1, iso.DEFAULT_BUDGET)
+    whole.run()
+    assert search.nodes == whole.nodes
+    # ... and each exchange costs its first root-to-leaf path: the root
+    # and one node per point individualized on the way to the first leaf
+    assert len(paths) == 2 and all(path.design is not d1 for path in paths)
+    for path in paths:
+        whole = iso._Canonicalizer(path.design, iso.DEFAULT_BUDGET)
+        whole.run()
+        assert path.nodes == len(whole.first.path) + 1
 
 
 def test_iso_fingerprints_each_design_once(monkeypatch):

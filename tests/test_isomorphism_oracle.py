@@ -12,7 +12,7 @@ their point-block incidence graphs.
 import hashlib
 import random
 from collections import Counter
-from itertools import permutations
+from itertools import combinations, permutations
 
 import numpy as np
 import pytest
@@ -21,8 +21,14 @@ from mpart.constructions import cartesian_product, hadamard_2part
 from mpart.errors import DEFAULT_BUDGET
 from mpart.fixtures import DESIGN_FIXTURES, load_design
 from mpart.ingredients import get_bibd, hadamard_matrix
-from mpart.isomorphism import _Canonicalizer, are_isomorphic, canonical_form
-from mpart.model import MultipartDesign, select_factors
+from mpart.isomorphism import (
+    _Canonicalizer,
+    _fingerprint,
+    are_isomorphic,
+    are_weakly_isomorphic,
+    canonical_form,
+)
+from mpart.model import MultipartDesign, permute_factors, select_factors
 
 from helpers import random_design, random_relabeled
 
@@ -323,3 +329,71 @@ def test_large_designs_agree_with_networkx():
         assert are_isomorphic(d1, d2) == expected
         verdicts.append(expected)
     assert verdicts.count(True) == len(names) + 1
+
+
+def _certificate_verdicts(d1: MultipartDesign, d2: MultipartDesign) -> tuple[bool, bool, bool]:
+    """Isomorphism and weak isomorphism as certificate equality: of ``d2``
+    itself, and of any factor exchange of ``d2`` (the identity first).  A
+    certificate starts with the fingerprint, so only exchanges that pass
+    the fingerprint check are canonicalized; the third verdict says
+    whether any did."""
+    fingerprint, certificate = _fingerprint(d1), canonical_form(d1).certificate
+    exchanges = [permute_factors(d2, sigma) for sigma in permutations(range(d2.m))]
+    passing = [_fingerprint(exchanged) == fingerprint for exchanged in exchanges]
+    equal = [passes and canonical_form(exchanged).certificate == certificate
+             for passes, exchanged in zip(passing, exchanges)]
+    return equal[0], any(equal), any(passing)
+
+
+def _variants(rng: random.Random, design: MultipartDesign) -> list[MultipartDesign]:
+    """A relabeled copy, a relabeled factor exchange and, when every block
+    has a part with a level to spare, a relabeled ``_moved`` copy."""
+    sigma = rng.sample(range(design.m), design.m)
+    variants = [random_relabeled(rng, design),
+                random_relabeled(rng, permute_factors(design, sigma))]
+    if all(any(len(part) < size for part, size in zip(block, design.v))
+           for block in design.blocks):
+        variants.append(random_relabeled(rng, _moved(rng, design)))
+    return variants
+
+
+def _degree_twins(rng: random.Random) -> tuple[MultipartDesign, MultipartDesign]:
+    """A random simple graph as a design, its edges the C parts of the
+    blocks and every D level in every block, and the graph after one swap
+    of edges ab, cd for ad, cb that keeps it simple.  Both have the same
+    degrees, so the same replications and block meets: one fingerprint,
+    whether or not the graphs are isomorphic."""
+    n = rng.randint(5, 7)
+    pairs = list(combinations(range(n), 2))
+    while True:
+        edges = set(rng.sample(pairs, rng.randint(n - 1, 2 * n)))
+        (a, b), (c, d) = rng.sample(sorted(edges), 2)
+        swapped = edges - {(a, b), (c, d)} | {tuple(sorted((a, d))), tuple(sorted((c, b)))}
+        if len({a, b, c, d}) == 4 and len(swapped) == len(edges):
+            break
+    full = tuple(range(rng.randint(1, 3)))
+    return tuple(MultipartDesign(v=(n, len(full)), blocks=tuple((e, full) for e in sorted(es)))
+                 for es in (edges, swapped))
+
+
+def test_iso_and_weak_iso_agree_with_certificate_equality():
+    rng = random.Random(0x1601)
+    names = DESIGN_FIXTURES + ("fig4b|CD", "had12", "had16", "had20", "7,3,1x7,3,1")
+    named = [_design(name) for name in names]
+    pairs = [(design, variant) for design in named for variant in _variants(rng, design)]
+    pairs += list(zip(named, named[1:]))
+    pairs += [(named[names.index("fig4a")], named[names.index("fig4b|CD")])]
+    for _ in range(100):
+        for design in (random_design(rng, max_m=3, max_v=5, max_b=8), _awkward_design(rng)):
+            pairs.append((design, rng.choice(_variants(rng, design) + [
+                random_design(rng, max_m=3, max_v=5, max_b=8), _awkward_design(rng)])))
+    pairs += [_degree_twins(rng) for _ in range(100)]
+    seen = Counter()
+    for d1, d2 in pairs:
+        iso, weak, searched = _certificate_verdicts(d1, d2)
+        assert are_isomorphic(d1, d2) == iso, (d1, d2)
+        assert are_weakly_isomorphic(d1, d2) == weak, (d1, d2)
+        seen.update(iso=iso, weak_only=weak and not iso, neither=not weak,
+                    searched_in_vain=searched and not weak)
+    assert len(pairs) >= 300 + 2 * len(names)
+    assert min(seen.values()) >= 20, seen
