@@ -34,7 +34,7 @@ from .model import (
     reorder_blocks,
 )
 from .tables import enumerate_reachable, render_rows
-from .verify import check_admissible, check_multipart, find_partition
+from .verify import FIRST_SLICE, check_admissible, check_multipart, find_partition
 from . import constructions as cons
 from . import ingredients as ing
 
@@ -82,14 +82,12 @@ def _write_design(design: MultipartDesign, out: str | None, fmt: str):
         sys.stdout.write(text)
 
 
-def _jsonable(value):
+def _fraction(value):
+    """``json.dumps``'s hook for the one type it cannot write: an integral
+    Fraction as an int, any other as "p/q"."""
     if isinstance(value, Fraction):
-        return str(value) if value.denominator != 1 else value.numerator
-    if isinstance(value, (tuple, list)):
-        return [_jsonable(x) for x in value]
-    if isinstance(value, dict):
-        return {k: _jsonable(v) for k, v in value.items()}
-    return value
+        return value.numerator if value.denominator == 1 else str(value)
+    raise TypeError(f"{type(value).__name__} is not JSON serializable")
 
 
 def _ints(text: str) -> list[int]:
@@ -181,14 +179,12 @@ def _build(args) -> int:
         host = _load_blocks(args.host)
         special = [x - 1 for x in _ints(args.special)]
         design = cons.meet_filter(host, special, args.t)
-    elif name == "class-matched":
+    else:  # class-matched; argparse allows no other name
         _require(args, "--design", "--classes", "--ingredient")
         theta = _load_design(args.design[0])
         partition = _partition_for(theta, args.classes, args.budget, "design")
         delta = ing.get_bibd(*_triple(args.ingredient[0]))
         design = cons.class_matched_product(theta, partition, delta)
-    else:  # pragma: no cover - argparse restricts choices
-        raise _UsageError(f"unknown construction {name}")
     _write_design(design, args.output, fmt)
     return EXIT_OK
 
@@ -196,7 +192,7 @@ def _build(args) -> int:
 def _report(report, fmt: str, passed: bool) -> int:
     """Print ``report`` as text or JSON; exit 0 when it passed, else 2."""
     if fmt == "json":
-        print(json.dumps(_jsonable(asdict(report)), indent=2))
+        print(json.dumps(asdict(report), indent=2, default=_fraction))
     else:
         print(report.summary())
     return EXIT_OK if passed else EXIT_INVALID
@@ -275,7 +271,7 @@ def _tables(args) -> int:
         partition_budget=args.budget,
     )
     if args.format == "json":
-        print(json.dumps([_jsonable(asdict(row)) for row in rows], indent=2))
+        print(json.dumps([asdict(row) for row in rows], indent=2, default=_fraction))
     else:
         sys.stdout.write(render_rows(rows))
     return EXIT_OK
@@ -290,12 +286,12 @@ def _make_parser() -> _Parser:
         "--budget": dict(type=_count, default=DEFAULT_BUDGET,
                          help="search-tree node limit; exit 4 when it runs out.  A "
                               "partition search's two phases alternate on doubling slices "
-                              "from 1024 nodes until each has spent it (up to twice it in "
-                              "all); its witness is the least one only when phase 1 "
-                              "decides within the first slice.  For iso and weak-iso it "
-                              "bounds the first design's search and each first path of "
-                              "the second; that search stops at its first match, so a "
-                              "yes may come within a budget canon would exhaust"),
+                              f"from {FIRST_SLICE} nodes until each has spent it (up to "
+                              "twice it in all); its witness is the least one only when "
+                              "phase 1 decides within the first slice.  For iso and "
+                              "weak-iso it bounds the first design's search and each first "
+                              "path of the second; that search stops at its first match, "
+                              "so a yes may come within a budget canon would exhaust"),
         "--seed": dict(type=int, default=0, help="seed of the --selfcheck relabelings"),
     }
 

@@ -72,15 +72,7 @@ class NotConstructibleError(DesignError):
 
 
 class BudgetExceededError(DesignError):
-    """A search exhausted its node budget before reaching a decision.
-
-    ``partial`` carries whatever partial result was available (for the
-    canonical-labeling search, the best certificate seen so far).
-    """
-
-    def __init__(self, message: str, partial=None):
-        super().__init__(message)
-        self.partial = partial
+    """A search exhausted its node budget before reaching a decision."""
 
 
 class ParseError(DesignError):
@@ -107,12 +99,9 @@ class DualRequiresTwoFactorsError(DesignError):
 class _UnknownType:
     """Sentinel for searches that ran out of budget before deciding."""
 
-    _instance = None
-
-    def __new__(cls):
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
+    def __reduce__(self) -> str:
+        # Copies and unpickled values are the module's one UNKNOWN.
+        return "UNKNOWN"
 
     def __repr__(self) -> str:
         return "UNKNOWN"

@@ -242,9 +242,7 @@ class _Canonicalizer:
         the refined colors and the first tied cell, None at a leaf."""
         self.nodes += 1
         if self.nodes > self.budget:
-            raise BudgetExceededError(
-                f"canonical labeling exceeded {self.budget} nodes",
-                partial=self.best.candidate if self.best else None)
+            raise BudgetExceededError(f"canonical labeling exceeded {self.budget} nodes")
         colors = self._refine(colors)
         return colors, next((cell for cell in _cells(colors) if len(cell) > 1), None)
 
@@ -312,8 +310,8 @@ def canonical_form(design: MultipartDesign, budget: int = DEFAULT_BUDGET) -> Can
     """Deterministic canonical representative of a design.
 
     Invariant under any per-factor level permutation and any block
-    permutation.  Raises BudgetExceededError (carrying the best partial
-    certificate) if the search does not finish within ``budget`` nodes.
+    permutation.  Raises BudgetExceededError if the search does not
+    finish within ``budget`` nodes.
     """
     blocks = _Canonicalizer(design, budget).run()
     canonical = MultipartDesign(v=design.v, blocks=tuple(blocks),

@@ -107,8 +107,28 @@ def _complement(part: Iterable[int], size: int) -> tuple[int, ...]:
     return tuple(x for x in range(size) if x not in inside)
 
 
-@dataclass(frozen=True, eq=False)
-class MultipartDesign:
+class _BlockMultiset:
+    """``b``, repr, and equality and hashing of the blocks as a multiset,
+    for both design types; designs of different types are never equal."""
+
+    @property
+    def b(self) -> int:
+        return len(self.blocks)
+
+    def __eq__(self, other) -> bool:
+        if type(other) is not type(self):
+            return NotImplemented
+        return self.v == other.v and sorted(self.blocks) == sorted(other.blocks)
+
+    def __hash__(self) -> int:
+        return hash((self.v, tuple(sorted(self.blocks))))
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}(v={self.v}, b={self.b})"
+
+
+@dataclass(frozen=True, eq=False, repr=False)
+class MultipartDesign(_BlockMultiset):
     """m factors with level counts ``v`` and blocks of per-factor level sets.
 
     ``blocks[t][i]`` is the sorted tuple of factor-``i`` levels of block
@@ -159,10 +179,6 @@ class MultipartDesign:
         return len(self.v)
 
     @property
-    def b(self) -> int:
-        return len(self.blocks)
-
-    @property
     def offsets(self) -> tuple[int, ...]:
         """Start offset of each factor's levels in the zipped point set."""
         return _offsets(self.v)
@@ -193,20 +209,9 @@ class MultipartDesign:
         G.flags.writeable = False
         return G
 
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, MultipartDesign):
-            return NotImplemented
-        return self.v == other.v and sorted(self.blocks) == sorted(other.blocks)
 
-    def __hash__(self) -> int:
-        return hash((self.v, tuple(sorted(self.blocks))))
-
-    def __repr__(self) -> str:
-        return f"MultipartDesign(v={self.v}, b={self.b})"
-
-
-@dataclass(frozen=True, eq=False)
-class BlockDesign:
+@dataclass(frozen=True, eq=False, repr=False)
+class BlockDesign(_BlockMultiset):
     """A single-factor block design: ``v`` points, blocks as level subsets.
 
     Repeated blocks are legal (multiset semantics); equality is multiset
@@ -227,25 +232,10 @@ class BlockDesign:
         object.__setattr__(self, "v", v)
         object.__setattr__(self, "blocks", blocks)
 
-    @property
-    def b(self) -> int:
-        return len(self.blocks)
-
     @cached_property
     def incidence(self) -> np.ndarray:
         """The read-only v x b 0/1 matrix of points against blocks."""
         return _incidence(self.v, self.blocks, (0,))
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, BlockDesign):
-            return NotImplemented
-        return self.v == other.v and sorted(self.blocks) == sorted(other.blocks)
-
-    def __hash__(self) -> int:
-        return hash((self.v, tuple(sorted(self.blocks))))
-
-    def __repr__(self) -> str:
-        return f"BlockDesign(v={self.v}, b={self.b})"
 
 
 @dataclass(frozen=True)

@@ -24,7 +24,6 @@ from .errors import (
     DEFAULT_BUDGET,
     UNKNOWN,
     BudgetExceededError,
-    DesignError,
     InvalidInputError,
     NotConstructibleError,
 )
@@ -71,9 +70,12 @@ def _satisfies_swap_convention(v: Sequence[int], k: Sequence[int]) -> bool:
 
 
 def _verified_signature(design: MultipartDesign):
+    """The (v, k) signature of a constructed design; one that fails
+    ``check_multipart`` stops the table instead of losing its row."""
     report = check_multipart(design)
     if not report.valid:
-        return None
+        raise AssertionError(f"constructed {design!r} failed verification:\n"
+                             + report.summary())
     return _normalize_signature(design.v, report.k)
 
 
@@ -129,8 +131,6 @@ class _Enumerator:
                     b = e1.b * e2.b // c
                     design = subcartesian_product(get_bibd(e1.v, e1.k, e1.lam), d2, partition)
                     sig = _verified_signature(design)
-                    if sig is None:
-                        continue
                     yield ParameterRow(b=b, v=sig[0], k=sig[1], constructions=(2,), r=c)
 
     # ---- construction 3: Hadamard splits
@@ -145,9 +145,8 @@ class _Enumerator:
                 continue
             design = hadamard_2part(H, second_row=1)
             sig = _verified_signature(design)
-            if sig is not None:
-                yield ParameterRow(b=design.b, v=sig[0], k=sig[1], constructions=(3,),
-                                   r=order // 2 - 1)
+            yield ParameterRow(b=design.b, v=sig[0], k=sig[1], constructions=(3,),
+                               r=order // 2 - 1)
             order += 4
 
     # ---- construction 4: symmetric splits
@@ -161,13 +160,8 @@ class _Enumerator:
             # k - lam < 2 would give the split's first factor k = 1.
             if entry is None or entry.lam < 2 or entry.k - entry.lam < 2:
                 continue
-            try:
-                split = symmetric_block_split(get_bibd(entry.v, entry.k, entry.lam), 0)
-            except DesignError:
-                continue
+            split = symmetric_block_split(get_bibd(entry.v, entry.k, entry.lam), 0)
             sig = _verified_signature(split)
-            if sig is None:
-                continue
             yield ParameterRow(b=split.b, v=sig[0], k=sig[1], constructions=(4,),
                                sym=(entry.v, entry.k, entry.lam))
 
@@ -206,7 +200,8 @@ def enumerate_reachable(max_b: int,
     rows with k_i <= v_i/2 or k_i = v_i - 1 for every factor (the tables
     for constructions 1-3 follow it; the symmetric-split table does not).
     A partition search still undecided after ``partition_budget`` nodes
-    raises :class:`BudgetExceededError`: no row is dropped on a guess.
+    raises :class:`BudgetExceededError`, and a constructed design that
+    fails ``check_multipart`` raises AssertionError: no row is dropped.
     """
     constructions = frozenset(constructions)
     exclude = frozenset(exclude)

@@ -413,14 +413,6 @@ class _Quotas:
         self.quota = quota
         self.points = points
 
-    def first_phase(self, budget: int):
-        """Phase 1 in one run of at most ``budget`` nodes."""
-        return _Search(self.first_steps()).run(budget)
-
-    def second_phase(self, budget: int):
-        """Phase 2 in one run of at most ``budget`` nodes."""
-        return _Search(self.second_steps()).run(budget)
-
     def first_steps(self) -> Generator[int, int, tuple]:
         """Phase 1: backtracking over class assignments in block-index order.
 

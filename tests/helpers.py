@@ -12,7 +12,7 @@ from collections import Counter
 from itertools import combinations, product
 
 from mpart.model import MultipartDesign
-from mpart.verify import _quotas
+from mpart.verify import _quotas, _Search
 
 
 def oracle_pair_counts(blocks, factor: int) -> Counter:
@@ -144,10 +144,10 @@ def oracle_partition_exists(blocks, v: tuple[int, ...], c: int) -> bool:
 def first_phase(design: MultipartDesign, c: int, budget: int):
     """``find_partition``'s phase 1 alone: block-index-order backtracking."""
     quotas = _quotas(design, c)
-    return None if quotas is None else quotas.first_phase(budget)
+    return None if quotas is None else _Search(quotas.first_steps()).run(budget)
 
 
 def second_phase(design: MultipartDesign, c: int, budget: int):
     """``find_partition``'s phase 2 alone: the most-constrained-first search."""
     quotas = _quotas(design, c)
-    return None if quotas is None else quotas.second_phase(budget)
+    return None if quotas is None else _Search(quotas.second_steps()).run(budget)

@@ -1,4 +1,5 @@
 import json
+import textwrap
 
 import pytest
 
@@ -79,6 +80,42 @@ def test_params_json(capsys):
     assert data["ok"] is True and data["bound_partitioned"] is True
 
 
+def test_params_json_writes_fractions_as_text(capsys):
+    assert cli_main(["params", "--format", "json", "7", "5", "2"]) == 2
+    assert capsys.readouterr().out == textwrap.dedent("""\
+        {
+          "b": 7,
+          "v": [
+            5
+          ],
+          "k": [
+            2
+          ],
+          "c": null,
+          "r": [
+            "14/5"
+          ],
+          "lam": [
+            [
+              "7/10"
+            ]
+          ],
+          "r_integral": [
+            false
+          ],
+          "lam_integral": [
+            [
+              false
+            ]
+          ],
+          "bound_basic": true,
+          "c_divides_b": null,
+          "bound_partitioned": null,
+          "ok": false
+        }
+        """)
+
+
 def test_weak_iso_exit_codes():
     assert cli_main(["weak-iso", "fixture:fig5a", "fixture:fig5b"]) == 3
     assert cli_main(["iso", "fixture:fig1", "fixture:fig1"]) == 0
@@ -142,6 +179,11 @@ def test_partition_outcomes(capsys):
     # Phase 2 refutes 10 classes of fig4a at 2 nodes (phase 1 needs 65).
     assert cli_main(["partition", "fixture:fig4a", "--c", "10", "--budget", "1"]) == 4
     assert cli_main(["partition", "fixture:fig4a", "--c", "10", "--budget", "2"]) == 2
+
+
+def test_render_writes_the_concise_text_by_default(capsys):
+    assert cli_main(["render", "fixture:fig1"]) == 0
+    assert capsys.readouterr().out == fixture_text("fig1.design")
 
 
 def test_render_modes(capsys):

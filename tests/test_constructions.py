@@ -456,6 +456,56 @@ def test_part_swap_involution():
         assert part_swap(part_swap(d, f), f).blocks == d.blocks
 
 
+# ---------------------------------------------------------------- refusals
+
+_K3, _K4, _FANO = get_bibd(3, 2, 1), get_bibd(4, 2, 1), get_bibd(7, 3, 1)
+_PAIRS = BlockPartition(((0, 1), (2, 3), (4, 5)))
+_FOUR = BlockPartition(((0, 1), (2, 3)))
+
+REFUSALS = {
+    "oa-columns": (lambda: oa_compose([_K4] * 3, [_PAIRS] * 3, orthogonal_array([2, 2], 2)),
+                   ClassCountMismatchError, "2 columns for 3 ingredients"),
+    "oa-partitions": (lambda: oa_compose([_K4] * 2, [_PAIRS], orthogonal_array([2, 2], 2)),
+                      ClassCountMismatchError, "1 partitions for 2 ingredients"),
+    "oa-classes": (lambda: oa_compose([_K4] * 2, [_PAIRS, BlockPartition((tuple(range(6)),))],
+                                      orthogonal_array([2, 2], 2)),
+                   ClassCountMismatchError, r"class counts differ: \[1, 3\]"),
+    "orbit-non-permutation": (lambda: orbit_design((3,), [(0, 0, 1)], ((0, 1),)),
+                              InvalidInputError, "not a permutation of 3 points"),
+    "orbit-moved-factor": (lambda: orbit_design((2, 2), [(0, 2, 1, 3)], ((0, 1), (0, 1))),
+                           FactorNotPreservedError, "does not preserve factor 0"),
+    "orbit-short-seed": (lambda: orbit_design((3, 3), [], ((0, 1),)),
+                         InvalidInputError, "seed has 1 parts, expected 2"),
+    "orbit-one-level-seed-part": (lambda: orbit_design((3, 3), [], ((0,), (0, 1))),
+                                  InvalidInputError, "at least two levels"),
+    "partition-size": (lambda: subcartesian_product(_K3, _K4, _FOUR),
+                       ClassCountMismatchError, "partition covers 4 blocks, design has 6"),
+    "arrange-size": (lambda: arrange_by_classes(_K4, _FOUR),
+                     ClassCountMismatchError, "partition covers 4 blocks, design has 6"),
+    "augment-non-uniform": (
+        lambda: augment(MultipartDesign(v=(3,), blocks=(((0,),), ((0, 1),))), 0),
+        SizeMismatchError, "uniform part size"),
+    "augment-factor": (lambda: augment(load_design("fig1"), 2),
+                       InvalidInputError, "factor 2 out of range"),
+    "part-swap-factor": (lambda: part_swap(load_design("fig1"), -1),
+                         InvalidInputError, "factor -1 out of range"),
+    "symmetric-gamma": (lambda: symmetric_block_split(get_bibd(7, 4, 2), 7),
+                        InvalidInputError, "block index 7 out of range"),
+    "row-pairs-odd-b": (lambda: row_pair_partition(as_multipart(_FANO)),
+                        InvalidInputError, "even number of blocks"),
+    "cartesian-empty": (lambda: cartesian_product([]),
+                        InvalidInputError, "at least one ingredient"),
+    "meet-outside": (lambda: meet_filter(_FANO, [0, 7], 1),
+                     InvalidInputError, "subset of the points"),
+}
+
+
+@pytest.mark.parametrize("call, error, message", REFUSALS.values(), ids=REFUSALS.keys())
+def test_constructions_refuse_mismatched_inputs(call, error, message):
+    with pytest.raises(error, match=message):
+        call()
+
+
 # ---------------------------------------------------------------- pinned split outputs
 
 # SHA-256 over every block split below and over three catalog listings,

@@ -122,6 +122,12 @@ def test_parse_bad_header():
         parse_concise("mpart v2\nfactors: C=3\nblock: C{1,2}\n")
 
 
+@pytest.mark.parametrize("name", DESIGN_FIXTURES)
+def test_render_concise_is_the_serialized_text(name):
+    d = load_design(name)
+    assert render(d) == render(d, "concise") == serialize_concise(d)
+
+
 def test_render_dual_fig2b():
     d = load_design("fig1")
     dual = render(d, "dual")

@@ -1,9 +1,11 @@
+import copy
+import pickle
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from mpart.errors import InvalidInputError, NonUniformIntersectionError
+from mpart.errors import UNKNOWN, InvalidInputError, NonUniformIntersectionError
 from mpart.fixtures import load_design
 from mpart.ingredients import get_bibd
 from mpart.model import (
@@ -82,6 +84,29 @@ def test_design_equality_is_multiset():
     d2 = MultipartDesign(v=(3, 3), blocks=(((1, 2), (0, 2)), ((0, 1), (0, 1))))
     assert d1 == d2
     assert hash(d1) == hash(d2)
+
+
+def test_both_design_types_share_repr_equality_and_hash():
+    fano = get_bibd(7, 3, 1)
+    view = as_multipart(fano)
+    assert repr(fano) == "BlockDesign(v=7, b=7)"
+    assert repr(view) == "MultipartDesign(v=(7,), b=7)"
+    assert fano != view and view != fano
+    reordered = BlockDesign(v=7, blocks=fano.blocks[::-1])
+    assert reordered == fano and hash(reordered) == hash(fano)
+    view_reordered = MultipartDesign(v=(7,), blocks=view.blocks[::-1])
+    assert view_reordered == view and hash(view_reordered) == hash(view)
+
+
+def test_unknown_is_one_object_without_a_truth_value():
+    assert repr(UNKNOWN) == "UNKNOWN"
+    with pytest.raises(TypeError):
+        bool(UNKNOWN)
+    assert copy.copy(UNKNOWN) is UNKNOWN
+    assert copy.deepcopy(UNKNOWN) is UNKNOWN
+    assert copy.deepcopy([UNKNOWN])[0] is UNKNOWN
+    for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+        assert pickle.loads(pickle.dumps(UNKNOWN, protocol)) is UNKNOWN
 
 
 def test_default_factor_names():

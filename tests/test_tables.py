@@ -1,8 +1,10 @@
+import dataclasses
 import gc
 import hashlib
 
 import pytest
 
+import mpart.tables
 from mpart.cli import cli_main
 from mpart.constructions import cartesian_product
 from mpart.errors import UNKNOWN, BudgetExceededError, InvalidInputError
@@ -180,6 +182,17 @@ def test_undecided_partition_search_fails_the_table(capsys):
     with pytest.raises(BudgetExceededError):
         enumerate_reachable(max_b=60, partition_budget=115)
     assert cli_main(["tables", "--max-b", "60", "--budget", "116"]) == 0
+
+
+def test_a_design_that_fails_verification_stops_the_table(monkeypatch):
+    # Rows come only from verified designs; a failed check is a fault to
+    # report, never a row to leave out.
+    def failing(design):
+        return dataclasses.replace(check_multipart(design), valid=False)
+
+    monkeypatch.setattr(mpart.tables, "check_multipart", failing)
+    with pytest.raises(AssertionError, match="failed verification"):
+        enumerate_reachable(max_b=40, constructions=(2, 3), exclude=(1,))
 
 
 def test_enumeration_leaves_no_enumerator_alive():
