@@ -226,7 +226,7 @@ def _canon(args) -> int:
             if canonical_form(shuffled, budget=args.budget).certificate != form.certificate:
                 print("certificate changed under relabeling", file=sys.stderr)
                 return EXIT_INVALID
-        print(f"selfcheck: {args.selfcheck} relabelings, certificate stable")
+        print(f"selfcheck: {args.selfcheck} relabelings, certificate stable", file=sys.stderr)
     _write_design(form.design, args.output, args.format)
     return EXIT_OK
 
@@ -243,7 +243,7 @@ def _partition(args) -> int:
     design = _load_design(args.file)
     result = find_partition(design, args.c, budget=args.budget)
     if result is UNKNOWN:
-        print("budget exhausted: undecided")
+        print("budget exhausted: undecided", file=sys.stderr)
         return EXIT_BUDGET
     if result is None:
         print(f"no {args.c}-class partition exists")

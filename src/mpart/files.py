@@ -73,17 +73,18 @@ def parse_concise(text: str) -> MultipartDesign:
         raise ParseError("expected 'factors:' line", n, 1)
     names: list[str] = []
     sizes: list[int] = []
-    for token in stripped[len("factors:"):].split():
+    start = factors_line.index("factors:") + len("factors:")
+    for match in re.finditer(r"\S+", factors_line[start:]):
+        token, col = match[0], start + match.start() + 1
         m = re.fullmatch(rf"({_NAME_RE.pattern})=(\d+)", token)
         if not m:
-            raise ParseError(f"bad factor declaration {token!r}", n,
-                             factors_line.find(token) + 1)
+            raise ParseError(f"bad factor declaration {token!r}", n, col)
         digits = m.group(2).lstrip("0") or "0"
         try:
             sizes.append(int(digits))
         except ValueError:  # more digits than int() reads
             raise ParseError(f"size of factor {m.group(1)!r} is too long: {len(digits)} digits",
-                             n, factors_line.find(token) + 1) from None
+                             n, col) from None
         names.append(m.group(1))
     if not names:
         raise ParseError("no factors declared", n, 1)

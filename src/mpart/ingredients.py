@@ -481,7 +481,7 @@ def orthogonal_array(symbols: Sequence[int], strength: int) -> OrthogonalArray:
     Families: full factorial (strength = column count); strength-2
     linear arrays with q^2 rows over a prime alphabet q on up to q+1
     columns; strength-2 two-symbol arrays read off a normalized Hadamard
-    matrix.
+    matrix of the least built-in order above the column count.
     """
     symbols = tuple(int(s) for s in symbols)
     m = len(symbols)
@@ -500,9 +500,15 @@ def orthogonal_array(symbols: Sequence[int], strength: int) -> OrthogonalArray:
                 rows.append(tuple(row[:m]))
             return OrthogonalArray(rows=tuple(rows), symbols=symbols, strength=2)
         if all(s == 2 for s in symbols):
-            # the least order 4n with at least m columns after the first
+            # the least constructible order 4n with at least m columns after
+            # the first; a power of two always is
             order = 4 * (m // 4 + 1)
-            H = _normalize_pm_matrix(hadamard_matrix(order).as_array())
+            while True:
+                try:
+                    H = _normalize_pm_matrix(hadamard_matrix(order).as_array())
+                    break
+                except NotConstructibleError:
+                    order += 4
             rows = tuple(tuple(0 if H[i, j] == 1 else 1 for j in range(1, m + 1))
                          for i in range(order))
             return OrthogonalArray(rows=rows, symbols=symbols, strength=2)

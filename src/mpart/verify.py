@@ -136,36 +136,24 @@ def check_multipart(design: MultipartDesign,
     m = design.m
     params = derive_parameters(design)
     k, lam = params.k, params.lam
-    sizes_uniform = [x is not None for x in k]
-    within_lambda = [lam[i][i] for i in range(m)]
-    within_balance = [x is not None for x in within_lambda]
-    within_nonzero = [x is not None and x > 0 for x in within_lambda]
-    cross_lambda = [[None if i == j else lam[i][j] for j in range(m)] for i in range(m)]
-    cross_balance = [[i == j or lam[i][j] is not None for j in range(m)] for i in range(m)]
-    incomplete = [k[i] is not None and k[i] < design.v[i] for i in range(m)]
+    within_lambda = tuple(lam[i][i] for i in range(m))
+    incomplete = tuple(k[i] is not None and k[i] < design.v[i] for i in range(m))
     strength = 1 + sum(1 for _ in _level_tables(design, params))
-
-    valid = True
-    for i in range(m):
-        if not (sizes_uniform[i] and incomplete[i] and within_balance[i]):
-            valid = False
-        elif within_nonzero[i] and k[i] >= 2:
-            pass
-        elif allow_degenerate and k[i] == 1 and within_lambda[i] == 0:
-            pass
-        else:
-            valid = False
-    if m >= 2:
-        valid = valid and strength >= 2
-
+    # incomplete needs a uniform k_i; a constant lambda_ii > 0 forces k_i >= 2,
+    # and k_i = 1 makes a constant lambda_ii zero.
+    valid = all(inc and x is not None and (x > 0 or (allow_degenerate and ki == 1))
+                for inc, x, ki in zip(incomplete, within_lambda, k))
     return VerificationReport(
-        b=design.b, v=design.v, k=k, r=params.r,
-        sizes_uniform=tuple(sizes_uniform), incomplete=tuple(incomplete),
-        within_lambda=tuple(within_lambda), within_balance=tuple(within_balance),
-        within_nonzero=tuple(within_nonzero),
-        cross_lambda=tuple(tuple(row) for row in cross_lambda),
-        cross_balance=tuple(tuple(row) for row in cross_balance),
-        strength=strength, allow_degenerate=allow_degenerate, valid=valid,
+        b=design.b, v=design.v, k=k, r=params.r, incomplete=incomplete,
+        sizes_uniform=tuple(x is not None for x in k), within_lambda=within_lambda,
+        within_balance=tuple(x is not None for x in within_lambda),
+        within_nonzero=tuple(x is not None and x > 0 for x in within_lambda),
+        cross_lambda=tuple(tuple(None if i == j else lam[i][j] for j in range(m))
+                           for i in range(m)),
+        cross_balance=tuple(tuple(i == j or lam[i][j] is not None for j in range(m))
+                            for i in range(m)),
+        strength=strength, allow_degenerate=allow_degenerate,
+        valid=valid and (m < 2 or strength >= 2),
     )
 
 
@@ -272,12 +260,12 @@ def find_partition(design: MultipartDesign, c: int,
     "none exists" immediately.  Otherwise three steps may run:
 
     1. Phase 1 backtracks over class assignments in block-index order
-       (``_Quotas.first_steps``).  Its witness is the lexicographically
+       (``_first_steps``).  Its witness is the lexicographically
        least canonical one.
     2. A product's witness read off its factors (``_product_witness``),
        returned only if ``verify_partition`` accepts it.
     3. Phase 2, a complete search that branches on the most constrained
-       (class, level) pair (``_Quotas.second_steps``).
+       (class, level) pair (``_second_steps``).
 
     The phases alternate on doubling slices: phase 1 spends the first
     ``min(FIRST_SLICE, budget)`` nodes, the product witness is tried
@@ -297,7 +285,7 @@ def find_partition(design: MultipartDesign, c: int,
     quotas = _quotas(design, c)
     if quotas is None:
         return None
-    first, second = _Search(quotas.first_steps()), None
+    first, second = _Search(_first_steps(*quotas)), None
     limit, size = 0, min(FIRST_SLICE, budget)
     while True:
         limit += size
@@ -307,7 +295,7 @@ def find_partition(design: MultipartDesign, c: int,
                 witness = _product_witness(design, c)
                 if witness is not None:
                     return witness
-                second = _Search(quotas.second_steps())
+                second = _Search(_second_steps(*quotas))
             result = second.run(limit)
         if result is not UNKNOWN or limit == budget:
             return result
@@ -337,9 +325,12 @@ def _product_witness(design: MultipartDesign, c: int) -> BlockPartition | None:
     return partition if verify_partition(design, partition) else None
 
 
-def _quotas(design: MultipartDesign, c: int) -> _Quotas | None:
-    """The setup both phases of ``find_partition`` share, for 2 <= c; None
-    when c does not divide b or some level's replication.
+def _quotas(design: MultipartDesign, c: int) -> tuple[int, list[int], list[list[int]]] | None:
+    """The setup both phases of ``find_partition`` share, for 2 <= c:
+    ``(c, quota, points)``, where every class holds point p ``quota[p]``
+    times and ``points`` lists each block's searched points, the last of
+    them in every block for the class size.  None when c does not divide
+    b or some level's replication.
 
     A class replicates every level equally if and only if it replicates
     every complemented level equally.  So a dense factor, whose parts
@@ -368,7 +359,7 @@ def _quotas(design: MultipartDesign, c: int) -> _Quotas | None:
     levels = np.nonzero(Z.T)[1].tolist()
     ends = list(accumulate(Z.sum(axis=0).tolist()))
     points = [levels[start:end] + [size] for start, end in zip([0] + ends, ends)]
-    return _Quotas(c, [r // c for r in counts] + [b // c], points)
+    return c, [r // c for r in counts] + [b // c], points
 
 
 def _partition(assigned: Sequence[int], c: int) -> BlockPartition:
@@ -403,177 +394,166 @@ class _Search:
         return UNKNOWN
 
 
-class _Quotas:
-    """Each block's searched points, and how often every class must hold
-    each point p: ``quota[p]`` times.  The last point lies in every block
-    and stands for the class size."""
+def _first_steps(c: int, quota: list[int], points: list[list[int]]) -> Generator[int, int, tuple]:
+    """Phase 1: backtracking over class assignments in block-index order.
 
-    def __init__(self, c: int, quota: list[int], points: list[list[int]]):
-        self.c = c
-        self.quota = quota
-        self.points = points
-
-    def first_steps(self) -> Generator[int, int, tuple]:
-        """Phase 1: backtracking over class assignments in block-index order.
-
-        Block 0 is pinned to class 0 and a block may only open class j
-        once classes below j are open, so the witness is the
-        lexicographically least canonical one.  Every class tried for a
-        block counts as one node.  A block fits a class that holds none
-        of its points to quota (a full class holds the last one to
-        quota): one AND of the block's bitmask with the class's.
-        """
-        c, quota, points = self.c, self.quota, self.points
-        b = len(points)
-        bit = [1 << p for p in range(len(quota))]
-        masks = [sum(map(bit.__getitem__, block)) for block in points]
-        usage = [[0] * len(quota) for _ in range(c)]
-        # The points class j holds to quota; a block fits iff it has none of them.
-        saturated = [sum(bit[p] for p, q in enumerate(quota) if not q)] * c
-        # A placed block t is in class tried[t] - 1; blocks before t open opened[t] classes.
-        tried = [0] * b
-        opened = [0] * (b + 1)
-        nodes = t = 0
-        limit = yield nodes
-        while t < b:
-            j = tried[t]
-            if j == min(c, opened[t] + 1):
-                if t == 0:
-                    return None, nodes
-                tried[t] = 0
-                t -= 1
-                j = tried[t] - 1
-                saturated[j] &= ~masks[t]
-                use = usage[j]
-                for p in points[t]:
-                    use[p] -= 1
-                continue
-            while nodes >= limit:
-                limit = yield nodes
-            nodes += 1
-            tried[t] = j + 1
-            if not masks[t] & saturated[j]:
-                use = usage[j]
-                for p in points[t]:
-                    use[p] += 1
-                    if use[p] == quota[p]:
-                        saturated[j] |= bit[p]
-                opened[t + 1] = max(opened[t], j + 1)
-                t += 1
-        return _partition([j - 1 for j in tried], c), nodes
-
-    def second_steps(self) -> Generator[int, int, tuple]:
-        """Phase 2: a complete search on the most constrained (class, point).
-
-        Each class j and point p is a constraint: j still needs
-        ``need = quota[p] - use`` blocks through p, and ``fit`` unplaced
-        blocks through p may still go into j.  The search branches on the
-        constraint with the least slack ``fit - need``, and on its first
-        fitting block: the block goes into j, or it is excluded from j.
-        A class that holds a point to quota excludes every unplaced
-        block through it.  A branch fails as soon as some constraint
-        has fewer fitting blocks than it needs, or an unplaced block is
-        excluded from every class.
-
-        Empty classes are interchangeable, so only the lowest one may be
-        opened, and a block kept out of it is kept out of every empty
-        class.  The search is complete: None means no partition exists.
-        Every branch taken counts one node.
-        """
-        c, quota, points = self.c, self.quota, self.points
-        b, n = len(points), len(quota)
-        through: list[list[int]] = [[] for _ in range(n)]
-        for t, block in enumerate(points):
-            for p in block:
-                through[p].append(t)
-        # Constraint (j, p) is entry j * n + p.
-        need = quota * c
-        fit = [len(blocks) for blocks in through] * c
-        allowed = [(1 << c) - 1] * b
-        placed = [0] * b  # read only once every block is placed
-        # Undo records (t, j, placing): block t counted toward class j's
-        # needs when placing, else kept out of class j.
-        trail: list[tuple[int, int, bool]] = []
-
-        def exclude(t: int, j: int) -> bool:
-            """Keep unplaced block t out of class j; False when it fits no class."""
-            allowed[t] &= ~(1 << j)
-            trail.append((t, j, False))
-            base = j * n
-            for p in points[t]:
-                fit[base + p] -= 1
-            return allowed[t] != 0
-
-        def place(t: int, j: int) -> bool:
-            """Put block t in class j, so out of every class it may still
-            enter, and exclude from j every unplaced block through a
-            point j now holds to quota."""
-            for i in range(c):
-                if allowed[t] >> i & 1:
-                    exclude(t, i)
-            placed[t] = j
-            trail.append((t, j, True))
-            base = j * n
-            full = []
-            for p in points[t]:
-                need[base + p] -= 1
-                if not need[base + p]:
-                    full.append(p)
-            return all(exclude(s, j) for p in full for s in through[p] if allowed[s] >> j & 1)
-
-        def undo(mark: int) -> None:
-            while len(trail) > mark:
-                t, j, placing = trail.pop()
-                base = j * n
-                if placing:
-                    for p in points[t]:
-                        need[base + p] += 1
-                else:
-                    allowed[t] |= 1 << j
-                    for p in points[t]:
-                        fit[base + p] += 1
-
-        def empty(j: int) -> bool:
-            return need[j * n + n - 1] == quota[-1]
-
-        def constraint() -> tuple[int, int, int] | None:
-            """(slack, class, point) of the open constraint with the least
-            slack, over the open classes and the lowest empty one (the
-            other empty classes are the same); None when every block is
-            placed."""
-            best = None
-            for j in range(c):
-                base = j * n
-                for p in range(n):
-                    if need[base + p]:
-                        slack = fit[base + p] - need[base + p]
-                        if best is None or slack < best[0]:
-                            best = (slack, j, p)
-                if empty(j):
-                    break
-            return best
-
-        choices: list[tuple[int, int, int]] = []  # (trail length, block, class)
-        nodes = 0
-        limit = yield nodes
-        ok = True
-        while True:
-            if ok:
-                best = constraint()
-                if best is None:
-                    return _partition(placed, c), nodes
-                slack, j, p = best
-                ok = slack >= 0
-            if not (ok or choices):
+    Block 0 is pinned to class 0 and a block may only open class j
+    once classes below j are open, so the witness is the
+    lexicographically least canonical one.  Every class tried for a
+    block counts as one node.  A block fits a class that holds none
+    of its points to quota (a full class holds the last one to
+    quota): one AND of the block's bitmask with the class's.
+    """
+    b = len(points)
+    bit = [1 << p for p in range(len(quota))]
+    masks = [sum(map(bit.__getitem__, block)) for block in points]
+    usage = [[0] * len(quota) for _ in range(c)]
+    # The points class j holds to quota; a block fits iff it has none of them.
+    saturated = [sum(bit[p] for p, q in enumerate(quota) if not q)] * c
+    # A placed block t is in class tried[t] - 1; blocks before t open opened[t] classes.
+    tried = [0] * b
+    opened = [0] * (b + 1)
+    nodes = t = 0
+    limit = yield nodes
+    while t < b:
+        j = tried[t]
+        if j == min(c, opened[t] + 1):
+            if t == 0:
                 return None, nodes
-            while nodes >= limit:
-                limit = yield nodes
-            nodes += 1
-            if ok:
-                t = next(s for s in through[p] if allowed[s] >> j & 1)
-                choices.append((len(trail), t, j))
-                ok = place(t, j)
+            tried[t] = 0
+            t -= 1
+            j = tried[t] - 1
+            saturated[j] &= ~masks[t]
+            use = usage[j]
+            for p in points[t]:
+                use[p] -= 1
+            continue
+        while nodes >= limit:
+            limit = yield nodes
+        nodes += 1
+        tried[t] = j + 1
+        if not masks[t] & saturated[j]:
+            use = usage[j]
+            for p in points[t]:
+                use[p] += 1
+                if use[p] == quota[p]:
+                    saturated[j] |= bit[p]
+            opened[t + 1] = max(opened[t], j + 1)
+            t += 1
+    return _partition([j - 1 for j in tried], c), nodes
+
+
+def _second_steps(c: int, quota: list[int], points: list[list[int]]) -> Generator[int, int, tuple]:
+    """Phase 2: a complete search on the most constrained (class, point).
+
+    Each class j and point p is a constraint: j still needs
+    ``need = quota[p] - use`` blocks through p, and ``fit`` unplaced
+    blocks through p may still go into j.  The search branches on the
+    constraint with the least slack ``fit - need``, and on its first
+    fitting block: the block goes into j, or it is excluded from j.
+    A class that holds a point to quota excludes every unplaced
+    block through it.  A branch fails as soon as some constraint
+    has fewer fitting blocks than it needs, or an unplaced block is
+    excluded from every class.
+
+    Empty classes are interchangeable, so only the lowest one may be
+    opened, and a block kept out of it is kept out of every empty
+    class.  The search is complete: None means no partition exists.
+    Every branch taken counts one node.
+    """
+    b, n = len(points), len(quota)
+    through: list[list[int]] = [[] for _ in range(n)]
+    for t, block in enumerate(points):
+        for p in block:
+            through[p].append(t)
+    # Constraint (j, p) is entry j * n + p.
+    need = quota * c
+    fit = [len(blocks) for blocks in through] * c
+    allowed = [(1 << c) - 1] * b
+    placed = [0] * b  # read only once every block is placed
+    # Undo records (t, j, placing): block t counted toward class j's
+    # needs when placing, else kept out of class j.
+    trail: list[tuple[int, int, bool]] = []
+
+    def exclude(t: int, j: int) -> bool:
+        """Keep unplaced block t out of class j; False when it fits no class."""
+        allowed[t] &= ~(1 << j)
+        trail.append((t, j, False))
+        base = j * n
+        for p in points[t]:
+            fit[base + p] -= 1
+        return allowed[t] != 0
+
+    def place(t: int, j: int) -> bool:
+        """Put block t in class j, so out of every class it may still
+        enter, and exclude from j every unplaced block through a
+        point j now holds to quota."""
+        for i in range(c):
+            if allowed[t] >> i & 1:
+                exclude(t, i)
+        placed[t] = j
+        trail.append((t, j, True))
+        base = j * n
+        full = []
+        for p in points[t]:
+            need[base + p] -= 1
+            if not need[base + p]:
+                full.append(p)
+        return all(exclude(s, j) for p in full for s in through[p] if allowed[s] >> j & 1)
+
+    def undo(mark: int) -> None:
+        while len(trail) > mark:
+            t, j, placing = trail.pop()
+            base = j * n
+            if placing:
+                for p in points[t]:
+                    need[base + p] += 1
             else:
-                mark, t, j = choices.pop()
-                undo(mark)
-                ok = all(exclude(t, i) for i in (range(j, c) if empty(j) else (j,)))
+                allowed[t] |= 1 << j
+                for p in points[t]:
+                    fit[base + p] += 1
+
+    def empty(j: int) -> bool:
+        return need[j * n + n - 1] == quota[-1]
+
+    def constraint() -> tuple[int, int, int] | None:
+        """(slack, class, point) of the open constraint with the least
+        slack, over the open classes and the lowest empty one (the
+        other empty classes are the same); None when every block is
+        placed."""
+        best = None
+        for j in range(c):
+            base = j * n
+            for p in range(n):
+                if need[base + p]:
+                    slack = fit[base + p] - need[base + p]
+                    if best is None or slack < best[0]:
+                        best = (slack, j, p)
+            if empty(j):
+                break
+        return best
+
+    choices: list[tuple[int, int, int]] = []  # (trail length, block, class)
+    nodes = 0
+    limit = yield nodes
+    ok = True
+    while True:
+        if ok:
+            best = constraint()
+            if best is None:
+                return _partition(placed, c), nodes
+            slack, j, p = best
+            ok = slack >= 0
+        if not (ok or choices):
+            return None, nodes
+        while nodes >= limit:
+            limit = yield nodes
+        nodes += 1
+        if ok:
+            t = next(s for s in through[p] if allowed[s] >> j & 1)
+            choices.append((len(trail), t, j))
+            ok = place(t, j)
+        else:
+            mark, t, j = choices.pop()
+            undo(mark)
+            ok = all(exclude(t, i) for i in (range(j, c) if empty(j) else (j,)))

@@ -12,7 +12,7 @@ from collections import Counter
 from itertools import combinations, product
 
 from mpart.model import MultipartDesign
-from mpart.verify import _quotas, _Search
+from mpart.verify import _first_steps, _quotas, _Search, _second_steps
 
 
 def oracle_pair_counts(blocks, factor: int) -> Counter:
@@ -144,10 +144,10 @@ def oracle_partition_exists(blocks, v: tuple[int, ...], c: int) -> bool:
 def first_phase(design: MultipartDesign, c: int, budget: int):
     """``find_partition``'s phase 1 alone: block-index-order backtracking."""
     quotas = _quotas(design, c)
-    return None if quotas is None else _Search(quotas.first_steps()).run(budget)
+    return None if quotas is None else _Search(_first_steps(*quotas)).run(budget)
 
 
 def second_phase(design: MultipartDesign, c: int, budget: int):
     """``find_partition``'s phase 2 alone: the most-constrained-first search."""
     quotas = _quotas(design, c)
-    return None if quotas is None else _Search(quotas.second_steps()).run(budget)
+    return None if quotas is None else _Search(_second_steps(*quotas)).run(budget)

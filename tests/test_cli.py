@@ -338,8 +338,34 @@ def test_successive_calls_share_no_state(tmp_path, fig1_path, capsys):
 
 def test_canon_selfcheck(capsys):
     assert cli_main(["canon", "fixture:fig5a", "--selfcheck", "3", "--seed", "9"]) == 0
-    out = capsys.readouterr().out
-    assert "certificate stable" in out
+    err = capsys.readouterr().err
+    assert "certificate stable" in err
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_canon_stdout_holds_only_the_design(capsys, fmt):
+    from mpart.files import from_json_dict
+
+    assert cli_main(["canon", "fixture:fig1", "--selfcheck", "2", "--format", fmt]) == 0
+    captured = capsys.readouterr()
+    design = (from_json_dict(json.loads(captured.out)) if fmt == "json"
+              else parse_concise(captured.out))
+    assert design.v == load_design("fig1").v
+    assert captured.err == "selfcheck: 2 relabelings, certificate stable\n"
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_an_exhausted_partition_writes_nothing_to_stdout(tmp_path, capsys, fmt):
+    argv = ["partition", "fixture:fig4a", "--c", "10", "--budget", "1", "--format", fmt]
+    assert cli_main(argv) == 4
+    assert capsys.readouterr() == ("", "budget exhausted: undecided\n")
+    # (7,3,1)^3 at 49 classes: neither phase decides within 50 nodes.
+    path = tmp_path / "p343.design"
+    assert cli_main(["build", "cartesian", "--ingredient", "7,3,1", "--ingredient", "7,3,1",
+                     "--ingredient", "7,3,1", "-o", str(path)]) == 0
+    assert cli_main(["partition", str(path), "--c", "49", "--budget", "50",
+                     "--format", fmt]) == 4
+    assert capsys.readouterr() == ("", "budget exhausted: undecided\n")
 
 
 def test_tables_smoke(capsys):

@@ -105,6 +105,21 @@ def test_parse_error_columns(line, col):
     assert line[col - 1] in "CDX1}"
 
 
+@pytest.mark.parametrize("line, col", [
+    # the bad token itself, not an equal text earlier in the line
+    ("factors: C=3 :", 14),
+    ("factors: CD=2 D 3", 15),
+    ("factors: CC=3 C=", 15),
+    ("  factors:C=3 C", 15),
+])
+def test_factor_declaration_error_columns(line, col):
+    with pytest.raises(ParseError) as err:
+        parse_concise(f"mpart v1\n{line}\nblock: C{{1}}\n")
+    assert (err.value.line, err.value.col) == (2, col)
+    assert str(err.value).startswith(f"line 2, col {col}: bad factor declaration")
+    assert line[col - 1:].split()[0] in str(err.value)
+
+
 @pytest.mark.parametrize("text, message", [
     ("", "line 1, col 1: empty input"),
     ("mpart v1\n", "line 1, col 1: missing factors line"),

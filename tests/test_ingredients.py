@@ -283,6 +283,15 @@ def test_orthogonal_array_full_factorial():
     assert len(set(oa.rows)) == 9
 
 
+@pytest.mark.parametrize("m, rows", [(24, 32), (27, 32), (28, 32), (32, 40), (35, 40)])
+def test_two_symbol_arrays_skip_a_missing_hadamard_order(m, rows):
+    # No built-in Hadamard matrix has order 28 or 36; the next order that
+    # has one gives the rows.
+    oa = orthogonal_array((2,) * m, 2)
+    assert (oa.s, oa.columns) == (rows, m)
+    assert OrthogonalArray(oa.rows, oa.symbols, 2).rows == oa.rows
+
+
 def test_orthogonal_array_not_constructible():
     with pytest.raises(NotConstructibleError):
         orthogonal_array((6, 6, 6), 2)  # 6 is not prime

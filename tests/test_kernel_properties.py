@@ -121,6 +121,47 @@ def test_strength_matches_the_oracle(design):
     assert design_strength(design) == check_multipart(design).strength == strength
 
 
+@st.composite
+def complete_products(draw) -> MultipartDesign:
+    """The product of complete designs, every k_i-subset of v_i levels
+    per factor: valid for any 1 <= k_i < v_i, degenerate where k_i = 1."""
+    v = draw(st.lists(st.integers(2, 4), min_size=1, max_size=4))
+    parts = [list(combinations(range(size), draw(st.integers(1, size - 1)))) for size in v]
+    return MultipartDesign(v=tuple(v), blocks=tuple(product(*parts)))
+
+
+def test_valid_matches_the_definition():
+    """``valid`` against the definition recounted by the oracles: each
+    factor has one part size k_i < v_i and a constant lambda_ii, with
+    k_i >= 2 and lambda_ii > 0, or with ``allow_degenerate`` k_i = 1 and
+    lambda_ii = 0; for m >= 2 every pair of factors has a constant cross
+    count."""
+    seen = set()
+
+    @_SETTINGS
+    @hypothesis.given(st.one_of(designs(), complete_products()), st.booleans())
+    def check(design, allow_degenerate):
+        m, v, blocks = design.m, design.v, design.blocks
+
+        def factor_holds(i: int) -> bool:
+            k, lam = _oracle_k(design, i), oracle_lambda(blocks, v, i, i)
+            if k is None or k >= v[i] or lam is None:
+                return False
+            return (k >= 2 and lam > 0) or (allow_degenerate and k == 1 and lam == 0)
+
+        factors = all(factor_holds(i) for i in range(m))
+        pairs = all(oracle_lambda(blocks, v, i, j) is not None
+                    for i, j in combinations(range(m), 2))
+        degenerate = any(_oracle_k(design, i) == 1 for i in range(m))
+        assert check_multipart(design, allow_degenerate).valid == (factors and pairs)
+        seen.add((factors, pairs, allow_degenerate and degenerate))
+
+    check()
+    # valid with and without a degenerate factor, and factors that hold
+    # while some pair of them is unbalanced
+    assert {(True, True, False), (True, True, True), (True, False, True)} <= seen
+
+
 @_SETTINGS
 @hypothesis.given(designs(), st.integers(2, 4), st.data())
 def test_verify_partition_matches_the_oracle(design, c, data):

@@ -1,11 +1,16 @@
-"""``parse_concise`` cross-checked against a verbatim copy of the
-line-by-line parser it replaced.
+"""``parse_concise`` cross-checked against a copy of the line-by-line
+parser it replaced.
 
 The reference parses and range-checks every part of every block line,
 while the library reads each distinct part text once per factor and
 looks for stray text only between part matches.  On random valid files
 and on single-character mutations of them, both must return the same
 design or raise the same error: type, message, line and column.
+
+The copy is verbatim but for one mended fault it shared with the
+library: it took a bad factor declaration's column from the first match
+of the token anywhere in the line, so ``factors: C=3 :`` gave the colon
+of ``factors:``.  Both now take it from the scan that splits the line.
 """
 
 from __future__ import annotations
@@ -53,11 +58,13 @@ def reference_parse_concise(text: str) -> MultipartDesign:
         raise ParseError("expected 'factors:' line", n, 1)
     names: list[str] = []
     sizes: list[int] = []
-    for token in stripped[len("factors:"):].split():
+    start = factors_line.index("factors:") + len("factors:")
+    for match in re.finditer(r"\S+", factors_line[start:]):
+        token = match.group(0)
         m = re.fullmatch(rf"({_NAME_RE.pattern})=(\d+)", token)
         if not m:
             raise ParseError(f"bad factor declaration {token!r}", n,
-                             factors_line.find(token) + 1)
+                             start + match.start() + 1)
         names.append(m.group(1))
         sizes.append(int(m.group(2)))
     if not names:

@@ -10,7 +10,9 @@ from mpart.ingredients import get_bibd
 from mpart.model import BlockPartition, MultipartDesign, as_multipart
 from mpart.verify import (
     FIRST_SLICE,
+    _first_steps,
     _Search,
+    _second_steps,
     check_admissible,
     check_multipart,
     check_strength,
@@ -422,10 +424,9 @@ def _in_slices(steps, budget: int):
 def _phases_in_slices(quotas, first_budget: int, second_budget: int):
     """Both phases, each the same in slices as at once: (answer, nodes) each."""
     runs = []
-    for steps, budget in ((quotas.first_steps, first_budget),
-                          (quotas.second_steps, second_budget)):
-        whole = _at_once(steps(), budget)
-        assert _in_slices(steps(), budget) == whole
+    for steps, budget in ((_first_steps, first_budget), (_second_steps, second_budget)):
+        whole = _at_once(steps(*quotas), budget)
+        assert _in_slices(steps(*quotas), budget) == whole
         runs.append(whole)
     return runs
 
