@@ -134,6 +134,15 @@ def _require(args, *flags):
             raise _UsageError(f"{args.construction} needs {flag}")
 
 
+def _one(args, flag: str) -> str:
+    """The value of a repeatable flag that the construction reads once;
+    a usage error when it is given none or more than one."""
+    values = getattr(args, flag[2:])
+    if len(values) != 1:
+        raise _UsageError(f"{args.construction} needs one {flag}")
+    return values[0]
+
+
 def _build(args) -> int:
     fmt = args.format
     name = args.construction
@@ -152,16 +161,12 @@ def _build(args) -> int:
         H = ing.hadamard_matrix(args.order)
         design = cons.hadamard_2part(H, second_row=args.second_row)
     elif name == "symmetric-split":
-        if len(args.ingredient) != 1:
-            raise _UsageError("symmetric-split needs one --ingredient")
         design = cons.symmetric_block_split(
-            ing.get_bibd(*_triple(args.ingredient[0])), args.gamma)
+            ing.get_bibd(*_triple(_one(args, "--ingredient"))), args.gamma)
     elif name == "augment":
-        _require(args, "--design")
-        design = cons.augment(_load_design(args.design[0]), args.factor)
+        design = cons.augment(_load_design(_one(args, "--design")), args.factor)
     elif name == "part-swap":
-        _require(args, "--design")
-        design = cons.part_swap(_load_design(args.design[0]), args.factor)
+        design = cons.part_swap(_load_design(_one(args, "--design")), args.factor)
     elif name == "product":
         if len(args.design) != 2:
             raise _UsageError("product needs exactly two --design")
@@ -180,10 +185,12 @@ def _build(args) -> int:
         special = [x - 1 for x in _ints(args.special)]
         design = cons.meet_filter(host, special, args.t)
     else:  # class-matched; argparse allows no other name
-        _require(args, "--design", "--classes", "--ingredient")
-        theta = _load_design(args.design[0])
+        path = _one(args, "--design")
+        _require(args, "--classes")
+        ingredient = _one(args, "--ingredient")
+        theta = _load_design(path)
         partition = _partition_for(theta, args.classes, args.budget, "design")
-        delta = ing.get_bibd(*_triple(args.ingredient[0]))
+        delta = ing.get_bibd(*_triple(ingredient))
         design = cons.class_matched_product(theta, partition, delta)
     _write_design(design, args.output, fmt)
     return EXIT_OK
@@ -245,15 +252,15 @@ def _partition(args) -> int:
     if result is UNKNOWN:
         print("budget exhausted: undecided", file=sys.stderr)
         return EXIT_BUDGET
-    if result is None:
-        print(f"no {args.c}-class partition exists")
-        return EXIT_INVALID
     if args.format == "json":
-        print(json.dumps([[t + 1 for t in cls] for cls in result.classes]))
+        print(json.dumps(None if result is None
+                         else [[t + 1 for t in cls] for cls in result.classes]))
+    elif result is None:
+        print(f"no {args.c}-class partition exists")
     else:
         for j, cls in enumerate(result.classes):
             print(f"class {j + 1}: blocks " + " ".join(str(t + 1) for t in cls))
-    return EXIT_OK
+    return EXIT_INVALID if result is None else EXIT_OK
 
 
 def _render(args) -> int:

@@ -12,8 +12,8 @@ least block count per (v, k) signature.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable, Sequence
+from dataclasses import dataclass, replace
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .constructions import (
     hadamard_2part,
@@ -27,8 +27,8 @@ from .errors import (
     InvalidInputError,
     NotConstructibleError,
 )
-from .ingredients import CatalogEntry, catalog_entries, get_bibd, hadamard_matrix
-from .model import BlockPartition, MultipartDesign, as_multipart
+from .ingredients import catalog_entries, get_bibd, hadamard_matrix
+from .model import MultipartDesign, as_multipart
 from .verify import check_admissible, check_multipart, find_partition
 
 # Catalog designs of at most this many blocks are the tables' ingredients.
@@ -79,112 +79,100 @@ def _verified_signature(design: MultipartDesign):
     return _normalize_signature(design.v, report.k)
 
 
-class _Enumerator:
-    def __init__(self, max_b: int, partition_budget: int):
-        self.max_b = max_b
-        self.partition_budget = partition_budget
-        self.entries = catalog_entries(max_blocks=INGREDIENT_BLOCKS)
-        self.primaries = catalog_entries(max_blocks=INGREDIENT_BLOCKS,
-                                         include_complements=False)
-        self._partitions: dict[tuple[CatalogEntry, int], BlockPartition | None] = {}
+# ---- construction 1: full products
 
-    def partitions_of(self, entry: CatalogEntry, c: int) -> BlockPartition | None:
-        """The c-class partition of a catalog design, or None when none
-        exists; an undecided search raises instead of dropping rows."""
-        if (entry, c) not in self._partitions:
-            result = find_partition(as_multipart(get_bibd(entry.v, entry.k, entry.lam)), c,
-                                    budget=self.partition_budget)
-            if result is UNKNOWN:
+def _cartesian(max_b: int, partition_budget: int) -> Iterator[ParameterRow]:
+    entries = catalog_entries(max_blocks=INGREDIENT_BLOCKS)
+    for i, e1 in enumerate(entries):
+        for e2 in entries[i:]:
+            b = e1.b * e2.b
+            if b > max_b:
+                continue
+            v, k = _normalize_signature((e1.v, e2.v), (e1.k, e2.k))
+            yield ParameterRow(b=b, v=v, k=k, constructions=(1,))
+
+
+# ---- construction 2: subcartesian products
+
+def _subcartesian(max_b: int, partition_budget: int) -> Iterator[ParameterRow]:
+    entries = catalog_entries(max_blocks=INGREDIENT_BLOCKS)
+    for e2 in entries:
+        # each class count of e2 with the first ingredients it fits within max_b
+        splits = [(c, firsts) for c in range(2, e2.b + 1) if e2.b % c == 0
+                  if (firsts := [e1 for e1 in entries
+                                 if e1.b % c == 0 and e1.b * e2.b // c <= max_b])]
+        if not splits:
+            continue
+        d2 = get_bibd(e2.v, e2.k, e2.lam)
+        view = as_multipart(d2)
+        for c, firsts in splits:
+            partition = find_partition(view, c, budget=partition_budget)
+            if partition is UNKNOWN:
                 raise BudgetExceededError(
-                    f"partition search on {entry.name} with {c} classes is undecided "
-                    f"after {self.partition_budget} nodes")
-            self._partitions[entry, c] = result
-        return self._partitions[entry, c]
-
-    # ---- construction 1: full products
-
-    def cartesian(self) -> Iterable[ParameterRow]:
-        for i, e1 in enumerate(self.entries):
-            for e2 in self.entries[i:]:
-                b = e1.b * e2.b
-                if b > self.max_b:
-                    continue
-                v, k = _normalize_signature((e1.v, e2.v), (e1.k, e2.k))
-                yield ParameterRow(b=b, v=v, k=k, constructions=(1,))
-
-    # ---- construction 2: subcartesian products
-
-    def subcartesian(self) -> Iterable[ParameterRow]:
-        for e2 in self.entries:
-            for c in range(2, e2.b + 1):
-                if e2.b % c:
-                    continue
-                firsts = [e1 for e1 in self.entries
-                          if e1.b % c == 0 and e1.b * e2.b // c <= self.max_b]
-                if not firsts:
-                    continue
-                partition = self.partitions_of(e2, c)
-                if partition is None:
-                    continue
-                d2 = get_bibd(e2.v, e2.k, e2.lam)
-                for e1 in firsts:
-                    b = e1.b * e2.b // c
-                    design = subcartesian_product(get_bibd(e1.v, e1.k, e1.lam), d2, partition)
-                    sig = _verified_signature(design)
-                    yield ParameterRow(b=b, v=sig[0], k=sig[1], constructions=(2,), r=c)
-
-    # ---- construction 3: Hadamard splits
-
-    def hadamard(self) -> Iterable[ParameterRow]:
-        order = 8
-        while 2 * order - 4 <= self.max_b:
-            try:
-                H = hadamard_matrix(order)
-            except NotConstructibleError:
-                order += 4
+                    f"partition search on {e2.name} with {c} classes is undecided "
+                    f"after {partition_budget} nodes")
+            if partition is None:
                 continue
-            design = hadamard_2part(H, second_row=1)
-            sig = _verified_signature(design)
-            yield ParameterRow(b=design.b, v=sig[0], k=sig[1], constructions=(3,),
-                               r=order // 2 - 1)
-            order += 4
-
-    # ---- construction 4: symmetric splits
-
-    def symmetric(self) -> Iterable[ParameterRow]:
-        for entry in self.primaries:
-            if not entry.symmetric or entry.b - 1 > self.max_b:
-                continue
-            if entry.lam < 2:
-                entry = entry.complement()
-            # k - lam < 2 would give the split's first factor k = 1.
-            if entry is None or entry.lam < 2 or entry.k - entry.lam < 2:
-                continue
-            split = symmetric_block_split(get_bibd(entry.v, entry.k, entry.lam), 0)
-            sig = _verified_signature(split)
-            yield ParameterRow(b=split.b, v=sig[0], k=sig[1], constructions=(4,),
-                               sym=(entry.v, entry.k, entry.lam))
+            for e1 in firsts:
+                design = subcartesian_product(get_bibd(e1.v, e1.k, e1.lam), d2, partition)
+                v, k = _verified_signature(design)
+                yield ParameterRow(b=e1.b * e2.b // c, v=v, k=k, constructions=(2,), r=c)
 
 
-def _collect(enum: _Enumerator, constructions: frozenset[int],
-             swap_convention: bool) -> dict[tuple, list[ParameterRow]]:
-    generators = {1: enum.cartesian, 2: enum.subcartesian,
-                  3: enum.hadamard, 4: enum.symmetric}
-    unknown = constructions - set(generators)
-    if unknown:
-        raise InvalidInputError(
-            f"tables cover constructions 1-4, got {sorted(unknown)}")
-    best: dict[tuple, list[ParameterRow]] = {}
+# ---- construction 3: Hadamard splits
+
+def _hadamard(max_b: int, partition_budget: int) -> Iterator[ParameterRow]:
+    for order in range(8, (max_b + 4) // 2 + 1, 4):
+        try:
+            H = hadamard_matrix(order)
+        except NotConstructibleError:
+            continue
+        design = hadamard_2part(H, second_row=1)
+        v, k = _verified_signature(design)
+        yield ParameterRow(b=design.b, v=v, k=k, constructions=(3,), r=order // 2 - 1)
+
+
+# ---- construction 4: symmetric splits
+
+def _symmetric(max_b: int, partition_budget: int) -> Iterator[ParameterRow]:
+    for entry in catalog_entries(max_blocks=INGREDIENT_BLOCKS, include_complements=False):
+        if not entry.symmetric or entry.b - 1 > max_b:
+            continue
+        if entry.lam < 2:
+            entry = entry.complement()
+        # k - lam < 2 would give the split's first factor k = 1.
+        if entry is None or entry.lam < 2 or entry.k - entry.lam < 2:
+            continue
+        split = symmetric_block_split(get_bibd(entry.v, entry.k, entry.lam), 0)
+        v, k = _verified_signature(split)
+        yield ParameterRow(b=split.b, v=v, k=k, constructions=(4,),
+                           sym=(entry.v, entry.k, entry.lam))
+
+
+# Each construction's candidate rows, by its tag.
+_GENERATORS: dict[int, Callable[[int, int], Iterator[ParameterRow]]] = {
+    1: _cartesian, 2: _subcartesian, 3: _hadamard, 4: _symmetric}
+
+
+def _collect(constructions: frozenset[int], max_b: int, partition_budget: int,
+             swap_convention: bool) -> dict[tuple, ParameterRow]:
+    """The least-b row of each signature the constructions reach.  The
+    candidates of one signature at that b merge into one row: the union
+    of their tags, the largest r and the first sym."""
+    best: dict[tuple, ParameterRow] = {}
     for tag in sorted(constructions):
-        for cand in generators[tag]():
+        for cand in _GENERATORS[tag](max_b, partition_budget):
             if swap_convention and not _satisfies_swap_convention(cand.v, cand.k):
                 continue
             key = (cand.v, cand.k)
             kept = best.get(key)
-            if kept is None or cand.b < kept[0].b:
-                best[key] = [cand]
-            elif cand.b == kept[0].b:
-                kept.append(cand)
+            if kept is None or cand.b < kept.b:
+                best[key] = cand
+            elif cand.b == kept.b:
+                r_values = [r for r in (kept.r, cand.r) if r is not None]
+                best[key] = replace(
+                    kept, constructions=tuple(sorted({*kept.constructions, *cand.constructions})),
+                    r=max(r_values, default=None), sym=kept.sym or cand.sym)
     return best
 
 
@@ -199,31 +187,25 @@ def enumerate_reachable(max_b: int,
     the same or a smaller block count.  ``swap_convention`` keeps only
     rows with k_i <= v_i/2 or k_i = v_i - 1 for every factor (the tables
     for constructions 1-3 follow it; the symmetric-split table does not).
-    A partition search still undecided after ``partition_budget`` nodes
-    raises :class:`BudgetExceededError`, and a constructed design that
-    fails ``check_multipart`` raises AssertionError: no row is dropped.
+    A construction number outside 1-4 raises :class:`InvalidInputError`
+    before any search.  A partition search still undecided after
+    ``partition_budget`` nodes raises :class:`BudgetExceededError`, and
+    a constructed design that fails ``check_multipart`` raises
+    AssertionError: no row is dropped.
     """
     constructions = frozenset(constructions)
     exclude = frozenset(exclude)
     if constructions & exclude:
         raise InvalidInputError("a construction cannot be both included and excluded")
-    enum = _Enumerator(max_b, partition_budget)
-    best = _collect(enum, constructions, swap_convention)
-    if exclude:
-        shadow = _collect(enum, exclude, False)
-        best = {key: cands for key, cands in best.items()
-                if key not in shadow or shadow[key][0].b > cands[0].b}
-
-    rows = []
-    for (v, k), cands in best.items():
-        b = cands[0].b
-        tags = tuple(sorted({tag for c in cands for tag in c.constructions}))
-        r_values = [c.r for c in cands if c.r is not None]
-        r = max(r_values) if r_values else None
-        sym_values = [c.sym for c in cands if c.sym is not None]
-        sym = sym_values[0] if sym_values else None
-        assert check_admissible(b, v, k).ok
-        rows.append(ParameterRow(b=b, v=v, k=k, constructions=tags, r=r, sym=sym))
+    unknown = (constructions | exclude) - _GENERATORS.keys()
+    if unknown:
+        raise InvalidInputError(f"tables cover constructions 1-4, got {sorted(unknown)}")
+    best = _collect(constructions, max_b, partition_budget, swap_convention)
+    # The swap convention depends only on the signature, so the excluded
+    # rows it drops are never looked up.
+    shadow = _collect(exclude, max_b, partition_budget, swap_convention)
+    rows = [row for key, row in best.items() if key not in shadow or shadow[key].b > row.b]
+    assert all(check_admissible(row.b, row.v, row.k).ok for row in rows)
     return tuple(sorted(rows, key=lambda row: row.sort_key))
 
 
@@ -241,9 +223,6 @@ def render_rows(rows: Sequence[ParameterRow]) -> str:
                 ",".join(str(t) for t in r.constructions)
                 + (" *" if 3 in r.constructions else "")]
              for r in rows]
-    widths = [max(len(header[i]), *(len(line[i]) for line in lines)) if lines else len(header[i])
-              for i in range(len(header))]
-    out = ["  ".join(header[i].rjust(widths[i]) for i in range(len(header)))]
-    for line in lines:
-        out.append("  ".join(line[i].rjust(widths[i]) for i in range(len(header))))
-    return "\n".join(out) + "\n"
+    widths = [max(map(len, column)) for column in zip(header, *lines)]
+    return "".join("  ".join(cell.rjust(width) for cell, width in zip(line, widths)) + "\n"
+                   for line in [header, *lines])

@@ -181,6 +181,18 @@ def test_partition_outcomes(capsys):
     assert cli_main(["partition", "fixture:fig4a", "--c", "10", "--budget", "2"]) == 2
 
 
+def test_a_decided_no_is_json_null_under_json(capsys):
+    # fig1 has 10 blocks and no 10-class partition: stdout stays JSON.
+    argv = ["partition", "fixture:fig1", "--c", "10"]
+    assert cli_main(argv + ["--format", "json"]) == 2
+    captured = capsys.readouterr()
+    assert json.loads(captured.out) is None and captured.err == ""
+    assert cli_main(argv) == 2
+    assert capsys.readouterr() == ("no 10-class partition exists\n", "")
+    assert cli_main(["partition", "fixture:fig8b", "--c", "3", "--format", "json"]) == 0
+    assert json.loads(capsys.readouterr().out)[0] == [1, 2, 3, 4]
+
+
 def test_render_writes_the_concise_text_by_default(capsys):
     assert cli_main(["render", "fixture:fig1"]) == 0
     assert capsys.readouterr().out == fixture_text("fig1.design")
@@ -398,6 +410,20 @@ def test_usage_errors_exit_1(capsys):
 def test_build_input_errors_are_usage_errors(argv, capsys):
     assert cli_main(argv) == 1
     assert capsys.readouterr().err.startswith("usage error: ")
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (["augment", "--design", "fixture:fig1", "--design", "fixture:fig3", "--factor", "1"],
+     "--design"),
+    (["part-swap", "--design", "fixture:fig1", "--design", "fixture:fig3"], "--design"),
+    (["class-matched", "--design", "fixture:fig1", "--design", "fixture:fig3",
+      "--classes", "2", "--ingredient", "5,2,1"], "--design"),
+    (["class-matched", "--design", "fixture:fig1", "--classes", "2",
+      "--ingredient", "5,2,1", "--ingredient", "3,2,1"], "--ingredient"),
+])
+def test_a_construction_that_reads_one_input_refuses_a_second(argv, flag, capsys):
+    assert cli_main(["build", *argv]) == 1
+    assert capsys.readouterr() == ("", f"usage error: {argv[0]} needs one {flag}\n")
 
 
 def test_a_corrupted_steiner_fixture_is_an_input_error(monkeypatch, capsys):

@@ -9,8 +9,8 @@ from mpart.cli import cli_main
 from mpart.constructions import cartesian_product
 from mpart.errors import UNKNOWN, BudgetExceededError, InvalidInputError
 from mpart.ingredients import catalog_entries, get_bibd
-from mpart.model import as_multipart
-from mpart.tables import INGREDIENT_BLOCKS, _Enumerator, enumerate_reachable, render_rows
+from mpart.model import BlockPartition, as_multipart
+from mpart.tables import INGREDIENT_BLOCKS, enumerate_reachable, render_rows
 from mpart.verify import check_multipart
 
 from helpers import first_phase
@@ -195,7 +195,26 @@ def test_a_design_that_fails_verification_stops_the_table(monkeypatch):
         enumerate_reachable(max_b=40, constructions=(2, 3), exclude=(1,))
 
 
-def test_enumeration_leaves_no_enumerator_alive():
-    enumerate_reachable(max_b=30, constructions=(2,), exclude=(1,))
+def test_enumeration_keeps_no_partition_alive():
+    # Each partition search of an enumeration serves it alone; none is
+    # cached past it.
     gc.collect()
-    assert not [obj for obj in gc.get_objects() if isinstance(obj, _Enumerator)]
+    before = [obj for obj in gc.get_objects() if isinstance(obj, BlockPartition)]
+    known = {id(obj) for obj in before}
+    rows = enumerate_reachable(max_b=60, constructions=(2,), exclude=(1,))
+    assert any(2 in row.constructions for row in rows)
+    gc.collect()
+    assert not [obj for obj in gc.get_objects()
+                if isinstance(obj, BlockPartition) and id(obj) not in known]
+
+
+def test_unknown_construction_numbers_are_refused_before_any_search(monkeypatch):
+    def unreachable(*args, **kwargs):
+        raise AssertionError("searched before refusing the construction number")
+
+    monkeypatch.setattr(mpart.tables, "catalog_entries", unreachable)
+    monkeypatch.setattr(mpart.tables, "find_partition", unreachable)
+    for kwargs in ({"exclude": (9,)}, {"constructions": (2, 9)},
+                   {"constructions": (2,), "exclude": (0,)}):
+        with pytest.raises(InvalidInputError, match="tables cover constructions 1-4"):
+            enumerate_reachable(max_b=250, **kwargs)
