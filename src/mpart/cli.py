@@ -143,9 +143,28 @@ def _one(args, flag: str) -> str:
     return values[0]
 
 
+# The input flags each construction reads; it refuses the others.
+_READS = {
+    "cartesian": ("--ingredient",),
+    "subcartesian": ("--ingredient", "--classes"),
+    "hadamard": (),
+    "symmetric-split": ("--ingredient",),
+    "augment": ("--design",),
+    "part-swap": ("--design",),
+    "product": ("--design",),
+    "oa": ("--ingredient", "--classes"),
+    "meet-filter": ("--host", "--special"),
+    "class-matched": ("--design", "--classes", "--ingredient"),
+}
+_INPUTS = ("--ingredient", "--design", "--host", "--special", "--classes")
+
+
 def _build(args) -> int:
     fmt = args.format
     name = args.construction
+    for flag in _INPUTS:
+        if flag not in _READS[name] and getattr(args, flag[2:]) not in (None, []):
+            raise _UsageError(f"{name} does not read {flag}")
     if name == "cartesian":
         parts = [ing.get_bibd(*_triple(t)) for t in args.ingredient]
         design = cons.cartesian_product(parts)
@@ -308,9 +327,7 @@ def _make_parser() -> _Parser:
             p.add_argument(flag, **shared[flag])
 
     p = sub.add_parser("build", help="run a construction and write the design")
-    p.add_argument("construction", choices=(
-        "cartesian", "subcartesian", "hadamard", "symmetric-split", "augment",
-        "part-swap", "product", "oa", "meet-filter", "class-matched"))
+    p.add_argument("construction", choices=tuple(_READS))
     p.add_argument("--ingredient", action="append", default=[],
                    metavar="v,k,lambda", help="catalog design (repeatable)")
     p.add_argument("--design", action="append", default=[],

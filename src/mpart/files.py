@@ -57,7 +57,8 @@ def _strip_comment(line: str) -> str:
 
 def parse_concise(text: str) -> MultipartDesign:
     """Parse the concise format; raises ParseError with line and column."""
-    meaningful = ((n, line) for n, line in enumerate(map(_strip_comment, text.splitlines()), 1)
+    lines = text.splitlines()
+    meaningful = ((n, line) for n, line in enumerate(map(_strip_comment, lines), 1)
                   if line.strip())
     n, header = next(meaningful, (0, None))
     if header is None:
@@ -91,18 +92,51 @@ def parse_concise(text: str) -> MultipartDesign:
     if len(set(names)) != len(names):
         raise ParseError("duplicate factor names", n, 1)
 
-    # per factor: brace body -> its part, so each distinct text is parsed once
-    known: list[dict[str, tuple[int, ...]]] = [{} for _ in names]
-    blocks = []
-    for n, line in meaningful:
-        try:
-            blocks.append(_read_block(line, names, sizes, known))
-        except ParseError:
-            raise _block_error(line, n, names, sizes) from None
-    if not blocks:
+    # One pattern reads a whole block line: "block:", then each declared
+    # factor's part in order, with only whitespace around them, then maybe
+    # a comment.  Each of its pieces can match a line in one way only, so a
+    # line that fails fails in time linear in its length.
+    pattern = re.compile(r"\s*block:" + "".join(
+        rf"\s*{re.escape(name)}\{{([0-9,\s]*)\}}" for name in names) + r"\s*(?:#.*)?")
+    # Every line after the factors line is a block line, blank or a comment.
+    # The lines are matched in one pass, and each factor's brace bodies are
+    # read as a column, each distinct text once.  Only a file with a fault
+    # is read again line by line, to find the first.
+    rest = lines[n:]
+    matches = list(map(pattern.fullmatch, rest))
+    rows = list(filter(None, matches))
+    columns = tuple(zip(*map(re.Match.groups, rows)))
+    try:
+        known = [{body: _part_levels(body, name, size) for body in dict.fromkeys(column)}
+                 for column, name, size in zip(columns, names, sizes)]
+    except ParseError:
+        raise _first_fault(rest, n, pattern, names, sizes) from None
+    if len(rows) != len(rest) and any(
+            _strip_comment(line).strip() for line, match in zip(rest, matches) if not match):
+        raise _first_fault(rest, n, pattern, names, sizes)
+    if not rows:
         raise ParseError("no blocks", n, 1)
-    return MultipartDesign(v=tuple(sizes), blocks=tuple(blocks),
-                           factor_names=tuple(names))
+    blocks = zip(*(map(parts.__getitem__, column) for parts, column in zip(known, columns)))
+    return MultipartDesign(v=tuple(sizes), blocks=tuple(blocks), factor_names=tuple(names))
+
+
+def _first_fault(lines: list[str], n: int, pattern: re.Pattern, names: list[str],
+                 sizes: list[int]) -> ParseError:
+    """The error of the first faulty block line of ``lines``, which follow
+    line ``n``: a meaningful line that ``pattern`` does not match, or one
+    with a bad part."""
+    for n, line in enumerate(map(_strip_comment, lines), n + 1):
+        match = pattern.fullmatch(line)
+        if match is None:
+            if line.strip():
+                return _block_error(line, n, names, sizes)
+            continue
+        try:
+            for body, name, size in zip(match.groups(), names, sizes):
+                _part_levels(body, name, size)
+        except ParseError:
+            return _block_error(line, n, names, sizes)
+    raise AssertionError("no faulty block line")
 
 
 def _part_levels(body: str, name: str, size: int) -> tuple[int, ...]:
@@ -130,32 +164,9 @@ def _part_levels(body: str, name: str, size: int) -> tuple[int, ...]:
     return tuple(sorted(levels))
 
 
-def _read_block(line: str, names: list[str], sizes: list[int],
-                known: list[dict[str, tuple[int, ...]]]) -> tuple[tuple[int, ...], ...]:
-    """The block of one block line, reading each brace body not in ``known``.
-
-    Raises a ParseError without a position for any fault; :func:`_block_error`
-    then finds the first fault and its column.
-    """
-    stripped = line.strip()
-    if not stripped.startswith("block:"):
-        raise ParseError("expected 'block:' line")
-    # the text between parts, then each part's factor name and brace body
-    pieces = _PART_RE.split(stripped[len("block:"):])
-    if "".join(pieces[::3]).strip() or pieces[1::3] != names:
-        raise ParseError("malformed block line")
-    block = []
-    for i, body in enumerate(pieces[2::3]):
-        part = known[i].get(body)
-        if part is None:
-            part = known[i][body] = _part_levels(body, names[i], sizes[i])
-        block.append(part)
-    return tuple(block)
-
-
 def _block_error(line: str, n: int, names: list[str], sizes: list[int]) -> ParseError:
     """The error, with line ``n`` and its column, of a block line that
-    :func:`_read_block` refused: the first of stray text, an unknown or
+    :func:`parse_concise` refused: the first of stray text, an unknown or
     repeated factor, a bad part, and a missing or misplaced factor."""
     stripped = line.strip()
     indent = line.find(stripped[0])

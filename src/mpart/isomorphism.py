@@ -15,6 +15,7 @@ looking for the second design's first leaf among the first design's leaves.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import permutations
 from operator import add, itemgetter, sub
 
@@ -24,12 +25,21 @@ from .errors import DEFAULT_BUDGET, BudgetExceededError
 from .model import MultipartDesign, _count_product, permute_factors
 
 
-@dataclass(frozen=True)
 class CanonicalForm:
-    """Canonical representative plus the byte certificate compared for equality."""
+    """Canonical representative plus the byte certificate compared for
+    equality.  Unless given, the certificate is computed from the canonical
+    design on first read."""
 
-    design: MultipartDesign
-    certificate: bytes
+    def __init__(self, design: MultipartDesign, certificate: bytes | None = None):
+        self.design = design
+        if certificate is not None:
+            self.certificate = certificate
+
+    @cached_property
+    def certificate(self) -> bytes:
+        # The fingerprint does not depend on labels or block order, so the
+        # canonical design's is the input design's.
+        return repr((_fingerprint(self.design), list(self.design.blocks))).encode()
 
 
 def _size_profiles(design: MultipartDesign) -> list[tuple[int, ...]]:
@@ -314,10 +324,8 @@ def canonical_form(design: MultipartDesign, budget: int = DEFAULT_BUDGET) -> Can
     finish within ``budget`` nodes.
     """
     blocks = _Canonicalizer(design, budget).run()
-    canonical = MultipartDesign(v=design.v, blocks=tuple(blocks),
-                                factor_names=design.factor_names)
-    certificate = repr((_fingerprint(design), blocks)).encode()
-    return CanonicalForm(design=canonical, certificate=certificate)
+    return CanonicalForm(MultipartDesign(v=design.v, blocks=tuple(blocks),
+                                         factor_names=design.factor_names))
 
 
 def _matches(d1: MultipartDesign, designs, budget: int) -> bool:

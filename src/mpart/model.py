@@ -16,10 +16,11 @@ preserved through serialization.
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import accumulate, chain
-from operator import index
+from itertools import accumulate, chain, count
+from operator import index, is_
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -37,23 +38,24 @@ def default_factor_names(m: int) -> tuple[str, ...]:
     return tuple(names)
 
 
-def _incidence(n: int, parts: Sequence[Sequence[int]], offsets: Sequence[int]) -> np.ndarray:
-    """The read-only n x b 0/1 matrix of points against blocks; the one
-    function that builds incidence counts.
+def _incidence(sizes: Sequence[int], parts: Sequence[Sequence[tuple[int, ...]]],
+               part_index: np.ndarray) -> np.ndarray:
+    """The read-only sum(sizes) x b 0/1 matrix of points against blocks;
+    the one function that builds incidence counts.
 
-    With m = len(offsets), block t is the union of the m parts
-    ``parts[t*m : (t+1)*m]``, part i of each shifted by ``offsets[i]``.
+    Factor i's rows are the 0/1 matrix of its levels against its distinct
+    parts ``parts[i]``, with column ``part_index[i, t]`` taken for block t.
     """
-    m = len(offsets)
-    b = len(parts) // m
-    sizes = np.fromiter(map(len, parts), dtype=np.intp, count=len(parts))
-    levels = np.fromiter(chain.from_iterable(parts), dtype=np.intp, count=int(sizes.sum()))
-    levels += np.repeat(np.tile(np.asarray(offsets, dtype=np.intp), b), sizes)
+    n = sum(sizes)
     try:
-        Z = np.zeros((n, b), dtype=np.int64)
+        Z = np.empty((n, part_index.shape[1]), dtype=np.int64)
     except ValueError:  # more rows than an array can index
         raise InvalidInputError(f"{n} levels are too many to count") from None
-    Z[levels, np.repeat(np.arange(b), sizes.reshape(b, m).sum(axis=1))] = 1
+    for rows, size, distinct, picks in zip(_spans(sizes), sizes, parts, part_index):
+        P = np.zeros((size, len(distinct)), dtype=np.int64)
+        P[list(chain.from_iterable(distinct)),
+          np.repeat(np.arange(len(distinct)), list(map(len, distinct)))] = 1
+        Z[rows] = P[:, picks]
     Z.flags.writeable = False
     return Z
 
@@ -68,23 +70,23 @@ def _index(value, what: str) -> int:
 
 def _normalize_part(part: Iterable[int], size: int, where: str, *args) -> tuple[int, ...]:
     """``part`` as stored: integer levels in 0..size-1, none repeated, in
-    increasing order.  An error names the part as ``where.format(*args)``,
-    which is formatted only on failure."""
+    increasing order.  A tuple already in that form is returned itself.  An
+    error names the part as ``where.format(*args)``, which is formatted only
+    on failure."""
     levels = tuple(part)
     try:
-        levels = tuple(map(index, levels))
+        stored = tuple(sorted(map(index, levels)))
     except TypeError:
         raise InvalidInputError(
             f"non-integer level in {where.format(*args)}: {levels}") from None
-    if len(set(levels)) != len(levels):
-        raise InvalidInputError(f"duplicate level in {where.format(*args)}: {sorted(levels)}")
-    if not levels:
+    if len(set(stored)) != len(stored):
+        raise InvalidInputError(f"duplicate level in {where.format(*args)}: {list(stored)}")
+    if not stored:
         raise InvalidInputError(f"empty part in {where.format(*args)}")
-    stored = tuple(sorted(levels))
     if stored[0] < 0 or stored[-1] >= size:
-        x = next(x for x in levels if not 0 <= x < size)
+        x = next(x for x in map(index, levels) if not 0 <= x < size)
         raise InvalidInputError(f"level {x} out of range [0, {size}) in {where.format(*args)}")
-    return stored
+    return part if levels is part and all(map(is_, stored, part)) else stored
 
 
 def _count_product(A: np.ndarray, B: np.ndarray) -> np.ndarray:
@@ -99,6 +101,49 @@ def _count_product(A: np.ndarray, B: np.ndarray) -> np.ndarray:
 def _offsets(sizes: Sequence[int]) -> tuple[int, ...]:
     """Start offset of each group of ``sizes`` in the zipped point set."""
     return tuple(accumulate(sizes, initial=0))[:-1]
+
+
+def _spans(sizes: Sequence[int]) -> tuple[slice, ...]:
+    """The rows of each group of ``sizes`` in the zipped point set."""
+    return tuple(slice(o, o + size) for o, size in zip(_offsets(sizes), sizes))
+
+
+class _BadPart(Exception):
+    """The first bad part of a column: its block ``t`` and the error it raised."""
+
+    def __init__(self, t: int, error: Exception):
+        super().__init__(t, error)
+        self.t = t
+        self.error = error
+
+
+def _column(column: Sequence, size: int, where: str
+            ) -> tuple[tuple[tuple[int, ...], ...], list[int], bool]:
+    """Check one factor's part of every block, each distinct object once,
+    in the order of the first block that holds it.
+
+    Returns the distinct parts as stored, in that order; the position
+    among them of each block's part; and whether every stored part is the
+    object given.  Objects are told apart by identity, not equality:
+    (0, 1.0) equals (0, 1) but is no part.  The first bad object raises
+    :class:`_BadPart`; an error names a part as ``where.format(t)`` for
+    its first block t.
+    """
+    # id of an object -> its position among the distinct objects, numbered
+    # as they first occur; ``column`` keeps every id in use meanwhile
+    position: dict[int, int] = defaultdict(count().__next__)
+    index = list(map(position.__getitem__, map(id, column)))
+    objects, parts = [], []
+    t = 0
+    for p in range(len(position)):
+        t = index.index(p, t)
+        part = column[t]
+        objects.append(part)
+        try:
+            parts.append(_normalize_part(part, size, where, t))
+        except Exception as exc:  # any error of a part; the caller raises the first
+            raise _BadPart(t, exc) from None
+    return tuple(parts), index, all(map(is_, parts, objects))
 
 
 def _complement(part: Iterable[int], size: int) -> tuple[int, ...]:
@@ -147,32 +192,45 @@ class MultipartDesign(_BlockMultiset):
         names = tuple(self.factor_names) or default_factor_names(m)
         if len(names) != m or len(set(names)) != m:
             raise InvalidInputError(f"need {m} distinct factor names, got {names}")
-        # Per factor: id of an input part -> its stored form.  Parsed files
-        # and products repeat one object for each distinct part, so each is
-        # checked once.  Keyed on identity, not equality: (0, 1.0) equals
-        # (0, 1) but is no part.  ``inputs`` holds every keyed part, so that
-        # no id is reused while ``checked`` is in use.
-        checked: list[dict[int, tuple[int, ...]]] = [{} for _ in v]
-        inputs = []
-        blocks = []
-        for t, block in enumerate(self.blocks):
-            parts = tuple(block)
-            if len(parts) != m:
-                raise InvalidInputError(f"block {t} has {len(parts)} parts, expected {m}")
-            stored = []
-            for i, part in enumerate(parts):
-                known = checked[i].get(id(part))
-                if known is None:
-                    known = checked[i][id(part)] = _normalize_part(
-                        part, v[i], "block {}, factor {}", t, i)
-                    inputs.append(part)
-                stored.append(known)
-            blocks.append(tuple(stored))
-        if not blocks:
+        # Blocks up to the first that is not m parts, and the error that
+        # block raises once every earlier block has passed.
+        rows: list[tuple] = []
+        fault = None
+        try:
+            rows.extend(map(tuple, self.blocks))
+        except Exception as exc:  # any error of reading a block, raised in block order
+            fault = exc
+        lengths = list(map(len, rows))
+        if lengths.count(m) != len(rows):
+            t = next(t for t, n in enumerate(lengths) if n != m)
+            fault = InvalidInputError(f"block {t} has {lengths[t]} parts, expected {m}")
+            del rows[t:]
+        # Each factor's parts are checked column by column.  Parsed files and
+        # products repeat one object for each distinct part of a factor, so
+        # each is checked once.  Of the faults found, the one raised is the
+        # first in block order, and within a block in factor order: a later
+        # column is checked only in the blocks before the first fault so far.
+        columns = []
+        for i, column in enumerate(zip(*rows)):
+            try:
+                columns.append(_column(column[:len(rows)], v[i], f"block {{}}, factor {i}"))
+            except _BadPart as bad:
+                fault = bad.error
+                del rows[bad.t:]
+        if fault is not None:
+            raise fault
+        if not rows:
             raise InvalidInputError("a design needs at least one block")
+        parts, index, kept = zip(*columns)
+        if not all(kept):
+            rows = zip(*(map(distinct.__getitem__, picks) for distinct, picks in zip(parts, index)))
         object.__setattr__(self, "v", v)
-        object.__setattr__(self, "blocks", tuple(blocks))
+        object.__setattr__(self, "blocks", tuple(rows))
         object.__setattr__(self, "factor_names", names)
+        # Each factor's distinct parts, and at [i, t] the position among
+        # factor i's of block t's part; every count is read from these.
+        object.__setattr__(self, "_parts", parts)
+        object.__setattr__(self, "_part_index", np.array(index, dtype=np.intp))
 
     @property
     def m(self) -> int:
@@ -186,7 +244,7 @@ class MultipartDesign(_BlockMultiset):
     @property
     def spans(self) -> tuple[slice, ...]:
         """The rows of each factor's levels in the zipped point set."""
-        return tuple(slice(o, o + size) for o, size in zip(self.offsets, self.v))
+        return _spans(self.v)
 
     @property
     def zipped_blocks(self) -> tuple[tuple[int, ...], ...]:
@@ -199,7 +257,7 @@ class MultipartDesign(_BlockMultiset):
     def incidence(self) -> np.ndarray:
         """The read-only sum(v) x b 0/1 matrix Z of zipped points against
         blocks; every count of the design is read from Z or :attr:`gram`."""
-        return _incidence(sum(self.v), tuple(chain.from_iterable(self.blocks)), self.offsets)
+        return _incidence(self.v, self._parts, self._part_index)
 
     @cached_property
     def gram(self) -> np.ndarray:
@@ -225,17 +283,23 @@ class BlockDesign(_BlockMultiset):
         v = _index(self.v, "point count")
         if v < 1:
             raise InvalidInputError(f"point count must be positive, got {v}")
-        blocks = tuple(_normalize_part(block, v, "block {}", t)
-                       for t, block in enumerate(self.blocks))
+        blocks = tuple(self.blocks)
+        try:
+            parts, index, kept = _column(blocks, v, "block {}")
+        except _BadPart as bad:
+            raise bad.error from None
         if not blocks:
             raise InvalidInputError("a design needs at least one block")
         object.__setattr__(self, "v", v)
-        object.__setattr__(self, "blocks", blocks)
+        object.__setattr__(self, "blocks", blocks if kept else tuple(map(parts.__getitem__, index)))
+        # The distinct blocks, and the position among them of block t.
+        object.__setattr__(self, "_parts", parts)
+        object.__setattr__(self, "_part_index", np.array(index, dtype=np.intp))
 
     @cached_property
     def incidence(self) -> np.ndarray:
         """The read-only v x b 0/1 matrix of points against blocks."""
-        return _incidence(self.v, self.blocks, (0,))
+        return _incidence((self.v,), (self._parts,), self._part_index[None])
 
 
 @dataclass(frozen=True)

@@ -406,10 +406,34 @@ def test_usage_errors_exit_1(capsys):
     ["build", "subcartesian", "--ingredient", "7,3,1", "--classes", "7"],
     ["build", "symmetric-split", "--ingredient", "11,5,2", "--ingredient", "7,3,1"],
     ["build", "product", "--design", "fixture:fig1"],
+    # a flag the construction does not read
+    ["build", "hadamard", "--order", "8", "--ingredient", "7,3,1", "--design", "fixture:fig1"],
+    ["build", "cartesian", "--ingredient", "3,2,1", "--ingredient", "3,2,1",
+     "--design", "fixture:fig3", "--classes", "5"],
+    ["build", "symmetric-split", "--ingredient", "11,5,2", "--classes", "3"],
+    ["build", "augment", "--design", "fixture:fig1", "--factor", "1",
+     "--host", "fixture:design_3_22_6_1"],
+    ["build", "product", "--design", "fixture:fig1", "--design", "fixture:fig3",
+     "--special", "1"],
+    ["build", "meet-filter", "--host", "fixture:design_3_22_6_1",
+     "--special", "1 2 3 9 12 21", "--ingredient", "7,3,1"],
 ])
 def test_build_input_errors_are_usage_errors(argv, capsys):
     assert cli_main(argv) == 1
     assert capsys.readouterr().err.startswith("usage error: ")
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (["hadamard", "--order", "8", "--ingredient", "7,3,1", "--design", "fixture:fig1"],
+     "--ingredient"),
+    (["hadamard", "--order", "8", "--classes", "0"], "--classes"),
+    (["oa", "--ingredient", "4,2,1", "--ingredient", "4,2,1", "--classes", "3",
+      "--host", "fixture:design_3_22_6_1"], "--host"),
+    (["part-swap", "--design", "fixture:fig1", "--special", ""], "--special"),
+])
+def test_build_refuses_a_flag_its_construction_does_not_read(argv, flag, capsys):
+    assert cli_main(["build", *argv]) == 1
+    assert capsys.readouterr() == ("", f"usage error: {argv[0]} does not read {flag}\n")
 
 
 @pytest.mark.parametrize("argv, flag", [

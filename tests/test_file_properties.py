@@ -2,8 +2,10 @@
 
 Round trip: both formats give back the design itself, with its block
 order and factor names.  Error positions: one fault injected at a known
-block line and column of a serialized design is reported there.  The
-test computes each position from the text it builds, not from a parser.
+line and column of a serialized design is reported there, whether in a
+block line, the header or the factors line, or as a block line whose
+factors are out of order.  The tests compute each position from the text
+they build, not from a parser.
 """
 
 from __future__ import annotations
@@ -92,4 +94,60 @@ def test_a_fault_is_reported_at_its_line_and_column(design, data):
         parse_concise("\n".join(lines) + "\n")
     assert type(caught.value) is error
     assert (caught.value.line, caught.value.col) == (3 + t, col)
+    assert message in str(caught.value)
+
+
+@hypothesis.given(designs(), st.data())
+def test_a_header_or_factors_line_fault_is_reported_at_its_line_and_column(design, data):
+    lines = serialize_concise(design).splitlines()
+    declarations = [f"{name}={size}" for name, size in zip(design.factor_names, design.v)]
+    assert lines[:2] == ["mpart v1", "factors: " + " ".join(declarations)]
+    # Blank and comment lines before the header and the factors line shift
+    # every line number; the test counts them in the text it builds.
+    before = data.draw(st.lists(st.sampled_from(("", "  ", "# note", " # x")), max_size=2))
+    between = data.draw(st.lists(st.sampled_from(("", "# note")), max_size=2))
+    header_line = len(before) + 1
+    factors_line = header_line + len(between) + 1
+
+    kind = data.draw(st.sampled_from(("header", "no factors", "declaration", "duplicate",
+                                      "order")), label="kind")
+    col = 1
+    if kind == "header":
+        lines[0] = data.draw(st.sampled_from(("mpart v2", "mpart", "v1 mpart", "mpartv1")))
+        line, message = header_line, "expected header 'mpart v1'"
+    elif kind == "no factors":
+        lines[1] = data.draw(st.sampled_from(("factor: C=3", "block: C{1}", "C=3")))
+        line, message = factors_line, "expected 'factors:' line"
+    elif kind == "declaration":
+        j = data.draw(st.integers(0, design.m - 1))
+        name = design.factor_names[j]
+        declarations[j] = data.draw(st.sampled_from((f"{name}=", f"={design.v[j]}", name,
+                                                     f"{name}={design.v[j]}x", f"1{name}=2",
+                                                     f"{name}:{design.v[j]}")))
+        lines[1] = "factors: " + " ".join(declarations)
+        col = len("factors: " + " ".join(declarations[:j])) + bool(j) + 1
+        line, message = factors_line, f"bad factor declaration {declarations[j]!r}"
+    elif kind == "duplicate":
+        hypothesis.assume(design.m >= 2)
+        j = data.draw(st.integers(1, design.m - 1))
+        k = data.draw(st.integers(0, j - 1))
+        declarations[j] = f"{design.factor_names[k]}={design.v[j]}"
+        lines[1] = "factors: " + " ".join(declarations)
+        line, message = factors_line, "duplicate factor names"
+    else:
+        hypothesis.assume(design.m >= 2)
+        t = data.draw(st.integers(0, design.b - 1))
+        order = data.draw(st.permutations(range(design.m)).filter(
+            lambda order: list(order) != sorted(order)))
+        parts = [_part_text(design.factor_names[i], [x + 1 for x in design.blocks[t][i]])
+                 for i in order]
+        lines[2 + t] = "block: " + " ".join(parts)
+        line = factors_line + 1 + t
+        message = f"factors out of order: {[design.factor_names[i] for i in order]}"
+    text = "\n".join(before + lines[:1] + between + lines[1:]) + "\n"
+
+    with pytest.raises(ParseError) as caught:
+        parse_concise(text)
+    assert type(caught.value) is ParseError
+    assert (caught.value.line, caught.value.col) == (line, col)
     assert message in str(caught.value)

@@ -1,0 +1,188 @@
+"""``MultipartDesign`` checks and stores its parts factor by factor, each
+distinct part object once; this suite holds it to the row-wise definition.
+
+The reference walks the blocks in order and, within a block, the part
+count and then each factor's part, reading each distinct object of a
+factor once, and stops at the first fault.  On generated inputs (parts
+shared by many blocks, equal but distinct objects, lists, generators,
+numpy integers, and faults in several blocks at once) the model must
+store the same blocks, with the incidence matrix counted directly from
+them, or raise the reference's first error: same type, same message.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+import pytest
+
+hypothesis = pytest.importorskip("hypothesis")
+st = pytest.importorskip("hypothesis.strategies")
+
+from mpart.errors import InvalidInputError  # noqa: E402
+from mpart.model import MultipartDesign, _normalize_part  # noqa: E402
+
+from helpers import oracle_replications  # noqa: E402
+
+_SETTINGS = hypothesis.settings(max_examples=200, deadline=None, derandomize=True)
+
+
+def reference_blocks(v, blocks):
+    """The stored blocks, checked row by row; raises the first fault."""
+    m = len(v)
+    checked = [{} for _ in v]
+    inputs = []  # keeps every checked object alive, so no id is reused
+    out = []
+    for t, block in enumerate(blocks):
+        parts = tuple(block)
+        if len(parts) != m:
+            raise InvalidInputError(f"block {t} has {len(parts)} parts, expected {m}")
+        row = []
+        for i, part in enumerate(parts):
+            if id(part) not in checked[i]:
+                checked[i][id(part)] = _normalize_part(part, v[i], "block {}, factor {}", t, i)
+                inputs.append(part)
+            row.append(tuple(checked[i][id(part)]))
+        out.append(tuple(row))
+    if not out:
+        raise InvalidInputError("a design needs at least one block")
+    return tuple(out)
+
+
+def oracle_incidence(v, blocks) -> np.ndarray:
+    """Z[offset of factor i + x, t] = 1 exactly when level x is in part i of block t."""
+    offsets = np.cumsum((0,) + tuple(v))
+    Z = np.zeros((sum(v), len(blocks)), dtype=np.int64)
+    for t, block in enumerate(blocks):
+        for i, part in enumerate(block):
+            for x in part:
+                Z[offsets[i] + x, t] = 1
+    return Z
+
+
+def _make(kind: str, levels: tuple):
+    """A fresh part object of ``kind`` holding ``levels``."""
+    if kind == "tuple":
+        return tuple(levels)
+    if kind == "list":
+        return list(levels)
+    if kind == "generator":
+        return (x for x in levels)
+    if kind == "numpy":
+        return tuple(np.int64(x) if type(x) is int else x for x in levels)
+    return tuple(sorted(levels, key=float))  # "sorted": possibly already in stored form
+
+
+@st.composite
+def _levels(draw, size: int, faults: bool):
+    """Levels of one part of a factor with ``size`` levels; with ``faults``,
+    maybe empty, repeated, out of range or not integers."""
+    levels = draw(st.lists(st.integers(0, size - 1), min_size=1, max_size=size, unique=True))
+    if faults and draw(st.integers(0, 5)) == 0:
+        fault = draw(st.sampled_from(("empty", "repeat", "range", "float", "bool")))
+        if fault == "empty":
+            levels = []
+        elif fault == "repeat":
+            levels.append(levels[0])
+        elif fault == "range":
+            levels.append(draw(st.sampled_from((-1, size, size + 3))))
+        elif fault == "float":
+            levels.append(float(levels.pop()))  # (0, 1.0) equals (0, 1) but is no part
+        else:
+            levels[0] = bool(levels[0]) if levels[0] < 2 else levels[0]
+    return tuple(levels)
+
+
+@st.composite
+def recipes(draw, faults: bool = True):
+    """A recipe for the arguments of ``MultipartDesign``: factor sizes and,
+    per block, an index into a per-factor pool of part objects, so that one
+    object may serve many blocks; ``build`` makes fresh objects each time."""
+    m = draw(st.integers(1, 3))
+    v = tuple(draw(st.lists(st.integers(1, 6), min_size=m, max_size=m)))
+    pools = [draw(st.lists(st.tuples(st.sampled_from(("tuple", "list", "generator", "numpy",
+                                                        "sorted")),
+                                      _levels(size, faults)), min_size=1, max_size=6))
+             for size in v]
+    b = draw(st.integers(0 if faults else 1, 10))
+    rows = []
+    for _ in range(b):
+        row = [draw(st.integers(0, len(pool) - 1)) for pool in pools]
+        if faults and draw(st.integers(0, 9)) == 0:
+            # a block with a part too many or too few
+            row = row[:-1] if draw(st.booleans()) else row + [0]
+        rows.append(row)
+    return v, pools, rows
+
+
+def build(recipe):
+    v, pools, rows = recipe
+    objects = [[_make(kind, levels) for kind, levels in pool] for pool in pools]
+    # a row's extra part reuses the last factor's pool
+    return v, tuple(tuple(objects[min(i, len(v) - 1)][j] for i, j in enumerate(row))
+                    for row in rows)
+
+
+def _outcome(make):
+    try:
+        return make(), None
+    except Exception as exc:  # the first fault, whatever its type
+        return None, exc
+
+
+@_SETTINGS
+@hypothesis.given(recipes())
+def test_the_column_wise_model_is_the_row_wise_definition(recipe):
+    expected, error = _outcome(lambda: reference_blocks(*build(recipe)))
+    design, got = _outcome(lambda: MultipartDesign(*build(recipe)))
+    if error is not None:
+        assert got is not None, "the model accepted a faulty design"
+        assert (type(got), str(got)) == (type(error), str(error))
+        return
+    assert got is None, got
+    assert design.blocks == expected
+    assert all(type(x) is int for block in design.blocks for part in block for x in part)
+    Z = design.incidence
+    assert np.array_equal(Z, oracle_incidence(design.v, expected))
+    assert not Z.flags.writeable and Z.dtype == np.int64
+    offsets = np.cumsum((0,) + design.v)
+    for i, size in enumerate(design.v):
+        replications = oracle_replications(expected, i)
+        assert [replications.get(x, 0) for x in range(size)] == \
+            Z[offsets[i]:offsets[i + 1]].sum(axis=1).tolist()
+
+
+@_SETTINGS
+@hypothesis.given(recipes(faults=False), st.data())
+def test_shared_and_equal_parts_give_the_same_design(recipe, data):
+    # The same blocks built from fresh objects everywhere store and count alike.
+    v, blocks = build(recipe)
+    design = MultipartDesign(v, blocks)
+    fresh = MultipartDesign(v, tuple(tuple(list(part) for part in block)
+                                     for block in design.blocks))
+    assert fresh.blocks == design.blocks
+    assert np.array_equal(fresh.incidence, design.incidence)
+    order = data.draw(st.permutations(range(design.b)))
+    shuffled = MultipartDesign(v, tuple(design.blocks[t] for t in order))
+    assert np.array_equal(shuffled.incidence, design.incidence[:, order])
+
+
+def test_the_first_fault_in_block_order_is_raised():
+    good, bad = (0, 1), (0, 1.0)
+    # block 0 fails in factor 1 and block 1 in factor 0: block 0's fault is raised
+    with pytest.raises(InvalidInputError, match=r"block 0, factor 1: \(0, 1.0\)"):
+        MultipartDesign((2, 2), ((good, bad), (bad, good)))
+    # within a block, the part count comes before the parts
+    with pytest.raises(InvalidInputError, match="block 1 has 1 parts"):
+        MultipartDesign((2, 2), ((good, good), (bad,), (good, (5,))))
+    # an unreadable block raises its own error, after the earlier blocks' faults
+    with pytest.raises(TypeError):
+        MultipartDesign((2,), ((good,), 7))
+    with pytest.raises(InvalidInputError, match="block 0, factor 0"):
+        MultipartDesign((2,), (((3,),), 7))
+
+
+def test_one_generator_serves_every_block_of_its_factor():
+    shared = (x for x in (2, 0))
+    design = MultipartDesign((3, 2), ((shared, (0,)), (shared, (1,)), (shared, [1, 0])))
+    assert design.blocks == (((0, 2), (0,)), ((0, 2), (1,)), ((0, 2), (0, 1)))
+    assert design.incidence[:, 0].tolist() == [1, 0, 1, 1, 0]
