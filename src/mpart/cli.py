@@ -127,91 +127,99 @@ def _partition_for(design: MultipartDesign, c: int, budget: int,
     return partition
 
 
-def _require(args, *flags):
-    """Raise a usage error when a flag the construction needs is unset."""
-    for flag in flags:
-        if getattr(args, flag[2:]) in (None, []):
-            raise _UsageError(f"{args.construction} needs {flag}")
+def _subcartesian(args):
+    d1 = ing.get_bibd(*_triple(args.ingredient[0]))
+    d2 = ing.get_bibd(*_triple(args.ingredient[1]))
+    partition = _partition_for(as_multipart(d2), args.classes, args.budget,
+                               "second ingredient")
+    return cons.subcartesian_product(d1, d2, partition)
 
 
-def _one(args, flag: str) -> str:
-    """The value of a repeatable flag that the construction reads once;
-    a usage error when it is given none or more than one."""
-    values = getattr(args, flag[2:])
-    if len(values) != 1:
-        raise _UsageError(f"{args.construction} needs one {flag}")
-    return values[0]
+def _oa(args):
+    c = args.classes
+    ingredients = [ing.get_bibd(*_triple(t)) for t in args.ingredient]
+    partitions = [_partition_for(as_multipart(bd), c, args.budget, "ingredient")
+                  for bd in ingredients]
+    oa = ing.orthogonal_array([bd.b // c for bd in ingredients], args.strength)
+    return cons.oa_compose(ingredients, partitions, oa)
 
 
-# The input flags each construction reads; it refuses the others.
-_READS = {
-    "cartesian": ("--ingredient",),
-    "subcartesian": ("--ingredient", "--classes"),
-    "hadamard": (),
-    "symmetric-split": ("--ingredient",),
-    "augment": ("--design",),
-    "part-swap": ("--design",),
-    "product": ("--design",),
-    "oa": ("--ingredient", "--classes"),
-    "meet-filter": ("--host", "--special"),
-    "class-matched": ("--design", "--classes", "--ingredient"),
+def _class_matched(args):
+    theta = _load_design(args.design[0])
+    partition = _partition_for(theta, args.classes, args.budget, "design")
+    delta = ing.get_bibd(*_triple(args.ingredient[0]))
+    return cons.class_matched_product(theta, partition, delta)
+
+
+# The build flags, in --help order.  Each keeps argparse's default None, so
+# that _build can tell a flag that was given from one that was not.
+_BUILD_FLAGS = {
+    "--ingredient": dict(action="append", metavar="v,k,lambda",
+                         help="catalog design (repeatable)"),
+    "--design": dict(action="append", metavar="FILE", help="design file input (repeatable)"),
+    "--host": dict(metavar="FILE", help="block-design file for meet-filter"),
+    "--special": dict(metavar="PTS", help="1-based points for meet-filter"),
+    "--t": dict(type=int, help="meet size for meet-filter"),
+    "--order": dict(type=int, help="Hadamard order"),
+    "--second-row": dict(type=int),
+    "--gamma": dict(type=int, help="block removed by symmetric-split"),
+    "--factor": dict(type=int),
+    "--classes": dict(type=int),
+    "--strength": dict(type=int),
 }
-_INPUTS = ("--ingredient", "--design", "--host", "--special", "--classes")
+
+# What each construction reads, in the order its inputs are checked, and
+# its builder.  A repeatable input holds how many copies it needs ("+" for
+# one or more); a value holds "required" or the default it takes when
+# absent.  A builder looks up its library functions when it runs.
+_CONSTRUCTIONS = {
+    "cartesian": ({"--ingredient": "+"}, lambda args: cons.cartesian_product(
+        [ing.get_bibd(*_triple(t)) for t in args.ingredient])),
+    "subcartesian": ({"--ingredient": 2, "--classes": 1}, _subcartesian),
+    "hadamard": ({"--order": 12, "--second-row": 1}, lambda args: cons.hadamard_2part(
+        ing.hadamard_matrix(args.order), second_row=args.second_row)),
+    "symmetric-split": ({"--ingredient": 1, "--gamma": 0},
+                        lambda args: cons.symmetric_block_split(
+                            ing.get_bibd(*_triple(args.ingredient[0])), args.gamma)),
+    "augment": ({"--design": 1, "--factor": 0}, lambda args: cons.augment(
+        _load_design(args.design[0]), args.factor)),
+    "part-swap": ({"--design": 1, "--factor": 0}, lambda args: cons.part_swap(
+        _load_design(args.design[0]), args.factor)),
+    "product": ({"--design": 2}, lambda args: cons.multipart_product(
+        *map(_load_design, args.design))),
+    "oa": ({"--ingredient": "+", "--classes": 1, "--strength": 2}, _oa),
+    "meet-filter": ({"--host": "required", "--special": "required", "--t": 2},
+                    lambda args: cons.meet_filter(
+                        _load_blocks(args.host), [x - 1 for x in _ints(args.special)], args.t)),
+    "class-matched": ({"--design": 1, "--classes": "required", "--ingredient": 1},
+                      _class_matched),
+}
+_HOW_MANY = {"+": "", 1: "one ", 2: "exactly two "}
+
+
+def _dest(flag: str) -> str:
+    """The attribute argparse stores ``flag`` under."""
+    return flag[2:].replace("-", "_")
 
 
 def _build(args) -> int:
-    fmt = args.format
+    """Refuse each build flag the construction does not read, check the
+    counts of those it does in its order, fill in defaults and build."""
     name = args.construction
-    for flag in _INPUTS:
-        if flag not in _READS[name] and getattr(args, flag[2:]) not in (None, []):
+    reads, builder = _CONSTRUCTIONS[name]
+    for flag in _BUILD_FLAGS:
+        if flag not in reads and getattr(args, _dest(flag)) is not None:
             raise _UsageError(f"{name} does not read {flag}")
-    if name == "cartesian":
-        parts = [ing.get_bibd(*_triple(t)) for t in args.ingredient]
-        design = cons.cartesian_product(parts)
-    elif name == "subcartesian":
-        if len(args.ingredient) != 2:
-            raise _UsageError("subcartesian needs exactly two --ingredient")
-        d1 = ing.get_bibd(*_triple(args.ingredient[0]))
-        d2 = ing.get_bibd(*_triple(args.ingredient[1]))
-        c = 1 if args.classes is None else args.classes
-        partition = _partition_for(as_multipart(d2), c, args.budget, "second ingredient")
-        design = cons.subcartesian_product(d1, d2, partition)
-    elif name == "hadamard":
-        H = ing.hadamard_matrix(args.order)
-        design = cons.hadamard_2part(H, second_row=args.second_row)
-    elif name == "symmetric-split":
-        design = cons.symmetric_block_split(
-            ing.get_bibd(*_triple(_one(args, "--ingredient"))), args.gamma)
-    elif name == "augment":
-        design = cons.augment(_load_design(_one(args, "--design")), args.factor)
-    elif name == "part-swap":
-        design = cons.part_swap(_load_design(_one(args, "--design")), args.factor)
-    elif name == "product":
-        if len(args.design) != 2:
-            raise _UsageError("product needs exactly two --design")
-        design = cons.multipart_product(_load_design(args.design[0]),
-                                        _load_design(args.design[1]))
-    elif name == "oa":
-        ingredients = [ing.get_bibd(*_triple(t)) for t in args.ingredient]
-        c = 1 if args.classes is None else args.classes
-        partitions = [_partition_for(as_multipart(bd), c, args.budget, "ingredient")
-                      for bd in ingredients]
-        oa = ing.orthogonal_array([bd.b // c for bd in ingredients], args.strength)
-        design = cons.oa_compose(ingredients, partitions, oa)
-    elif name == "meet-filter":
-        _require(args, "--host", "--special")
-        host = _load_blocks(args.host)
-        special = [x - 1 for x in _ints(args.special)]
-        design = cons.meet_filter(host, special, args.t)
-    else:  # class-matched; argparse allows no other name
-        path = _one(args, "--design")
-        _require(args, "--classes")
-        ingredient = _one(args, "--ingredient")
-        theta = _load_design(path)
-        partition = _partition_for(theta, args.classes, args.budget, "design")
-        delta = ing.get_bibd(*_triple(ingredient))
-        design = cons.class_matched_product(theta, partition, delta)
-    _write_design(design, args.output, fmt)
+    for flag, rule in reads.items():
+        value = getattr(args, _dest(flag))
+        if _BUILD_FLAGS[flag].get("action") == "append":
+            if not value or rule != "+" and len(value) != rule:
+                raise _UsageError(f"{name} needs {_HOW_MANY[rule]}{flag}")
+        elif value is None:
+            if rule == "required":
+                raise _UsageError(f"{name} needs {flag}")
+            setattr(args, _dest(flag), rule)
+    _write_design(builder(args), args.output, args.format)
     return EXIT_OK
 
 
@@ -327,20 +335,9 @@ def _make_parser() -> _Parser:
             p.add_argument(flag, **shared[flag])
 
     p = sub.add_parser("build", help="run a construction and write the design")
-    p.add_argument("construction", choices=tuple(_READS))
-    p.add_argument("--ingredient", action="append", default=[],
-                   metavar="v,k,lambda", help="catalog design (repeatable)")
-    p.add_argument("--design", action="append", default=[],
-                   metavar="FILE", help="design file input (repeatable)")
-    p.add_argument("--host", metavar="FILE", help="block-design file for meet-filter")
-    p.add_argument("--special", metavar="PTS", help="1-based points for meet-filter")
-    p.add_argument("--t", type=int, default=2, help="meet size for meet-filter")
-    p.add_argument("--order", type=int, default=12, help="Hadamard order")
-    p.add_argument("--second-row", type=int, default=1)
-    p.add_argument("--gamma", type=int, default=0, help="block removed by symmetric-split")
-    p.add_argument("--factor", type=int, default=0)
-    p.add_argument("--classes", type=int, default=None)
-    p.add_argument("--strength", type=int, default=2)
+    p.add_argument("construction", choices=tuple(_CONSTRUCTIONS))
+    for flag, spec in _BUILD_FLAGS.items():
+        p.add_argument(flag, **spec)
     p.add_argument("-o", "--output")
     common(p, "--format", "--budget")
     p.set_defaults(func=_build)

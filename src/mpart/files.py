@@ -32,7 +32,11 @@ from .model import BlockDesign, MultipartDesign, derive_parameters
 
 _NAME_RE = re.compile(r"[A-Za-z][A-Za-z0-9_]*")
 _HEADER = "mpart v1"
-_PART_RE = re.compile(rf"({_NAME_RE.pattern})\{{\s*([0-9,\s]*)\}}")
+# One factor's part in a block line.  Each piece matches one way, so that
+# reporting a bad line takes time linear in its length: a match starts only
+# where a run of name characters starts, and the digits or underscores that
+# lead the run are not part of the name (group 1), which starts at a letter.
+_PART_RE = re.compile(r"(?<![A-Za-z0-9_])[0-9_]*([A-Za-z][A-Za-z0-9_]*)\{([0-9,\s]*)\}")
 
 
 def serialize_concise(design: MultipartDesign) -> str:
@@ -175,15 +179,16 @@ def _block_error(line: str, n: int, names: list[str], sizes: list[int]) -> Parse
     body = stripped[len("block:"):]
     # 1-based column of the body's first character
     start = indent + len("block:") + 1
-    # blank each part in place, so that the stray text keeps its column
-    bad = re.search(r"\S+", _PART_RE.sub(lambda m: " " * len(m.group(0)), body))
+    # blank each part from its name on, so that the stray text keeps its column
+    bad = re.search(r"\S+", _PART_RE.sub(
+        lambda m: m[0][:m.start(1) - m.start()].ljust(len(m[0])), body))
     if bad:
         return ParseError(f"unrecognized text {bad.group(0)!r}", n, start + bad.start())
     size_of = dict(zip(names, sizes))
     order: list[str] = []
     for m in _PART_RE.finditer(body):
         name = m.group(1)
-        col = start + m.start()
+        col = start + m.start(1)
         if name not in size_of:
             return UnknownFactorError(f"unknown factor {name!r}", n, col)
         if name in order:

@@ -436,6 +436,73 @@ def test_build_refuses_a_flag_its_construction_does_not_read(argv, flag, capsys)
     assert capsys.readouterr() == ("", f"usage error: {argv[0]} does not read {flag}\n")
 
 
+# The flags each construction reads, as the README's table states them: a
+# count for a repeatable input, "required" for a value it needs, else the
+# default of a parameter.
+BUILD_READS = {
+    "cartesian": {"--ingredient": "+"},
+    "subcartesian": {"--ingredient": 2, "--classes": 1},
+    "hadamard": {"--order": 12, "--second-row": 1},
+    "symmetric-split": {"--ingredient": 1, "--gamma": 0},
+    "augment": {"--design": 1, "--factor": 0},
+    "part-swap": {"--design": 1, "--factor": 0},
+    "product": {"--design": 2},
+    "oa": {"--ingredient": "+", "--classes": 1, "--strength": 2},
+    "meet-filter": {"--host": "required", "--special": "required", "--t": 2},
+    "class-matched": {"--design": 1, "--classes": "required", "--ingredient": 1},
+}
+# Inputs each construction reads, and a value for every build flag.
+BUILD_INPUTS = {
+    "cartesian": ["--ingredient", "3,2,1"],
+    "subcartesian": ["--ingredient", "3,2,1", "--ingredient", "4,2,1"],
+    "hadamard": [],
+    "symmetric-split": ["--ingredient", "11,5,2"],
+    "augment": ["--design", "fixture:fig1"],
+    "part-swap": ["--design", "fixture:fig1"],
+    "product": ["--design", "fixture:fig1", "--design", "fixture:fig3"],
+    "oa": ["--ingredient", "3,2,1", "--ingredient", "3,2,1"],
+    "meet-filter": ["--host", "fixture:design_3_22_6_1", "--special", "1 2 3 9 12 21"],
+    "class-matched": ["--design", "fixture:fig8b", "--classes", "3", "--ingredient", "3,2,1"],
+}
+FLAG_VALUES = {"--ingredient": "7,3,1", "--design": "fixture:fig1",
+               "--host": "fixture:design_3_22_6_1", "--special": "1", "--t": "2",
+               "--order": "8", "--second-row": "1", "--gamma": "0", "--factor": "0",
+               "--classes": "1", "--strength": "2"}
+
+
+@pytest.mark.parametrize("construction, flag", [
+    (name, flag) for name, reads in BUILD_READS.items()
+    for flag in FLAG_VALUES if flag not in reads])
+def test_build_refuses_every_flag_its_construction_does_not_read(construction, flag, capsys):
+    argv = ["build", construction, *BUILD_INPUTS[construction], flag, FLAG_VALUES[flag]]
+    assert cli_main(argv) == 1
+    assert capsys.readouterr() == ("", f"usage error: {construction} does not read {flag}\n")
+
+
+@pytest.mark.parametrize("argv", [["cartesian"], ["oa", "--classes", "2"]])
+def test_a_build_without_an_ingredient_is_a_usage_error(argv, capsys):
+    assert cli_main(["build", *argv]) == 1
+    assert capsys.readouterr() == ("", f"usage error: {argv[0]} needs --ingredient\n")
+
+
+@pytest.mark.parametrize("construction, flag", [
+    (name, flag) for name, reads in BUILD_READS.items()
+    for flag, rule in reads.items() if isinstance(rule, int) and flag not in (
+        "--ingredient", "--design")])
+def test_a_left_out_parameter_takes_its_default(construction, flag, tmp_path, capsys):
+    argv = ["build", construction, *BUILD_INPUTS[construction]]
+    if construction == "augment":
+        # Augmenting factor 0 needs v = 2k + 1, which no fixture's factor 0 has.
+        path = str(tmp_path / "c521.design")
+        assert cli_main(["build", "cartesian", "--ingredient", "5,2,1", "-o", path]) == 0
+        argv = ["build", "augment", "--design", path]
+    assert cli_main(argv) == 0
+    left_out = capsys.readouterr().out
+    assert cli_main(argv + [flag, str(BUILD_READS[construction][flag])]) == 0
+    assert capsys.readouterr().out == left_out
+    assert parse_concise(left_out).b > 0
+
+
 @pytest.mark.parametrize("argv, flag", [
     (["augment", "--design", "fixture:fig1", "--design", "fixture:fig3", "--factor", "1"],
      "--design"),

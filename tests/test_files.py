@@ -1,4 +1,5 @@
 import json
+from time import perf_counter
 
 import pytest
 
@@ -86,6 +87,26 @@ def test_parse_refuses_over_long_numbers_with_a_position():
                         (f"{'0' * 700}1, {digits}, 4", digits)):
         with pytest.raises(ParseError, match=f"^line 3, col 8: level {level} out of range"):
             parse_concise(f"mpart v1\nfactors: C=3\nblock: C{{{body}}}\n")
+
+
+@pytest.mark.parametrize("good, bad, after", [
+    ("", "C{" + " " * 100_000 + "x}", ""),
+    ("", "a" * 100_000, ""),
+    ("", "a1" * 50_000, ""),
+    ("C{1}", "_" * 100_000, "D{1}"),
+])
+def test_a_long_bad_block_line_is_reported_in_linear_time(good, bad, after):
+    # Stray text of 100,000 characters between good parts: each piece of
+    # the part pattern matches one way, so the report takes milliseconds,
+    # where backtracking over every split of the run would take minutes.
+    line = f"block: {good}{bad}{after}"
+    start = perf_counter()
+    with pytest.raises(ParseError) as err:
+        parse_concise(f"mpart v1\nfactors: C=3 D=3\n{line}\n")
+    assert perf_counter() - start < 1
+    col = len(f"block: {good}") + 1
+    assert (err.value.line, err.value.col) == (3, col)
+    assert str(err.value) == f"line 3, col {col}: unrecognized text {bad.split()[0]!r}"
 
 
 @pytest.mark.parametrize("line, col", [
