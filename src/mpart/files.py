@@ -240,14 +240,19 @@ def serialize_blocks(bd: BlockDesign) -> str:
 
 def to_json_dict(design: MultipartDesign) -> dict[str, Any]:
     """Same data as the concise format plus derived parameters."""
+    return _json_document(design, [[[x + 1 for x in part] for part in block]
+                                   for block in design.blocks])
+
+
+def _json_document(design: MultipartDesign, blocks: Any) -> dict[str, Any]:
+    """The JSON mirror of ``design`` with ``blocks`` as its blocks."""
     params = derive_parameters(design)
     return {
         "format": "mpart",
         "version": 1,
         "factors": [{"name": name, "levels": size}
                     for name, size in zip(design.factor_names, design.v)],
-        "blocks": [[[x + 1 for x in part] for part in block]
-                   for block in design.blocks],
+        "blocks": blocks,
         "params": {
             "b": params.b,
             "k": list(params.k),
@@ -258,8 +263,33 @@ def to_json_dict(design: MultipartDesign) -> dict[str, Any]:
     }
 
 
+_BLOCKS = object()  # stands for the blocks in the document serialize_json writes
+
+
 def serialize_json(design: MultipartDesign) -> str:
-    return json.dumps(to_json_dict(design), indent=2) + "\n"
+    """``json.dumps(to_json_dict(design), indent=2)`` and a newline, byte for
+    byte.  ``json`` encodes in Python, not C, when it indents, so the blocks,
+    nearly all of the text, are written here: each factor's distinct parts
+    once, then each block as a join of its parts' texts.  Every other member
+    is encoded by ``json`` and indented one level deeper."""
+    members = ",\n".join(
+        f"  {json.dumps(key)}: " + (_json_blocks(design) if value is _BLOCKS else
+                                    json.dumps(value, indent=2).replace("\n", "\n  "))
+        for key, value in _json_document(design, _BLOCKS).items())
+    return "{\n" + members + "\n}\n"
+
+
+def _json_blocks(design: MultipartDesign) -> str:
+    """The blocks as ``json.dumps`` indents them at depth 1: an array of
+    blocks, each an array of parts, each an array of 1-based levels."""
+    texts = [[",\n        ".join(str(x + 1) for x in part) for part in parts]
+             for parts in design._parts]
+    rows = zip(*(map(text.__getitem__, picks)
+                 for text, picks in zip(texts, design._part_index.tolist())))
+    return ("[\n    [\n      [\n        "
+            + "\n      ]\n    ],\n    [\n      [\n        ".join(
+                map("\n      ],\n      [\n        ".join, rows))
+            + "\n      ]\n    ]\n  ]")
 
 
 def from_json_dict(data: dict[str, Any]) -> MultipartDesign:

@@ -20,7 +20,7 @@ from collections import defaultdict
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import accumulate, chain, count
-from operator import index, is_
+from operator import index, is_, lt
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -28,6 +28,7 @@ import numpy as np
 from .errors import InvalidInputError, NonUniformIntersectionError
 
 _DEFAULT_NAMES = ("C", "D", "B", "A")
+_INT = {int}  # the one type of a stored level
 
 
 def default_factor_names(m: int) -> tuple[str, ...]:
@@ -73,6 +74,12 @@ def _normalize_part(part: Iterable[int], size: int, where: str, *args) -> tuple[
     increasing order.  A tuple already in that form is returned itself.  An
     error names the part as ``where.format(*args)``, which is formatted only
     on failure."""
+    # The stored form is told cheaply: an exact tuple of exact ints, in
+    # strictly increasing order and in range.  Anything else, every fault
+    # among it, takes the full check below.
+    if (type(part) is tuple and part and _INT.issuperset(map(type, part))
+            and 0 <= part[0] and part[-1] < size and all(map(lt, part, part[1:]))):
+        return part
     levels = tuple(part)
     try:
         stored = tuple(sorted(map(index, levels)))

@@ -186,3 +186,26 @@ def test_one_generator_serves_every_block_of_its_factor():
     design = MultipartDesign((3, 2), ((shared, (0,)), (shared, (1,)), (shared, [1, 0])))
     assert design.blocks == (((0, 2), (0,)), ((0, 2), (1,)), ((0, 2), (0, 1)))
     assert design.incidence[:, 0].tolist() == [1, 0, 1, 1, 0]
+
+
+@_SETTINGS
+@hypothesis.given(st.integers(1, 6), st.lists(st.integers(-2, 8), max_size=7), st.booleans())
+def test_a_part_in_stored_form_is_kept_and_any_other_is_checked(size, levels, ordered):
+    part = tuple(sorted(levels) if ordered else levels)
+    stored = tuple(sorted(set(levels)))
+    if not levels or len(stored) != len(levels) or stored[0] < 0 or stored[-1] >= size:
+        with pytest.raises(InvalidInputError):
+            _normalize_part(part, size, "part")
+        return
+    got = _normalize_part(part, size, "part")
+    assert got == stored
+    assert (got is part) == (part == stored)
+    # equal levels of another type are stored as new exact ints; floats are refused
+    with pytest.raises(InvalidInputError, match="non-integer level"):
+        _normalize_part(tuple(map(float, part)), size, "part")
+    others = [tuple(map(np.int64, part))]
+    if stored[0] < 2:
+        others.append(tuple(x == 1 if x < 2 else x for x in part))
+    for other in others:
+        got = _normalize_part(other, size, "part")
+        assert got == stored and got is not other and set(map(type, got)) == {int}
