@@ -43,7 +43,7 @@ def check_t_design(design: BlockDesign, t: int) -> int | None:
         raise InvalidInputError(f"t must be >= 1, got {t}")
     if len({len(b) for b in design.blocks}) != 1:
         return None
-    return constant_count(design.incidence, [slice(0, design.v)] * t)
+    return constant_count(design.incidence, t)
 
 
 # --------------------------------------------------------------------------

@@ -39,13 +39,21 @@ def default_factor_names(m: int) -> tuple[str, ...]:
     return tuple(names)
 
 
+def _part_matrix(size: int, parts: Sequence[tuple[int, ...]]) -> np.ndarray:
+    """The size x len(parts) 0/1 matrix of levels against distinct parts;
+    the one function that builds incidence counts: Z is read from it, and
+    so are the strength counts of :mod:`mpart.verify`."""
+    P = np.zeros((size, len(parts)), dtype=np.int64)
+    P[list(chain.from_iterable(parts)), np.repeat(np.arange(len(parts)), list(map(len, parts)))] = 1
+    return P
+
+
 def _incidence(sizes: Sequence[int], parts: Sequence[Sequence[tuple[int, ...]]],
                part_index: np.ndarray) -> np.ndarray:
-    """The read-only sum(sizes) x b 0/1 matrix of points against blocks;
-    the one function that builds incidence counts.
+    """The read-only sum(sizes) x b 0/1 matrix of points against blocks.
 
-    Factor i's rows are the 0/1 matrix of its levels against its distinct
-    parts ``parts[i]``, with column ``part_index[i, t]`` taken for block t.
+    Factor i's rows are the part matrix of its distinct parts ``parts[i]``,
+    with column ``part_index[i, t]`` taken for block t.
     """
     n = sum(sizes)
     try:
@@ -53,10 +61,7 @@ def _incidence(sizes: Sequence[int], parts: Sequence[Sequence[tuple[int, ...]]],
     except ValueError:  # more rows than an array can index
         raise InvalidInputError(f"{n} levels are too many to count") from None
     for rows, size, distinct, picks in zip(_spans(sizes), sizes, parts, part_index):
-        P = np.zeros((size, len(distinct)), dtype=np.int64)
-        P[list(chain.from_iterable(distinct)),
-          np.repeat(np.arange(len(distinct)), list(map(len, distinct)))] = 1
-        Z[rows] = P[:, picks]
+        Z[rows] = _part_matrix(size, distinct)[:, picks]
     Z.flags.writeable = False
     return Z
 
@@ -393,15 +398,15 @@ def derive_parameters(design: MultipartDesign) -> MultipartParams:
                            lam=tuple(tuple(row) for row in lam))
 
 
-def constant_count(Z: np.ndarray, spans: Sequence[slice]) -> int | None:
+def constant_count(Z: np.ndarray, t: int) -> int | None:
     """The number of columns (blocks) of the incidence matrix ``Z`` that
-    contain rows x_1 < ... < x_t, each x_d in ``spans[d]``, when it is the
-    same for every such tuple.
+    contain rows x_1 < ... < x_t, when it is the same for every t-subset of
+    rows: the coverage count of a t-design.
 
-    None when the count varies or no tuple exists.  Each step keeps only
-    the blocks that contain the rows chosen so far, and the last two rows
-    are counted together as one product of incidence rows, so no temporary
-    outgrows Z or its Gram matrix.
+    None when the count varies or Z has fewer than t rows.  Each step keeps
+    only the blocks that contain the rows chosen so far, and the last two
+    rows are counted together as one product of incidence rows, so no
+    temporary outgrows Z or its Gram matrix.
     """
     values: set[int] = set()
 
@@ -411,15 +416,14 @@ def constant_count(Z: np.ndarray, spans: Sequence[slice]) -> int | None:
         return len(values) <= 1
 
     def count(depth: int, start: int, blocks: np.ndarray) -> bool:
-        lo, hi = max(spans[depth].start, start), spans[depth].stop
-        if depth == len(spans) - 1:
-            return record(Z[lo:hi, blocks].sum(axis=1))
-        if depth == len(spans) - 2:
-            last = spans[-1]
-            pairs = _count_product(Z[lo:hi, blocks], Z[last, blocks])
-            later = np.arange(lo, hi)[:, None] < np.arange(last.start, last.stop)
-            return record(pairs[later])
-        return all(count(depth + 1, x + 1, blocks[Z[x, blocks] == 1]) for x in range(lo, hi))
+        if depth == t - 1:
+            return record(Z[start:, blocks].sum(axis=1))
+        if depth == t - 2:
+            rows = Z[start:, blocks]
+            later = np.arange(len(rows))[:, None] < np.arange(len(rows))
+            return record(_count_product(rows, rows)[later])
+        return all(count(depth + 1, x + 1, blocks[Z[x, blocks] == 1])
+                   for x in range(start, Z.shape[0]))
 
     if not count(0, 0, np.arange(Z.shape[1])) or not values:
         return None

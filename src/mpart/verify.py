@@ -21,7 +21,7 @@ from .model import (
     BlockPartition,
     MultipartDesign,
     MultipartParams,
-    constant_count,
+    _part_matrix,
     derive_parameters,
     factor_rows,
 )
@@ -50,16 +50,88 @@ def _level_tables(design: MultipartDesign,
                   params: MultipartParams) -> Iterator[dict[tuple[int, ...], int]]:
     """For t = 2, 3, ..., m, the constant count of every t-subset of factors,
     up to the first t at which some subset varies: pairs are the cross
-    counts of ``params``, larger subsets are counted once here."""
+    counts of ``params``, larger subsets are counted once here from the
+    design's distinct parts (``_tuple_count``)."""
+    sizes: list[np.ndarray] = []
     for t in range(2, design.m + 1):
+        if t == 3:  # each block's part size in each factor
+            sizes = [design.incidence[span].sum(axis=0) for span in design.spans]
         table: dict[tuple[int, ...], int] = {}
         for factors in combinations(range(design.m), t):
             value = (params.lam[factors[0]][factors[1]] if t == 2 else
-                     constant_count(design.incidence, [design.spans[i] for i in factors]))
+                     _tuple_count(design, factors, [sizes[i] for i in factors]))
             if value is None:
                 return
             table[factors] = value
         yield table
+
+
+def _tuple_count(design: MultipartDesign, factors: Sequence[int],
+                 sizes: Sequence[np.ndarray]) -> int | None:
+    """The number of blocks that hold one given level of each of
+    ``factors``, when it is the same for every tuple of levels; else None.
+
+    ``sizes`` holds each block's part size in each of ``factors``.  The
+    sum I of the table C of these counts is the number of (block, level
+    tuple) incidences: each block adds its product of part sizes.  A
+    constant C holds I over its entry count in every entry, so a table
+    whose entry count does not divide I is refused first; so is one with
+    more entries than incidences, as ``OrthogonalArray`` refuses more
+    tuples than rows.  Otherwise C is constant iff its entry count times
+    its sum of squares is I^2 (Cauchy-Schwarz), and the sum of squares is
+    taken in one of three ways, each keeping every temporary within Z's
+    size:
+
+    - When the blocks' combinations of parts, times the largest v_i, fit:
+      N counts the blocks of each combination, each block's parts read as
+      one mixed-radix number by ``np.bincount``.  The sum of squares is
+      N (G_1 x ... x G_t) N, where G_i = P_i^T P_i counts the levels two
+      parts of factor i share (P_i its part matrix, as Z is built from),
+      and each G_i is applied along its axis as P_i, then P_i^T.
+    - Else, when C fits: C itself, the first factor's rows of Z times each
+      block's tuples of levels of the others, a slice of blocks at a time.
+    - Else: over pairs of blocks, a slice of rows at a time, each factor's
+      rows of Z giving the levels that two blocks share.
+    """
+    # Every count below is at most b I <= b^2 prod(largest part sizes); in
+    # float64, which numpy hands to BLAS, it is exact below 2^53, and past
+    # that it is counted in Python ints.
+    dtype = np.float64 if design.b ** 2 * prod(int(k.max()) for k in sizes) < 2 ** 53 else object
+    incidences = int(prod(k.astype(dtype) for k in sizes).sum())
+    levels = [design.v[i] for i in factors]
+    entries = prod(levels)
+    if incidences % entries:
+        return None
+    Z = design.incidence
+    shape = [len(design._parts[i]) for i in factors]
+    if prod(shape) * max(levels) <= Z.size:
+        picks = design._part_index[list(factors)]
+        N = np.bincount(np.ravel_multi_index(picks, shape), minlength=prod(shape)).astype(dtype)
+        # Factor i's axis leads as the rows of S and comes back last, so
+        # after every factor the axes are in order again.
+        S = N
+        for i in factors:
+            P = _part_matrix(design.v[i], design._parts[i]).astype(dtype)
+            S = (P.T @ (P @ S.reshape(P.shape[1], -1))).T
+        squares = int(np.dot(N, S.reshape(-1)))
+    else:
+        rows = [Z[design.spans[i]].astype(dtype) for i in factors]
+        if entries <= Z.size:
+            first, *others = rows
+            step = max(1, Z.size // (entries // levels[0]))
+            table = 0
+            for start in range(0, design.b, step):
+                blocks = slice(start, start + step)
+                tuples = others[0][:, blocks]
+                for A in others[1:]:
+                    tuples = (tuples[:, None] * A[None, :, blocks]).reshape(-1, tuples.shape[1])
+                table = table + first[:, blocks] @ tuples.T
+            squares = int((table * table).sum())
+        else:
+            step = max(1, Z.size // design.b)
+            squares = sum(int(prod(A[:, start:start + step].T @ A for A in rows).sum())
+                          for start in range(0, design.b, step))
+    return incidences // entries if entries * squares == incidences ** 2 else None
 
 
 def check_strength(design: MultipartDesign, t: int) -> dict[tuple[int, ...], int] | None:
@@ -308,20 +380,22 @@ def _product_witness(design: MultipartDesign, c: int) -> BlockPartition | None:
     classes verify; else None, which decides nothing.
 
     Each factor's distinct parts are indexed in order of first
-    appearance.  The classes verify when, for each factor, another
-    factor has a multiple of c distinct parts, as (7,3,1)^3 at c = 7.
+    appearance, equal parts once.  The classes verify when, for each
+    factor, another factor has a multiple of c distinct parts, as
+    (7,3,1)^3 at c = 7.
     """
-    index: list[dict[tuple[int, ...], int]] = [{} for _ in design.v]
-    for block in design.blocks:
-        for parts, part in zip(index, block):
-            parts.setdefault(part, len(parts))
-    if design.b != prod(map(len, index)):
+    counts, labels = [], 0
+    for parts, picks in zip(design._parts, design._part_index):
+        # _parts may hold equal parts as distinct objects; index each value once
+        first: dict[tuple[int, ...], int] = {}
+        labels = labels + np.array([first.setdefault(part, len(first)) for part in parts])[picks]
+        counts.append(len(first))
+    if design.b != prod(counts):
         return None
-    assigned = [sum(parts[part] for parts, part in zip(index, block)) % c
-                for block in design.blocks]
-    if any(assigned.count(j) != design.b // c for j in range(c)):
+    assigned = labels % c
+    if (np.bincount(assigned, minlength=c) != design.b // c).any():
         return None
-    partition = _partition(assigned, c)
+    partition = _partition(assigned.tolist(), c)
     return partition if verify_partition(design, partition) else None
 
 

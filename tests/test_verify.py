@@ -1,5 +1,8 @@
 import random
+import timeit
+import tracemalloc
 from fractions import Fraction
+from itertools import combinations
 
 import numpy as np
 import pytest
@@ -28,6 +31,7 @@ from helpers import (
     oracle_cross_counts,
     oracle_pair_counts,
     oracle_partition_exists,
+    oracle_strength,
     random_design,
     second_phase,
 )
@@ -140,6 +144,99 @@ def test_check_strength_m2_matches_cross():
     table = check_strength(d, 2)
     assert table == {(0, 1): 3}
     assert int(cross_matrix(d, 0, 1)[0, 0]) == 3
+
+
+def _halves(v: int, rows) -> MultipartDesign:
+    """One factor of v levels per column of ``rows``; a block takes, in
+    each factor, the lower half of the levels at symbol 0 and the upper
+    half at symbol 1."""
+    halves = (tuple(range(v // 2)), tuple(range(v // 2, v)))
+    return MultipartDesign(v=(v,) * len(rows[0]),
+                           blocks=tuple(tuple(halves[x] for x in row) for row in rows))
+
+
+OA_4_3_2_2 = ((0, 0, 0), (0, 1, 1), (1, 0, 1), (1, 1, 0))
+
+
+def _box_partition() -> MultipartDesign:
+    """8 blocks whose parts, each half of 8 levels, cut the 8 x 8 x 8 cube
+    of level triples into 8 boxes: strength 3 with 2, 4 and 8 distinct
+    parts per factor, so 64 combinations and 512 triples against 8 blocks."""
+    def rest(part):
+        return tuple(x for x in range(8) if x not in part)
+
+    halves = ((0, 1, 2, 3), (0, 2, 4, 6), (0, 1, 4, 5), (0, 3, 5, 6))
+    blocks = []
+    for first, second, thirds in (((0, 1, 2, 3), halves[0], halves[:2]),
+                                  ((4, 5, 6, 7), halves[1], halves[2:])):
+        for part, third in ((second, thirds[0]), (rest(second), thirds[1])):
+            blocks += [(first, part, third), (first, part, rest(third))]
+    return MultipartDesign(v=(8, 8, 8), blocks=tuple(blocks))
+
+
+def test_strength_matches_the_oracle_when_part_combinations_outnumber_blocks():
+    from mpart.constructions import cartesian_product, multipart_product
+    from mpart.verify import _tuple_count
+
+    # 8 blocks: the even-weight rows of length 4, an array of strength 3.
+    # Each factor has 2 distinct parts, so 16 combinations could occur.
+    halves = _halves(4, [row for row in np.ndindex(2, 2, 2, 2) if sum(row) % 2 == 0])
+    # 60 blocks, strength 4; its 4 factors have 3, 6, 10 and 10 parts.
+    product = multipart_product(load_design("fig3"), load_design("fig1"))
+    boxes = _box_partition()
+    cases = ((halves, 3), (product, 4), (boxes, 3), (_halves(4, OA_4_3_2_2), 2))
+    for d, strength in cases:
+        for t in range(2, d.m + 1):
+            assert check_strength(d, t) == oracle_strength(d.blocks, d.v, t)
+        assert design_strength(d) == strength
+    assert check_strength(halves, 3) == {factors: 1 for factors in combinations(range(4), 3)}
+    assert check_strength(boxes, 3) == {(0, 1, 2): 1}
+
+    def tuple_count(d):
+        sizes = [d.incidence[span].sum(axis=0) for span in d.spans]
+        return _tuple_count(d, tuple(range(d.m)), sizes)
+
+    # Each keeps its incidence count, but some triples lie in no block and
+    # some in two: the last box repeats the one before it, and the first
+    # block of (7,3,1)^3 is replaced by its second.
+    overlap = boxes.blocks[:-1] + boxes.blocks[-2:-1]
+    assert tuple_count(MultipartDesign(v=boxes.v, blocks=overlap)) is None
+    cube = cartesian_product([get_bibd(7, 3, 1)] * 3)
+    assert tuple_count(MultipartDesign(v=cube.v, blocks=cube.blocks[1:2] + cube.blocks[1:])) is None
+
+
+def test_a_strength_count_beyond_int64_is_exact():
+    # One block holding every level of 10 factors of 100 levels: each
+    # t-tuple of levels lies in it, and the sums behind t = 10 pass 2^63.
+    d = MultipartDesign(v=(100,) * 10, blocks=((tuple(range(100)),) * 10,))
+    assert design_strength(d) == 10
+    assert check_strength(d, 10) == {tuple(range(10)): 1}
+
+
+@pytest.mark.parametrize("name, strength, valid, peak_mb, ms", [
+    # Its table of level counts for all 3 factors has 8,000,000 entries.
+    ("halves200", 2, False, 4, 50),
+    ("7,3,1^4", 4, True, 2, 200),
+])
+def test_check_multipart_stays_within_memory_and_time(name, strength, valid, peak_mb, ms):
+    """The bounds are far above what the check takes (under 1 MB and a few
+    ms on a 2-vCPU VM) and far below what a table of level counts takes."""
+    from mpart.constructions import cartesian_product
+
+    if name == "halves200":
+        d = _halves(200, OA_4_3_2_2)
+    else:
+        d = cartesian_product([get_bibd(7, 3, 1)] * 4)
+    d.gram  # Z and its Gram matrix are cached on the design; the bound is on the rest
+    tracemalloc.start()
+    try:
+        report = check_multipart(d)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (report.strength, report.valid) == (strength, valid)
+    assert peak < peak_mb * 2 ** 20
+    assert min(timeit.repeat(lambda: check_multipart(d), number=1, repeat=5)) < ms / 1000
 
 
 def test_check_admissible_fig1_parameters():
@@ -403,6 +500,26 @@ def test_product_witness_needs_the_full_product_and_verifies():
     # the first factor do not spread evenly over 3 classes.
     d = cartesian_product([get_bibd(7, 3, 1), get_bibd(3, 2, 1)])
     assert _product_witness(d, 3) is None
+
+
+def test_product_witness_indexes_equal_parts_once():
+    from mpart.constructions import cartesian_product
+    from mpart.verify import _product_witness
+
+    d = cartesian_product([get_bibd(7, 3, 1)] * 3)
+    # Every part a fresh tuple: the design keeps 343 distinct objects per factor.
+    fresh = MultipartDesign(v=d.v, blocks=tuple(tuple(tuple(list(part)) for part in block)
+                                                for block in d.blocks))
+    assert len(fresh._parts[0]) == d.b
+    # The witness recounted from the blocks: each factor's parts indexed by
+    # value in order of first appearance, classes by index sum mod 7.
+    index: list[dict] = [{} for _ in d.v]
+    classes: list[list[int]] = [[] for _ in range(7)]
+    for t, block in enumerate(d.blocks):
+        classes[sum(parts.setdefault(part, len(parts))
+                    for parts, part in zip(index, block)) % 7].append(t)
+    expected = BlockPartition(tuple(map(tuple, classes)))
+    assert _product_witness(fresh, 7) == _product_witness(d, 7) == expected
 
 
 def _at_once(steps, budget: int):
