@@ -265,7 +265,8 @@ def _canon(args) -> int:
     return EXIT_OK
 
 
-def _iso(args, weak: bool) -> int:
+def _iso(args) -> int:
+    weak = args.command == "weak-iso"
     d1 = _load_design(args.file1)
     d2 = _load_design(args.file2)
     same = (are_weakly_isomorphic if weak else are_isomorphic)(d1, d2, budget=args.budget)
@@ -311,92 +312,72 @@ def _tables(args) -> int:
     return EXIT_OK
 
 
-def _make_parser() -> _Parser:
+# Arguments that several commands read, each declared only where it is read.
+_FORMAT = ("--format", dict(choices=("text", "json"), default="text"))
+_BUDGET = ("--budget", dict(
+    type=_count, default=DEFAULT_BUDGET,
+    help="search-tree node limit; exit 4 when it runs out.  A "
+         "partition search's two phases alternate on doubling slices "
+         f"from {FIRST_SLICE} nodes until each has spent it (up to "
+         "twice it in all); its witness is the least one only when "
+         "phase 1 decides within the first slice.  For iso and "
+         "weak-iso it bounds the first design's search and each first "
+         "path of the second; that search stops at its first match, "
+         "so a yes may come within a budget canon would exhaust"))
+_SEED = ("--seed", dict(type=int, default=0, help="seed of the --selfcheck relabelings"))
+_FILE = ("file", {})
+_OUTPUT = ("-o", "--output", {})
+_ISO = (("file1", {}), ("file2", {}), _BUDGET)
+
+# Each command's help line, handler and arguments, in --help order; an
+# argument is its names followed by its argparse spec.
+_COMMANDS = {
+    "build": ("run a construction and write the design", _build, (
+        ("construction", dict(choices=tuple(_CONSTRUCTIONS))),
+        *_BUILD_FLAGS.items(), _OUTPUT, _FORMAT, _BUDGET)),
+    "verify": ("check the balance conditions", _verify, (
+        _FILE, ("--allow-degenerate", dict(action="store_true")), _FORMAT)),
+    "params": ("admissibility of b v1..vm k1..km", _params, (
+        ("numbers", dict(type=int, nargs="+")), ("--c", dict(type=int, default=None)),
+        _FORMAT)),
+    "canon": ("canonical form of a design", _canon, (
+        _FILE, ("--selfcheck", dict(type=_count, default=0,
+                                    help="also verify the certificate on N random relabelings")),
+        _OUTPUT, _FORMAT, _BUDGET, _SEED)),
+    "iso": ("exit 0 if isomorphic, 3 if not", _iso, _ISO),
+    "weak-iso": ("isomorphism up to factor exchange", _iso, _ISO),
+    "partition": ("find c equally replicated block classes", _partition, (
+        _FILE, ("--c", dict(type=int, required=True)), _FORMAT, _BUDGET)),
+    "render": ("concise, dual or full rendering", _render, (
+        _FILE, ("--mode", dict(choices=("concise", "dual", "full"), default="concise")))),
+    "tables": ("least-b parameter rows per construction", _tables, (
+        ("--max-b", dict(type=_count, default=60)),
+        ("--constructions", dict(type=int, nargs="+", default=(1, 2, 3, 4))),
+        ("--exclude", dict(type=int, nargs="+", default=())),
+        ("--no-swap-convention", dict(action="store_true")), _FORMAT, _BUDGET)),
+}
+
+
+def _make_parser(argv: list) -> _Parser:
+    """The parser for ``argv``.  Every command gets its subparser, because
+    the top-level help and an invalid-choice error list them all; only a
+    command named by a token of ``argv``, as the dispatched one always is,
+    gets its arguments declared."""
     parser = _Parser(prog="mpart", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
-
-    shared = {
-        "--format": dict(choices=("text", "json"), default="text"),
-        "--budget": dict(type=_count, default=DEFAULT_BUDGET,
-                         help="search-tree node limit; exit 4 when it runs out.  A "
-                              "partition search's two phases alternate on doubling slices "
-                              f"from {FIRST_SLICE} nodes until each has spent it (up to "
-                              "twice it in all); its witness is the least one only when "
-                              "phase 1 decides within the first slice.  For iso and "
-                              "weak-iso it bounds the first design's search and each first "
-                              "path of the second; that search stops at its first match, "
-                              "so a yes may come within a budget canon would exhaust"),
-        "--seed": dict(type=int, default=0, help="seed of the --selfcheck relabelings"),
-    }
-
-    def common(p, *flags):
-        """Declare the shared flags a command reads, and no others."""
-        for flag in flags:
-            p.add_argument(flag, **shared[flag])
-
-    p = sub.add_parser("build", help="run a construction and write the design")
-    p.add_argument("construction", choices=tuple(_CONSTRUCTIONS))
-    for flag, spec in _BUILD_FLAGS.items():
-        p.add_argument(flag, **spec)
-    p.add_argument("-o", "--output")
-    common(p, "--format", "--budget")
-    p.set_defaults(func=_build)
-
-    p = sub.add_parser("verify", help="check the balance conditions")
-    p.add_argument("file")
-    p.add_argument("--allow-degenerate", action="store_true")
-    common(p, "--format")
-    p.set_defaults(func=_verify)
-
-    p = sub.add_parser("params", help="admissibility of b v1..vm k1..km")
-    p.add_argument("numbers", type=int, nargs="+")
-    p.add_argument("--c", type=int, default=None)
-    common(p, "--format")
-    p.set_defaults(func=_params)
-
-    p = sub.add_parser("canon", help="canonical form of a design")
-    p.add_argument("file")
-    p.add_argument("--selfcheck", type=_count, default=0,
-                   help="also verify the certificate on N random relabelings")
-    p.add_argument("-o", "--output")
-    common(p, "--format", "--budget", "--seed")
-    p.set_defaults(func=_canon)
-
-    for name, weak, text in (("iso", False, "exit 0 if isomorphic, 3 if not"),
-                             ("weak-iso", True, "isomorphism up to factor exchange")):
+    for name, (text, _, arguments) in _COMMANDS.items():
         p = sub.add_parser(name, help=text)
-        p.add_argument("file1")
-        p.add_argument("file2")
-        common(p, "--budget")
-        p.set_defaults(func=lambda args, weak=weak: _iso(args, weak=weak))
-
-    p = sub.add_parser("partition", help="find c equally replicated block classes")
-    p.add_argument("file")
-    p.add_argument("--c", type=int, required=True)
-    common(p, "--format", "--budget")
-    p.set_defaults(func=_partition)
-
-    p = sub.add_parser("render", help="concise, dual or full rendering")
-    p.add_argument("file")
-    p.add_argument("--mode", choices=("concise", "dual", "full"), default="concise")
-    p.set_defaults(func=_render)
-
-    p = sub.add_parser("tables", help="least-b parameter rows per construction")
-    p.add_argument("--max-b", type=_count, default=60)
-    p.add_argument("--constructions", type=int, nargs="+", default=[1, 2, 3, 4])
-    p.add_argument("--exclude", type=int, nargs="+", default=[])
-    p.add_argument("--no-swap-convention", action="store_true")
-    common(p, "--format", "--budget")
-    p.set_defaults(func=_tables)
-
+        if name in argv:
+            for *names, spec in arguments:
+                p.add_argument(*names, **spec)
     return parser
 
 
 def cli_main(argv=None) -> int:
-    parser = _make_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
     try:
-        args = parser.parse_args(argv)
-        return args.func(args)
+        args = _make_parser(argv).parse_args(argv)
+        return _COMMANDS[args.command][1](args)
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE

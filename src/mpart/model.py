@@ -377,6 +377,19 @@ def _constant(values: np.ndarray) -> int | None:
     return int(low) if low == values.max() else None
 
 
+def _off_diagonal_constant(W: np.ndarray) -> int | None:
+    """The value of every off-diagonal entry of the square count matrix W,
+    else None.  By Cauchy-Schwarz, n counts summing to S whose squares sum
+    to Q are all equal exactly when n Q = S^2; both sums are read from W
+    and its diagonal, so no temporary grows with W.  Each count is at most
+    b, so the int64 sums stay exact for any Z that fits in memory."""
+    diagonal = np.diagonal(W)
+    n = W.size - diagonal.size
+    total = int(W.sum()) - int(diagonal.sum())
+    squares = int(np.einsum("ij,ij->", W, W)) - int(np.dot(diagonal, diagonal))
+    return total // n if n * squares == total * total else None
+
+
 def derive_parameters(design: MultipartDesign) -> MultipartParams:
     """Count k, r and the full concurrence table of a design.
 
@@ -390,8 +403,7 @@ def derive_parameters(design: MultipartDesign) -> MultipartParams:
     r = tuple(_constant(np.diagonal(G)[span]) for span in spans)
     lam: list[list[int | None]] = [[None] * m for _ in range(m)]
     for i, si in enumerate(spans):
-        within = G[si, si]
-        lam[i][i] = 0 if v[i] == 1 else _constant(within[~np.eye(v[i], dtype=bool)])
+        lam[i][i] = 0 if v[i] == 1 else _off_diagonal_constant(G[si, si])
         for j in range(i + 1, m):
             lam[i][j] = lam[j][i] = _constant(G[si, spans[j]])
     return MultipartParams(b=design.b, v=v, k=k, r=r,

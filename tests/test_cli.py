@@ -1,4 +1,6 @@
+import hashlib
 import json
+import sys
 import textwrap
 
 import pytest
@@ -391,6 +393,72 @@ def test_usage_errors_exit_1(capsys):
     assert cli_main(["params", "10", "6"]) == 1
     assert cli_main(["verify", "/nonexistent/file.design"]) == 1
     assert cli_main(["nonsense"]) == 1
+
+
+# SHA-256 of each help text at 80 columns.  The parser declares a command's
+# arguments only when its name is in argv; every help text stays as it was
+# when all of them were declared on every call.
+HELP_SHA256 = {
+    (): "0a5e6f6c5f8a002e2a840bf8a3e39fc00af6c018f4c7f240aa1256d51c14b3b0",
+    ("build",): "904503595512fe2d859d9802ee3dd8dca10aba6c9b7b1b8c974742fccb606e46",
+    ("verify",): "2a4584eff5e3c7dd22458f8401b35980d98633183b0c4d52d4b2b51c338d9ae0",
+    ("params",): "46a80b1b35e00e615c530ec58a9bf422898ba914f26bc608ebf1422d9f0a3953",
+    ("canon",): "31de5bf68b1387b1ca8f3419f29fa9282291e5c19f2c52395674c96290322699",
+    ("iso",): "a0901a50a1d28923d118df40caabf473da6ddd8a5da07c60a53954d9628ecac6",
+    ("weak-iso",): "c45fa6104904e6795ec0f97c36f262077abefb82dc0831270b3b699a35d84475",
+    ("partition",): "94d8152e2b3915a90058d4c27c8f5616312377fd6b9ae50b4104448987c2aace",
+    ("render",): "8d7e9398dc8c7c5bda161a2d68c21a7c3d13da0e9f54dc94d837d689001b08a5",
+    ("tables",): "895d0e9adfd9fcd770f9e882b13e8fa9041a641cc42a880a79d150eb12119dad",
+}
+
+
+def _sha256(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+@pytest.mark.skipif(sys.version_info[:2] != (3, 11),
+                    reason="the hashes are of Python 3.11's argparse help layout")
+@pytest.mark.parametrize("command", list(HELP_SHA256))
+def test_help_texts_are_unchanged(command, monkeypatch, capsys):
+    monkeypatch.setenv("COLUMNS", "80")
+    with pytest.raises(SystemExit) as raised:
+        cli_main([*command, "--help"])
+    assert raised.value.code == 0
+    out, err = capsys.readouterr()
+    assert (_sha256(out), err) == (HELP_SHA256[command], "")
+
+
+def test_an_unknown_command_lists_every_command(capsys):
+    assert cli_main(["nonsense"]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and _sha256(err) == (
+        "eb92635afe06436ee83778c65745ecf169dde5fba79967c9144c2786ab5d3472")
+    assert all(f"'{command}'" in err for (command,) in list(HELP_SHA256)[1:])
+
+
+def test_cli_main_reads_sys_argv_without_an_argument(monkeypatch, capsys):
+    monkeypatch.setattr(sys, "argv", ["mpart", "verify", "fixture:fig1", "--format", "json"])
+    assert cli_main() == 0
+    assert json.loads(capsys.readouterr().out)["valid"] is True
+    monkeypatch.setattr(sys, "argv", ["mpart", "params", "10", "6"])
+    assert cli_main() == 1
+    assert capsys.readouterr().err == "usage error: params needs: b v1..vm k1..km\n"
+
+
+@pytest.mark.parametrize("argv, err", [
+    # A file argument named like another command is a file name.
+    (["canon", "build"], "error: [Errno 2] No such file or directory: 'build'\n"),
+    (["iso", "canon", "verify"], "error: [Errno 2] No such file or directory: 'canon'\n"),
+    (["build", "verify"], "usage error: argument construction: invalid choice: 'verify' "
+                          "(choose from 'cartesian', 'subcartesian', 'hadamard', "
+                          "'symmetric-split', 'augment', 'part-swap', 'product', 'oa', "
+                          "'meet-filter', 'class-matched')\n"),
+])
+def test_an_argument_named_like_a_command_is_read_as_an_argument(argv, err, tmp_path,
+                                                                  monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    assert cli_main(argv) == 1
+    assert capsys.readouterr() == ("", err)
 
 
 @pytest.mark.parametrize("argv", [

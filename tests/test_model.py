@@ -149,6 +149,28 @@ def test_derive_parameters_product_of_pair_designs():
     assert params.lam[0][1] == 4
 
 
+def test_derive_parameters_reads_within_factor_pairs_without_a_square_temporary():
+    """Three factors of 400 levels split into halves, the 4 blocks the rows
+    of an OA(4,3,2,2): pairs within a half lie in 2 blocks and pairs across
+    halves in none, so no lambda_ii is constant.  With Z and its Gram matrix
+    cached, reading them takes no v_i x v_i temporary (1.3 MB here)."""
+    import tracemalloc
+
+    halves = (tuple(range(200)), tuple(range(200, 400)))
+    rows = ((0, 0, 0), (0, 1, 1), (1, 0, 1), (1, 1, 0))
+    d = MultipartDesign(v=(400,) * 3,
+                        blocks=tuple(tuple(halves[x] for x in row) for row in rows))
+    d.gram
+    tracemalloc.start()
+    try:
+        params = derive_parameters(d)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert params.lam == ((None, 1, 1), (1, None, 1), (1, 1, None))
+    assert peak < 0.1 * 2 ** 20
+
+
 def test_zip_fig2b_block1():
     zipped = zip_design(load_design("fig1"))
     assert zipped.v == 11
