@@ -375,6 +375,9 @@ def _make_parser(argv: list) -> _Parser:
 
 def cli_main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
+    # "--" ends the options, and none come before a command: drop it there.
+    if len(argv) > 1 and argv[0] == "--" and argv[1] in _COMMANDS:
+        del argv[0]
     try:
         args = _make_parser(argv).parse_args(argv)
         return _COMMANDS[args.command][1](args)

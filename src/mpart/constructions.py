@@ -213,7 +213,7 @@ def augment(design: MultipartDesign, factor: int) -> MultipartDesign:
     """
     if not 0 <= factor < design.m:
         raise InvalidInputError(f"factor {factor} out of range")
-    sizes = {len(block[factor]) for block in design.blocks}
+    sizes = set(design._part_sizes[factor].tolist())
     if len(sizes) != 1:
         raise SizeMismatchError("augment needs a uniform part size on the factor")
     k = sizes.pop()

@@ -19,7 +19,7 @@ from __future__ import annotations
 import json
 import re
 from itertools import product
-from typing import Any
+from typing import Any, Iterator
 
 from .errors import (
     DualRequiresTwoFactorsError,
@@ -40,18 +40,23 @@ _PART_RE = re.compile(r"(?<![A-Za-z0-9_])[0-9_]*([A-Za-z][A-Za-z0-9_]*)\{([0-9,\
 
 
 def serialize_concise(design: MultipartDesign) -> str:
-    for name in design.factor_names:
+    names = design.factor_names
+    for name in names:
         if not _NAME_RE.fullmatch(name):
             raise InvalidInputError(f"factor name {name!r} is not serializable")
-    lines = [_HEADER]
-    lines.append("factors: " + " ".join(
-        f"{name}={size}" for name, size in zip(design.factor_names, design.v)))
-    for block in design.blocks:
-        parts = " ".join(
-            f"{design.factor_names[i]}{{{','.join(str(x + 1) for x in part)}}}"
-            for i, part in enumerate(block))
-        lines.append(f"block: {parts}")
+    lines = [_HEADER, "factors: " + " ".join(
+        f"{name}={size}" for name, size in zip(names, design.v))]
+    rows = _rows(design, lambda i, part: f"{names[i]}{{{','.join(str(x + 1) for x in part)}}}")
+    lines.extend("block: " + " ".join(row) for row in rows)
     return "\n".join(lines) + "\n"
+
+
+def _rows(design: MultipartDesign, part_text) -> Iterator[tuple[str, ...]]:
+    """Each block as the tuple of its parts' texts, ``part_text(i, part)``
+    of factor i's part; each distinct part of a factor is rendered once."""
+    texts = [[part_text(i, part) for part in parts] for i, parts in enumerate(design._parts)]
+    return zip(*(map(text.__getitem__, picks)
+                 for text, picks in zip(texts, design._part_index.tolist())))
 
 
 def _strip_comment(line: str) -> str:
@@ -114,32 +119,23 @@ def parse_concise(text: str) -> MultipartDesign:
         known = [{body: _part_levels(body, name, size) for body in dict.fromkeys(column)}
                  for column, name, size in zip(columns, names, sizes)]
     except ParseError:
-        raise _first_fault(rest, n, pattern, names, sizes) from None
+        raise _first_fault(rest, n, names, sizes) from None
     if len(rows) != len(rest) and any(
             _strip_comment(line).strip() for line, match in zip(rest, matches) if not match):
-        raise _first_fault(rest, n, pattern, names, sizes)
+        raise _first_fault(rest, n, names, sizes)
     if not rows:
         raise ParseError("no blocks", n, 1)
     blocks = zip(*(map(parts.__getitem__, column) for parts, column in zip(known, columns)))
     return MultipartDesign(v=tuple(sizes), blocks=tuple(blocks), factor_names=tuple(names))
 
 
-def _first_fault(lines: list[str], n: int, pattern: re.Pattern, names: list[str],
-                 sizes: list[int]) -> ParseError:
+def _first_fault(lines: list[str], n: int, names: list[str], sizes: list[int]) -> ParseError:
     """The error of the first faulty block line of ``lines``, which follow
-    line ``n``: a meaningful line that ``pattern`` does not match, or one
-    with a bad part."""
+    line ``n``."""
     for n, line in enumerate(map(_strip_comment, lines), n + 1):
-        match = pattern.fullmatch(line)
-        if match is None:
-            if line.strip():
-                return _block_error(line, n, names, sizes)
-            continue
-        try:
-            for body, name, size in zip(match.groups(), names, sizes):
-                _part_levels(body, name, size)
-        except ParseError:
-            return _block_error(line, n, names, sizes)
+        error = _block_error(line, n, names, sizes) if line.strip() else None
+        if error is not None:
+            return error
     raise AssertionError("no faulty block line")
 
 
@@ -168,10 +164,10 @@ def _part_levels(body: str, name: str, size: int) -> tuple[int, ...]:
     return tuple(sorted(levels))
 
 
-def _block_error(line: str, n: int, names: list[str], sizes: list[int]) -> ParseError:
-    """The error, with line ``n`` and its column, of a block line that
-    :func:`parse_concise` refused: the first of stray text, an unknown or
-    repeated factor, a bad part, and a missing or misplaced factor."""
+def _block_error(line: str, n: int, names: list[str], sizes: list[int]) -> ParseError | None:
+    """The error, with line ``n`` and its column, of a block line: the
+    first of stray text, an unknown or repeated factor, a bad part, and a
+    missing or misplaced factor; None for a good line."""
     stripped = line.strip()
     indent = line.find(stripped[0])
     if not stripped.startswith("block:"):
@@ -201,7 +197,7 @@ def _block_error(line: str, n: int, names: list[str], sizes: list[int]) -> Parse
     missing = [nm for nm in names if nm not in order]
     if missing:
         return ParseError(f"block is missing factor {missing[0]!r}", n, 1)
-    return ParseError(f"factors out of order: {order}", n, 1)
+    return None if order == names else ParseError(f"factors out of order: {order}", n, 1)
 
 
 # --------------------------------------------------------------------------
@@ -282,10 +278,7 @@ def serialize_json(design: MultipartDesign) -> str:
 def _json_blocks(design: MultipartDesign) -> str:
     """The blocks as ``json.dumps`` indents them at depth 1: an array of
     blocks, each an array of parts, each an array of 1-based levels."""
-    texts = [[",\n        ".join(str(x + 1) for x in part) for part in parts]
-             for parts in design._parts]
-    rows = zip(*(map(text.__getitem__, picks)
-                 for text, picks in zip(texts, design._part_index.tolist())))
+    rows = _rows(design, lambda i, part: ",\n        ".join(str(x + 1) for x in part))
     return ("[\n    [\n      [\n        "
             + "\n      ]\n    ],\n    [\n      [\n        ".join(
                 map("\n      ],\n      [\n        ".join, rows))

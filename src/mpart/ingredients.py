@@ -41,7 +41,7 @@ def check_t_design(design: BlockDesign, t: int) -> int | None:
     """
     if t < 1:
         raise InvalidInputError(f"t must be >= 1, got {t}")
-    if len({len(b) for b in design.blocks}) != 1:
+    if len(set(map(len, design._parts))) != 1:
         return None
     return constant_count(design.incidence, t)
 

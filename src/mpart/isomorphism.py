@@ -42,11 +42,6 @@ class CanonicalForm:
         return repr((_fingerprint(self.design), list(self.design.blocks))).encode()
 
 
-def _size_profiles(design: MultipartDesign) -> list[tuple[int, ...]]:
-    """The part sizes of each block, one entry per factor."""
-    return [tuple(map(len, block)) for block in design.blocks]
-
-
 def _fingerprint(design: MultipartDesign) -> tuple:
     """Cheap relabeling-invariant summary, used as a certificate prefix.
 
@@ -61,7 +56,7 @@ def _fingerprint(design: MultipartDesign) -> tuple:
     meets = meets[np.lexsort(meets.T[::-1])]
     replication = np.diagonal(design.gram).tolist()
     reps = tuple(tuple(sorted(replication[span])) for span in design.spans)
-    return (design.v, tuple(sorted(_size_profiles(design))), reps,
+    return (design.v, tuple(sorted(zip(*design._part_sizes.tolist()))), reps,
             tuple(map(tuple, meets.tolist())))
 
 
@@ -105,7 +100,7 @@ class _Canonicalizer:
         self.factor_of = [i for i in range(self.m) for _ in range(design.v[i])]
         # Refinement reads the colors of each block's points and of each
         # point's blocks through one getter per block and per point.
-        size_profiles = _size_profiles(design)
+        size_profiles = list(zip(*design._part_sizes.tolist()))
         size_rank = {size: i for i, size in enumerate(sorted(set(size_profiles)))}
         self.block_size = [size_rank[size] for size in size_profiles]
         self.block_getters = [_getter(points) for points in design.zipped_blocks]
@@ -368,7 +363,7 @@ def are_weakly_isomorphic(d1: MultipartDesign, d2: MultipartDesign,
     Only the exchanges that keep every factor's level count and multiset
     of part sizes are tried.
     """
-    shape1, shape2 = ([(v, sorted(sizes)) for v, sizes in zip(d.v, zip(*_size_profiles(d)))]
+    shape1, shape2 = ([(v, sorted(sizes)) for v, sizes in zip(d.v, d._part_sizes.tolist())]
                       for d in (d1, d2))
     exchanged = (permute_factors(d2, sigma) for sigma in permutations(range(d2.m))
                  if [shape2[i] for i in sigma] == shape1)

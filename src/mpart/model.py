@@ -134,12 +134,12 @@ def _column(column: Sequence, size: int, where: str
     """Check one factor's part of every block, each distinct object once,
     in the order of the first block that holds it.
 
-    Returns the distinct parts as stored, in that order; the position
-    among them of each block's part; and whether every stored part is the
-    object given.  Objects are told apart by identity, not equality:
-    (0, 1.0) equals (0, 1) but is no part.  The first bad object raises
-    :class:`_BadPart`; an error names a part as ``where.format(t)`` for
-    its first block t.
+    Returns the distinct parts as stored, each value once, in order of
+    first appearance; the position among them of each block's part; and
+    whether every stored part is the object given.  Objects are checked
+    by identity, not equality: (0, 1.0) equals (0, 1) but is no part.  The
+    first bad object raises :class:`_BadPart`; an error names a part as
+    ``where.format(t)`` for its first block t.
     """
     # id of an object -> its position among the distinct objects, numbered
     # as they first occur; ``column`` keeps every id in use meanwhile
@@ -155,7 +155,11 @@ def _column(column: Sequence, size: int, where: str
             parts.append(_normalize_part(part, size, where, t))
         except Exception as exc:  # any error of a part; the caller raises the first
             raise _BadPart(t, exc) from None
-    return tuple(parts), index, all(map(is_, parts, objects))
+    distinct = dict.fromkeys(parts)
+    if len(distinct) < len(parts):  # equal parts given as distinct objects
+        merged = list(map(dict(zip(distinct, count())).__getitem__, parts))
+        index = list(map(merged.__getitem__, index))
+    return tuple(distinct), index, all(map(is_, parts, objects))
 
 
 def _complement(part: Iterable[int], size: int) -> tuple[int, ...]:
@@ -270,6 +274,14 @@ class MultipartDesign(_BlockMultiset):
         """The read-only sum(v) x b 0/1 matrix Z of zipped points against
         blocks; every count of the design is read from Z or :attr:`gram`."""
         return _incidence(self.v, self._parts, self._part_index)
+
+    @cached_property
+    def _part_sizes(self) -> np.ndarray:
+        """The read-only m x b matrix of each block's part size in each factor."""
+        sizes = np.array([np.array(list(map(len, parts)))[picks]
+                          for parts, picks in zip(self._parts, self._part_index)])
+        sizes.flags.writeable = False
+        return sizes
 
     @cached_property
     def gram(self) -> np.ndarray:
@@ -393,13 +405,13 @@ def _off_diagonal_constant(W: np.ndarray) -> int | None:
 def derive_parameters(design: MultipartDesign) -> MultipartParams:
     """Count k, r and the full concurrence table of a design.
 
-    Every value is read from the design's cached incidence matrix and its
+    k is read from the design's part sizes, every other value from its
     Gram matrix; counting is multiset over blocks and never fails.  A
     quantity that varies across the design is reported as ``None``.
     """
     m, v, spans = design.m, design.v, design.spans
-    Z, G = design.incidence, design.gram
-    k = tuple(_constant(Z[span].sum(axis=0)) for span in spans)
+    G = design.gram
+    k = tuple(map(_constant, design._part_sizes))
     r = tuple(_constant(np.diagonal(G)[span]) for span in spans)
     lam: list[list[int | None]] = [[None] * m for _ in range(m)]
     for i, si in enumerate(spans):

@@ -52,27 +52,22 @@ def _level_tables(design: MultipartDesign,
     up to the first t at which some subset varies: pairs are the cross
     counts of ``params``, larger subsets are counted once here from the
     design's distinct parts (``_tuple_count``)."""
-    sizes: list[np.ndarray] = []
     for t in range(2, design.m + 1):
-        if t == 3:  # each block's part size in each factor
-            sizes = [design.incidence[span].sum(axis=0) for span in design.spans]
         table: dict[tuple[int, ...], int] = {}
         for factors in combinations(range(design.m), t):
             value = (params.lam[factors[0]][factors[1]] if t == 2 else
-                     _tuple_count(design, factors, [sizes[i] for i in factors]))
+                     _tuple_count(design, factors))
             if value is None:
                 return
             table[factors] = value
         yield table
 
 
-def _tuple_count(design: MultipartDesign, factors: Sequence[int],
-                 sizes: Sequence[np.ndarray]) -> int | None:
+def _tuple_count(design: MultipartDesign, factors: Sequence[int]) -> int | None:
     """The number of blocks that hold one given level of each of
     ``factors``, when it is the same for every tuple of levels; else None.
 
-    ``sizes`` holds each block's part size in each of ``factors``.  The
-    sum I of the table C of these counts is the number of (block, level
+    The sum I of the table C of these counts is the number of (block, level
     tuple) incidences: each block adds its product of part sizes.  A
     constant C holds I over its entry count in every entry, so a table
     whose entry count does not divide I is refused first; so is one with
@@ -96,6 +91,7 @@ def _tuple_count(design: MultipartDesign, factors: Sequence[int],
     # Every count below is at most b I <= b^2 prod(largest part sizes); in
     # float64, which numpy hands to BLAS, it is exact below 2^53, and past
     # that it is counted in Python ints.
+    sizes = design._part_sizes[list(factors)]
     dtype = np.float64 if design.b ** 2 * prod(int(k.max()) for k in sizes) < 2 ** 53 else object
     incidences = int(prod(k.astype(dtype) for k in sizes).sum())
     levels = [design.v[i] for i in factors]
@@ -379,20 +375,14 @@ def _product_witness(design: MultipartDesign, c: int) -> BlockPartition | None:
     blocks are the full product of their factors' distinct parts and the
     classes verify; else None, which decides nothing.
 
-    Each factor's distinct parts are indexed in order of first
-    appearance, equal parts once.  The classes verify when, for each
-    factor, another factor has a multiple of c distinct parts, as
-    (7,3,1)^3 at c = 7.
+    A part's index is its position among its factor's distinct parts as
+    the design stores them.  The classes verify when, for each factor,
+    another factor has a multiple of c distinct parts, as (7,3,1)^3 at
+    c = 7.
     """
-    counts, labels = [], 0
-    for parts, picks in zip(design._parts, design._part_index):
-        # _parts may hold equal parts as distinct objects; index each value once
-        first: dict[tuple[int, ...], int] = {}
-        labels = labels + np.array([first.setdefault(part, len(first)) for part in parts])[picks]
-        counts.append(len(first))
-    if design.b != prod(counts):
+    if design.b != prod(map(len, design._parts)):
         return None
-    assigned = labels % c
+    assigned = design._part_index.sum(axis=0) % c
     if (np.bincount(assigned, minlength=c) != design.b // c).any():
         return None
     partition = _partition(assigned.tolist(), c)

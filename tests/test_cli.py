@@ -436,6 +436,20 @@ def test_an_unknown_command_lists_every_command(capsys):
     assert all(f"'{command}'" in err for (command,) in list(HELP_SHA256)[1:])
 
 
+def test_a_double_dash_before_the_command_ends_the_options(capsys):
+    assert cli_main(["verify", "fixture:fig1"]) == 0
+    expected = capsys.readouterr()
+    assert cli_main(["--", "verify", "fixture:fig1"]) == 0
+    assert capsys.readouterr() == expected
+    # No command, or no command after it: the usage errors stay as they were.
+    assert cli_main(["--"]) == 1
+    assert capsys.readouterr() == (
+        "", "usage error: the following arguments are required: command\n")
+    assert cli_main(["--", "nonsense"]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("usage error: argument command: invalid choice: '--' ")
+
+
 def test_cli_main_reads_sys_argv_without_an_argument(monkeypatch, capsys):
     monkeypatch.setattr(sys, "argv", ["mpart", "verify", "fixture:fig1", "--format", "json"])
     assert cli_main() == 0

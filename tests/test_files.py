@@ -11,6 +11,8 @@ from mpart.errors import (
     UnknownFactorError,
 )
 from mpart.files import (
+    _block_error,
+    _strip_comment,
     from_json_dict,
     parse_blocks,
     parse_concise,
@@ -120,9 +122,12 @@ def test_a_long_bad_block_line_is_reported_in_linear_time(good, bad, after):
     ("\tblock: C{1} D{1} }", 19),
 ])
 def test_parse_error_columns(line, col):
+    # A good line before the faulty one is passed over.
+    good = "  block:C{3,1}   D{ 2 } # no fault"
+    assert _block_error(_strip_comment(good), 3, ["C", "D"], [3, 3]) is None
     with pytest.raises(ParseError) as err:
-        parse_concise(f"mpart v1\nfactors: C=3 D=3\n{line}\n")
-    assert (err.value.line, err.value.col) == (3, col)
+        parse_concise(f"mpart v1\nfactors: C=3 D=3\n{good}\n{line}\n")
+    assert (err.value.line, err.value.col) == (4, col)
     assert line[col - 1] in "CDX1}"
 
 

@@ -1,5 +1,6 @@
-"""``MultipartDesign`` checks and stores its parts factor by factor, each
-distinct part object once; this suite holds it to the row-wise definition.
+"""``MultipartDesign`` checks its parts factor by factor, each distinct
+part object once, and stores each distinct value once; this suite holds
+it to the row-wise definition.
 
 The reference walks the blocks in order and, within a block, the part
 count and then each factor's part, reading each distinct object of a
@@ -18,8 +19,12 @@ import pytest
 hypothesis = pytest.importorskip("hypothesis")
 st = pytest.importorskip("hypothesis.strategies")
 
+from mpart.constructions import meet_filter  # noqa: E402
 from mpart.errors import InvalidInputError  # noqa: E402
-from mpart.model import MultipartDesign, _normalize_part  # noqa: E402
+from mpart.files import parse_concise, serialize_concise  # noqa: E402
+from mpart.fixtures import load_design, steiner_3_22_6  # noqa: E402
+from mpart.isomorphism import canonical_form  # noqa: E402
+from mpart.model import BlockDesign, MultipartDesign, _normalize_part  # noqa: E402
 
 from helpers import oracle_replications  # noqa: E402
 
@@ -149,6 +154,33 @@ def test_the_column_wise_model_is_the_row_wise_definition(recipe):
         replications = oracle_replications(expected, i)
         assert [replications.get(x, 0) for x in range(size)] == \
             Z[offsets[i]:offsets[i + 1]].sum(axis=1).tolist()
+        column = [block[i] for block in expected]
+        assert_stored_by_value(design._parts[i], design._part_index[i], column)
+        assert design._part_sizes[i].tolist() == list(map(len, column))
+    assert not design._part_sizes.flags.writeable
+    # A block design stores its distinct blocks by the same rule.
+    v, blocks = build(recipe)
+    single = BlockDesign(v[0], tuple(block[0] for block in blocks))
+    assert single.blocks == tuple(block[0] for block in expected)
+    assert_stored_by_value(single._parts, single._part_index, single.blocks)
+
+
+def assert_stored_by_value(parts, index, column):
+    """``parts`` holds each value of ``column`` once, in order of first
+    appearance, and ``index`` points each entry of ``column`` at its value."""
+    assert list(parts) == list(dict.fromkeys(column))
+    assert [parts[p] for p in index] == list(column)
+
+
+@pytest.mark.parametrize("make", [
+    lambda: canonical_form(load_design("fig8b")).design,
+    lambda: meet_filter(steiner_3_22_6(), steiner_3_22_6().blocks[0], 2),
+], ids=["canonical fig8b", "meet filter"])
+def test_a_design_stores_the_parts_of_its_reparse(make):
+    # Built from fresh tuples, a design stores each part value once, as
+    # the parser's shared objects do.
+    design = make()
+    assert design._parts == parse_concise(serialize_concise(design))._parts
 
 
 @_SETTINGS
