@@ -375,8 +375,8 @@ def _make_parser(argv: list) -> _Parser:
 
 def cli_main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
-    # "--" ends the options, and none come before a command: drop it there.
-    if len(argv) > 1 and argv[0] == "--" and argv[1] in _COMMANDS:
+    # "--" ends the options, and none come before a command: drop it before a non-option.
+    if len(argv) > 1 and argv[0] == "--" and not argv[1].startswith("-"):
         del argv[0]
     try:
         args = _make_parser(argv).parse_args(argv)

@@ -33,6 +33,7 @@ from .model import (
     BlockDesign,
     BlockPartition,
     MultipartDesign,
+    _blocks,
     _complement,
     _normalize_part,
     _offsets,
@@ -222,12 +223,12 @@ def augment(design: MultipartDesign, factor: int) -> MultipartDesign:
         raise SizeMismatchError(f"augment needs v = 2k + 1, got v={v}, k={k}")
 
     new_v = tuple(x + 1 if i == factor else x for i, x in enumerate(design.v))
-    blocks = []
-    for block in design.blocks:
-        for new_part in (block[factor] + (v,), _complement(block[factor], v)):
-            blocks.append(tuple(new_part if i == factor else p
-                                for i, p in enumerate(block)))
-    return MultipartDesign(v=new_v, blocks=tuple(blocks),
+    parts = list(design._parts)
+    distinct = parts[factor]
+    parts[factor] = [p + (v,) for p in distinct] + [_complement(p, v) for p in distinct]
+    index = design._part_index.repeat(2, axis=1)
+    index[factor, 1::2] += len(distinct)
+    return MultipartDesign(v=new_v, blocks=_blocks(parts, index.tolist()),
                            factor_names=design.factor_names)
 
 
@@ -240,14 +241,14 @@ def part_swap(design: MultipartDesign, factor: int) -> MultipartDesign:
     """
     if not 0 <= factor < design.m:
         raise InvalidInputError(f"factor {factor} out of range")
-    blocks = []
-    for t, block in enumerate(design.blocks):
-        comp = _complement(block[factor], design.v[factor])
+    parts = list(design._parts)
+    parts[factor] = [_complement(part, design.v[factor]) for part in parts[factor]]
+    index = design._part_index.tolist()
+    for p, comp in enumerate(parts[factor]):  # parts in order of their first block
         if len(comp) < 2:
-            raise ComplementTooSmallError(
-                f"block {t} leaves only {len(comp)} levels after complementing")
-        blocks.append(tuple(comp if i == factor else p for i, p in enumerate(block)))
-    return MultipartDesign(v=design.v, blocks=tuple(blocks),
+            raise ComplementTooSmallError(f"block {index[factor].index(p)} leaves only "
+                                          f"{len(comp)} levels after complementing")
+    return MultipartDesign(v=design.v, blocks=_blocks(parts, index),
                            factor_names=design.factor_names)
 
 

@@ -28,7 +28,7 @@ from .errors import (
     ParseError,
     UnknownFactorError,
 )
-from .model import BlockDesign, MultipartDesign, derive_parameters
+from .model import BlockDesign, MultipartDesign, _blocks, derive_parameters
 
 _NAME_RE = re.compile(r"[A-Za-z][A-Za-z0-9_]*")
 _HEADER = "mpart v1"
@@ -55,8 +55,7 @@ def _rows(design: MultipartDesign, part_text) -> Iterator[tuple[str, ...]]:
     """Each block as the tuple of its parts' texts, ``part_text(i, part)``
     of factor i's part; each distinct part of a factor is rendered once."""
     texts = [[part_text(i, part) for part in parts] for i, parts in enumerate(design._parts)]
-    return zip(*(map(text.__getitem__, picks)
-                 for text, picks in zip(texts, design._part_index.tolist())))
+    return _blocks(texts, design._part_index.tolist())
 
 
 def _strip_comment(line: str) -> str:
@@ -125,8 +124,8 @@ def parse_concise(text: str) -> MultipartDesign:
         raise _first_fault(rest, n, names, sizes)
     if not rows:
         raise ParseError("no blocks", n, 1)
-    blocks = zip(*(map(parts.__getitem__, column) for parts, column in zip(known, columns)))
-    return MultipartDesign(v=tuple(sizes), blocks=tuple(blocks), factor_names=tuple(names))
+    return MultipartDesign(v=tuple(sizes), blocks=tuple(_blocks(known, columns)),
+                           factor_names=tuple(names))
 
 
 def _first_fault(lines: list[str], n: int, names: list[str], sizes: list[int]) -> ParseError:

@@ -22,7 +22,7 @@ from operator import add, itemgetter, sub
 import numpy as np
 
 from .errors import DEFAULT_BUDGET, BudgetExceededError
-from .model import MultipartDesign, _count_product, permute_factors
+from .model import MultipartDesign, _blocks, _count_product, permute_factors
 
 
 class CanonicalForm:
@@ -109,10 +109,9 @@ class _Canonicalizer:
         self.pair = design.gram.tolist()
         # The pair profile key of color c and pair count w is c * base + w.
         self.base = int(design.gram.max()) + 1
-        self.part_getters = [
-            tuple(_getter([offsets[i] + x for x in part]) for i, part in enumerate(block))
-            for block in design.blocks
-        ]
+        self.part_getters = [[_getter([offset + x for x in part]) for part in parts]
+                             for offset, parts in zip(offsets, design._parts)]
+        self.part_index = design._part_index.tolist()
         self.offset_of = [offsets[i] for i in self.factor_of]
         self.first: _Leaf | None = None
         self.best: _Leaf | None = None
@@ -173,8 +172,9 @@ class _Canonicalizer:
 
     def _candidate(self, position: tuple[int, ...]) -> list:
         level = list(map(sub, position, self.offset_of))
-        return sorted(tuple(tuple(sorted(getter(level))) for getter in getters)
-                      for getters in self.part_getters)
+        parts = [[tuple(sorted(getter(level))) for getter in getters]
+                 for getters in self.part_getters]
+        return sorted(_blocks(parts, self.part_index))
 
     def _leaf(self, colors: tuple[int, ...], path: tuple[int, ...]) -> int | None:
         """Record a leaf; return the depth to jump back to, if any.

@@ -162,6 +162,12 @@ def _column(column: Sequence, size: int, where: str
     return tuple(distinct), index, all(map(is_, parts, objects))
 
 
+def _blocks(parts: Sequence, index: Sequence[Iterable]) -> Iterable[tuple]:
+    """Each block t as the tuple of ``parts[i][index[i][t]]`` over factors
+    i, the part objects shared between the blocks that hold them."""
+    return zip(*(map(distinct.__getitem__, picks) for distinct, picks in zip(parts, index)))
+
+
 def _complement(part: Iterable[int], size: int) -> tuple[int, ...]:
     """The levels 0..size-1 outside ``part``, in increasing order."""
     inside = set(part)
@@ -239,7 +245,7 @@ class MultipartDesign(_BlockMultiset):
             raise InvalidInputError("a design needs at least one block")
         parts, index, kept = zip(*columns)
         if not all(kept):
-            rows = zip(*(map(distinct.__getitem__, picks) for distinct, picks in zip(parts, index)))
+            rows = _blocks(parts, index)
         object.__setattr__(self, "v", v)
         object.__setattr__(self, "blocks", tuple(rows))
         object.__setattr__(self, "factor_names", names)
@@ -525,11 +531,10 @@ def relabel_levels(design: MultipartDesign,
     for i, perm in enumerate(perms):
         if sorted(perm) != list(range(design.v[i])):
             raise InvalidInputError(f"not a permutation of factor {i} levels: {perm}")
-    blocks = tuple(
-        tuple(tuple(sorted(perms[i][x] for x in part)) for i, part in enumerate(block))
-        for block in design.blocks
-    )
-    return MultipartDesign(v=design.v, blocks=blocks, factor_names=design.factor_names)
+    parts = [[tuple(sorted(map(perm.__getitem__, part))) for part in distinct]
+             for perm, distinct in zip(perms, design._parts)]
+    return MultipartDesign(v=design.v, blocks=_blocks(parts, design._part_index.tolist()),
+                           factor_names=design.factor_names)
 
 
 def permute_factors(design: MultipartDesign, order: Sequence[int]) -> MultipartDesign:

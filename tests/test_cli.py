@@ -441,11 +441,17 @@ def test_a_double_dash_before_the_command_ends_the_options(capsys):
     expected = capsys.readouterr()
     assert cli_main(["--", "verify", "fixture:fig1"]) == 0
     assert capsys.readouterr() == expected
-    # No command, or no command after it: the usage errors stay as they were.
+    # An unknown command after it is named as it is without the "--".
+    assert cli_main(["nonsense"]) == 1
+    expected = capsys.readouterr()
+    assert expected.err.startswith("usage error: argument command: invalid choice: 'nonsense' ")
+    assert cli_main(["--", "nonsense"]) == 1
+    assert capsys.readouterr() == expected
+    # No command, or an option after it: the usage errors stay as they were.
     assert cli_main(["--"]) == 1
     assert capsys.readouterr() == (
         "", "usage error: the following arguments are required: command\n")
-    assert cli_main(["--", "nonsense"]) == 1
+    assert cli_main(["--", "--help"]) == 1
     out, err = capsys.readouterr()
     assert out == "" and err.startswith("usage error: argument command: invalid choice: '--' ")
 

@@ -19,12 +19,14 @@ import pytest
 hypothesis = pytest.importorskip("hypothesis")
 st = pytest.importorskip("hypothesis.strategies")
 
-from mpart.constructions import meet_filter  # noqa: E402
-from mpart.errors import InvalidInputError  # noqa: E402
+from mpart import model  # noqa: E402
+from mpart.constructions import augment, cartesian_product, meet_filter, part_swap  # noqa: E402
+from mpart.errors import ComplementTooSmallError, InvalidInputError  # noqa: E402
 from mpart.files import parse_concise, serialize_concise  # noqa: E402
 from mpart.fixtures import load_design, steiner_3_22_6  # noqa: E402
-from mpart.isomorphism import canonical_form  # noqa: E402
-from mpart.model import BlockDesign, MultipartDesign, _normalize_part  # noqa: E402
+from mpart.ingredients import get_bibd  # noqa: E402
+from mpart.isomorphism import _Canonicalizer, canonical_form  # noqa: E402
+from mpart.model import BlockDesign, MultipartDesign, _normalize_part, relabel_levels  # noqa: E402
 
 from helpers import oracle_replications  # noqa: E402
 
@@ -241,3 +243,143 @@ def test_a_part_in_stored_form_is_kept_and_any_other_is_checked(size, levels, or
     for other in others:
         got = _normalize_part(other, size, "part")
         assert got == stored and got is not other and set(map(type, got)) == {int}
+
+
+# The transforms map each factor's distinct parts once and index them as
+# the design does.  Each is held to its row-wise definition: the design
+# built from fresh tuples, one per block and factor, as it was written
+# block by block.
+
+
+def _fresh(blocks):
+    """``blocks`` with every part a new tuple object."""
+    return tuple(tuple(tuple([*part]) for part in block) for block in blocks)
+
+
+def assert_same_design(got, expected):
+    assert got.v == expected.v and got.factor_names == expected.factor_names
+    assert got.blocks == expected.blocks
+    assert got._parts == expected._parts
+    assert got._part_index.tolist() == expected._part_index.tolist()
+
+
+@_SETTINGS
+@hypothesis.given(recipes(faults=False), st.data())
+def test_relabel_levels_is_its_row_wise_definition(recipe, data):
+    design = MultipartDesign(*build(recipe))
+    perms = [data.draw(st.permutations(range(size))) for size in design.v]
+    blocks = tuple(tuple(tuple(sorted(perms[i][x] for x in part)) for i, part in enumerate(block))
+                   for block in design.blocks)
+    assert_same_design(relabel_levels(design, perms),
+                       MultipartDesign(design.v, _fresh(blocks), design.factor_names))
+
+
+def reference_part_swap(design, factor):
+    blocks = []
+    for t, block in enumerate(design.blocks):
+        comp = tuple(x for x in range(design.v[factor]) if x not in block[factor])
+        if len(comp) < 2:
+            raise ComplementTooSmallError(
+                f"block {t} leaves only {len(comp)} levels after complementing")
+        blocks.append(tuple(comp if i == factor else p for i, p in enumerate(block)))
+    return MultipartDesign(design.v, _fresh(blocks), design.factor_names)
+
+
+@_SETTINGS
+@hypothesis.given(recipes(faults=False), st.data())
+def test_part_swap_is_its_row_wise_definition(recipe, data):
+    design = MultipartDesign(*build(recipe))
+    factor = data.draw(st.integers(0, design.m - 1))
+    expected, error = _outcome(lambda: reference_part_swap(design, factor))
+    got, got_error = _outcome(lambda: part_swap(design, factor))
+    if error is not None:
+        assert (type(got_error), str(got_error)) == (type(error), str(error))
+        return
+    assert got_error is None, got_error
+    assert_same_design(got, expected)
+
+
+def test_part_swap_names_the_first_block_whose_complement_is_too_small():
+    # Blocks 2 to 4 leave too few levels; so do blocks 2 and 3 of the
+    # second design, whose block 3 leaves fewer.
+    d = MultipartDesign((2, 4), (((0,), (0, 1)), ((1,), (0, 1)), ((0,), (0, 1, 2, 3)),
+                                 ((1,), (1, 2, 3)), ((0,), (0, 1, 2, 3))))
+    with pytest.raises(ComplementTooSmallError,
+                       match=r"^block 2 leaves only 0 levels after complementing$"):
+        part_swap(d, 1)
+    d = MultipartDesign((2, 4), (((0,), (0, 1)), ((1,), (0, 2)), ((0,), (1, 2, 3)),
+                                 ((1,), (0, 1, 2, 3))))
+    with pytest.raises(ComplementTooSmallError,
+                       match=r"^block 2 leaves only 1 levels after complementing$"):
+        part_swap(d, 1)
+
+
+def reference_augment(design, factor):
+    v = design.v[factor]
+    blocks = []
+    for block in design.blocks:
+        comp = tuple(x for x in range(v) if x not in block[factor])
+        for new_part in (block[factor] + (v,), comp):
+            blocks.append(tuple(new_part if i == factor else p for i, p in enumerate(block)))
+    new_v = tuple(x + 1 if i == factor else x for i, x in enumerate(design.v))
+    return MultipartDesign(new_v, _fresh(blocks), design.factor_names)
+
+
+@_SETTINGS
+@hypothesis.given(recipes(faults=False), st.data())
+def test_augment_is_its_row_wise_definition(recipe, data):
+    # One factor's pool is redrawn as k-subsets of 2k + 1 levels, so that
+    # augment applies; the other factors keep the recipe's parts.
+    v, pools, rows = recipe
+    factor = data.draw(st.integers(0, len(v) - 1))
+    k = data.draw(st.integers(1, 3))
+    subsets = st.lists(st.integers(0, 2 * k), min_size=k, max_size=k, unique=True)
+    pools = list(pools)
+    pools[factor] = [(kind, tuple(data.draw(subsets))) for kind, _ in pools[factor]]
+    v = v[:factor] + (2 * k + 1,) + v[factor + 1:]
+    design = MultipartDesign(*build((v, pools, rows)))
+    assert_same_design(augment(design, factor), reference_augment(design, factor))
+
+
+@_SETTINGS
+@hypothesis.given(recipes(faults=False))
+def test_the_canonical_candidates_are_their_row_wise_definition(recipe):
+    design = MultipartDesign(*build(recipe))
+    search = _Canonicalizer(design, 10 ** 6)
+    search.run()
+    offsets = design.offsets
+
+    def row_wise(leaf):
+        # A leaf's coloring is each point's canonical position.
+        level = [position - offsets[i] for i, size in enumerate(design.v)
+                 for position in leaf.colors[offsets[i]:offsets[i] + size]]
+        return sorted(tuple(tuple(sorted(level[offsets[i] + x] for x in part))
+                            for i, part in enumerate(block)) for block in design.blocks)
+
+    assert search.first.candidate == row_wise(search.first)
+    assert search.best.candidate == row_wise(search.best)
+    assert_same_design(canonical_form(design).design,
+                       MultipartDesign(design.v, _fresh(row_wise(search.best)),
+                                       design.factor_names))
+
+
+def test_transforms_check_each_distinct_part_once(monkeypatch):
+    # Work scales with the distinct parts, 7 per factor of a (7,3,1) power,
+    # and not with the 343 or 2401 blocks.
+    fano = get_bibd(7, 3, 1)
+    d2, d3, d4 = (cartesian_product([fano] * m) for m in (2, 3, 4))
+    reverse = [list(range(6, -1, -1))] * 4
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return _normalize_part(*args)
+
+    monkeypatch.setattr(model, "_normalize_part", counted)
+    for transform, parts in [(lambda: relabel_levels(d4, reverse), 28),
+                             (lambda: part_swap(d4, 1), 28),
+                             (lambda: augment(d3, 0), 14 + 7 + 7),
+                             (lambda: canonical_form(d2).design, 14)]:
+        calls.clear()
+        design = transform()
+        assert len(calls) == parts == sum(map(len, design._parts))
