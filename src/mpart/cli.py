@@ -375,10 +375,15 @@ def _make_parser(argv: list) -> _Parser:
 
 def cli_main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
-    # "--" ends the options, and none come before a command: drop it before a non-option.
-    if len(argv) > 1 and argv[0] == "--" and not argv[1].startswith("-"):
-        del argv[0]
     try:
+        # "--" ends the options, and none come before a command: drop it, and
+        # name an operand after it that reads as an option as the unknown command.
+        if len(argv) > 1 and argv[0] == "--":
+            del argv[0]
+            if argv[0].startswith("-"):
+                choices = ", ".join(map(repr, _COMMANDS))
+                raise _UsageError(
+                    f"argument command: invalid choice: {argv[0]!r} (choose from {choices})")
         args = _make_parser(argv).parse_args(argv)
         return _COMMANDS[args.command][1](args)
     except _UsageError as exc:

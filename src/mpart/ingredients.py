@@ -26,7 +26,6 @@ from .errors import (
     NotInCatalogError,
 )
 from .model import BlockDesign, as_multipart, complement_design, constant_count
-from .verify import find_partition
 
 # --------------------------------------------------------------------------
 # balance checking
@@ -312,6 +311,9 @@ def resolvable_classes(design: BlockDesign, budget: int = DEFAULT_BUDGET):
     both phases run out.  None also when the blocks differ in size or
     the points in replication, where some point's quota would not be 1.
     """
+    # Imported here, so that get_bibd does not load the search module.
+    from .verify import find_partition
+
     r = check_t_design(design, 1)
     if r is None:
         return None

@@ -447,13 +447,14 @@ def test_a_double_dash_before_the_command_ends_the_options(capsys):
     assert expected.err.startswith("usage error: argument command: invalid choice: 'nonsense' ")
     assert cli_main(["--", "nonsense"]) == 1
     assert capsys.readouterr() == expected
-    # No command, or an option after it: the usage errors stay as they were.
+    # No command: the usage error stays as it was.
     assert cli_main(["--"]) == 1
     assert capsys.readouterr() == (
         "", "usage error: the following arguments are required: command\n")
-    assert cli_main(["--", "--help"]) == 1
-    out, err = capsys.readouterr()
-    assert out == "" and err.startswith("usage error: argument command: invalid choice: '--' ")
+    # An operand after it that reads as an option is the unknown command.
+    for token in ("--help", "-x"):
+        assert cli_main(["--", token]) == 1
+        assert capsys.readouterr() == ("", expected.err.replace("'nonsense'", repr(token)))
 
 
 def test_cli_main_reads_sys_argv_without_an_argument(monkeypatch, capsys):
