@@ -7,6 +7,7 @@ an unbalanced design: the report carries the failures.
 
 from __future__ import annotations
 
+from collections import defaultdict, deque
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate, combinations, islice
@@ -21,6 +22,7 @@ from .model import (
     BlockPartition,
     MultipartDesign,
     MultipartParams,
+    _complement,
     _part_matrix,
     derive_parameters,
     factor_rows,
@@ -330,14 +332,17 @@ def find_partition(design: MultipartDesign, c: int,
     1. Phase 1 backtracks over class assignments in block-index order
        (``_first_steps``).  Its witness is the lexicographically
        least canonical one.
-    2. A product's witness read off its factors (``_product_witness``),
-       returned only if ``verify_partition`` accepts it.
+    2. The witness step (``_structural_witness``) reads classes off the
+       design's structure, trying three kinds in this order: digit sums
+       and then diagonal cosets of a full product of its factors'
+       distinct parts, then runs of complement pairs.  A kind's classes
+       are returned only if ``verify_partition`` accepts them.
     3. Phase 2, a complete search that branches on the most constrained
        (class, level) pair (``_second_steps``).
 
     The phases alternate on doubling slices: phase 1 spends the first
-    ``min(FIRST_SLICE, budget)`` nodes, the product witness is tried
-    once, phase 2 spends as many nodes, and each later slice is twice
+    ``min(FIRST_SLICE, budget)`` nodes, the witness step runs once,
+    phase 2 spends as many nodes, and each later slice is twice
     the one before, until each phase has spent ``budget`` nodes.  So
     the lexicographically least witness is promised only when phase 1
     decides within the first slice, and a search spends at most
@@ -360,7 +365,7 @@ def find_partition(design: MultipartDesign, c: int,
         result = first.run(limit)
         if result is UNKNOWN:
             if second is None:
-                witness = _product_witness(design, c)
+                witness = _structural_witness(design, c)
                 if witness is not None:
                     return witness
                 second = _Search(_second_steps(*quotas))
@@ -370,10 +375,32 @@ def find_partition(design: MultipartDesign, c: int,
         size = min(2 * size, budget - limit)
 
 
-def _product_witness(design: MultipartDesign, c: int) -> BlockPartition | None:
+def _structural_witness(design: MultipartDesign, c: int) -> BlockPartition | None:
+    """The first witness read off the design's structure, trying
+    ``_digit_sums``, ``_diagonal_cosets`` and ``_complement_pairs`` in
+    that order; else None, which decides nothing.  Each kind reads the
+    stored distinct parts and part index, and returns its classes only
+    if ``verify_partition`` accepts them."""
+    for kind in _WITNESS_KINDS:
+        witness = kind(design, c)
+        if witness is not None:
+            return witness
+    return None
+
+
+def _verified(design: MultipartDesign, c: int, assigned) -> BlockPartition | None:
+    """The partition that puts block t in class ``assigned[t]``, when its
+    c classes are equal in size and ``verify_partition`` accepts it."""
+    assigned = np.asarray(assigned)
+    if (np.bincount(assigned, minlength=c) != design.b // c).any():
+        return None
+    partition = _partition(assigned.tolist(), c)
+    return partition if verify_partition(design, partition) else None
+
+
+def _digit_sums(design: MultipartDesign, c: int) -> BlockPartition | None:
     """Classes by the sum, mod c, of each block's part indices, when the
-    blocks are the full product of their factors' distinct parts and the
-    classes verify; else None, which decides nothing.
+    blocks are the full product of their factors' distinct parts.
 
     A part's index is its position among its factor's distinct parts as
     the design stores them.  The classes verify when, for each factor,
@@ -382,11 +409,76 @@ def _product_witness(design: MultipartDesign, c: int) -> BlockPartition | None:
     """
     if design.b != prod(map(len, design._parts)):
         return None
-    assigned = design._part_index.sum(axis=0) % c
-    if (np.bincount(assigned, minlength=c) != design.b // c).any():
+    return _verified(design, c, design._part_index.sum(axis=0) % c)
+
+
+def _diagonal_cosets(design: MultipartDesign, c: int) -> BlockPartition | None:
+    """Classes by the cosets of the diagonal, when the blocks are the full
+    product of their factors' distinct parts.
+
+    The factors with equal numbers n of distinct parts form a group, led
+    by its first factor.  A block's coset is the tuple, over the other
+    factors of every group, of its part index minus its leader's, mod n;
+    its class is that tuple read as a mixed-radix number, the first
+    factor's digit least significant, mod c.  So c equal to the product
+    of the first few radices keeps the first few digits: (7,3,1)^3 splits
+    into 49 classes, and (7,3,1)^4 into 49 or 343.  Each coset holds
+    every part of each factor equally often.
+    """
+    counts = list(map(len, design._parts))
+    if design.b != prod(counts):
         return None
-    partition = _partition(assigned.tolist(), c)
-    return partition if verify_partition(design, partition) else None
+    index = design._part_index
+    leaders: dict[int, int] = {}
+    coset, radix = 0, 1
+    for i, n in enumerate(counts):
+        if n in leaders:
+            coset = coset + radix * ((index[i] - index[leaders[n]]) % n)
+            radix *= n
+        else:
+            leaders[n] = i
+    if radix == 1:
+        return None
+    return _verified(design, c, coset % c)
+
+
+def _complement_pairs(design: MultipartDesign, c: int) -> BlockPartition | None:
+    """Classes of pairs of blocks whose parts are complements in every
+    factor, when every block pairs and c divides b/2.
+
+    Each block pairs with the first unpaired block before it that holds
+    its complement, if any.  A pair holds every level of every factor
+    once, so any c runs of b/(2c) pairs, taken here in order of their
+    first block, are classes: a Hadamard split's pairs are its rows.
+    """
+    b = design.b
+    if b % (2 * c):
+        return None
+    opposite = []
+    for size, parts, picks in zip(design.v, design._parts, design._part_index):
+        where = dict(zip(parts, range(len(parts))))
+        across = [where.get(_complement(part, size)) for part in parts]
+        if None in across:
+            return None
+        opposite.append(np.array(across)[picks].tolist())
+    keys = zip(*design._part_index.tolist())
+    waiting: dict[tuple, deque] = defaultdict(deque)
+    pairs = []
+    for t, (key, wanted) in enumerate(zip(keys, zip(*opposite))):
+        if waiting[wanted]:
+            pairs.append((waiting[wanted].popleft(), t))
+        else:
+            waiting[key].append(t)
+    if 2 * len(pairs) != b:
+        return None
+    run = b // (2 * c)
+    assigned = [0] * b
+    for q, (s, t) in enumerate(sorted(pairs)):
+        assigned[s] = assigned[t] = q // run
+    return _verified(design, c, assigned)
+
+
+_WITNESS_KINDS = (_digit_sums, _diagonal_cosets, _complement_pairs)
 
 
 def _quotas(design: MultipartDesign, c: int) -> tuple[int, list[int], list[list[int]]] | None:

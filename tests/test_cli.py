@@ -295,30 +295,31 @@ def test_build_class_matched(capsys):
     assert d.m == 3 and d.b == 20
 
 
-def _had16_path(tmp_path) -> str:
-    from mpart.constructions import hadamard_2part
+def _pairs10_path(tmp_path) -> str:
     from mpart.files import serialize_concise
-    from mpart.ingredients import hadamard_matrix
+    from mpart.ingredients import as_multipart, get_bibd
 
-    path = tmp_path / "had16.design"
-    path.write_text(serialize_concise(hadamard_2part(hadamard_matrix(16), 1)))
+    path = tmp_path / "pairs10.design"
+    path.write_text(serialize_concise(as_multipart(get_bibd(10, 2, 1))))
     return str(path)
 
 
+# All pairs of 10 at c = 9 is decided by search alone: its blocks are not
+# a product of distinct parts, and no block's complement is a block.
 def test_build_class_matched_budget_exhausted(tmp_path, capsys):
-    # Hadamard 16 is 7-partitionable; phase 2 decides it at 28 nodes.
-    args = ["build", "class-matched", "--design", _had16_path(tmp_path),
-            "--classes", "7", "--ingredient", "7,3,1", "--budget"]
-    assert cli_main(args + ["27"]) == 4
+    # All pairs of 10 is 9-partitionable; phase 2 decides it at 45 nodes.
+    args = ["build", "class-matched", "--design", _pairs10_path(tmp_path),
+            "--classes", "9", "--ingredient", "9,8,7", "--budget"]
+    assert cli_main(args + ["44"]) == 4
     assert "partition search budget exhausted" in capsys.readouterr().err
-    assert cli_main(args + ["28"]) == 0
+    assert cli_main(args + ["45"]) == 0
 
 
 def test_build_oa_budget_exhausted_and_not_partitionable(capsys):
-    args = ["build", "oa", "--ingredient", "4,2,1", "--ingredient", "4,2,1"]
-    assert cli_main(args + ["--classes", "3", "--budget", "5"]) == 4
+    args = ["build", "oa", "--ingredient", "10,2,1", "--ingredient", "10,2,1"]
+    assert cli_main(args + ["--classes", "9", "--budget", "44"]) == 4
     assert "partition search budget exhausted" in capsys.readouterr().err
-    assert cli_main(args + ["--classes", "3", "--budget", "6"]) == 0
+    assert cli_main(args + ["--classes", "9", "--budget", "45"]) == 0
     capsys.readouterr()
     assert cli_main(args + ["--classes", "4"]) == 2
     assert "not 4-partitionable" in capsys.readouterr().err
@@ -373,11 +374,9 @@ def test_an_exhausted_partition_writes_nothing_to_stdout(tmp_path, capsys, fmt):
     argv = ["partition", "fixture:fig4a", "--c", "10", "--budget", "1", "--format", fmt]
     assert cli_main(argv) == 4
     assert capsys.readouterr() == ("", "budget exhausted: undecided\n")
-    # (7,3,1)^3 at 49 classes: neither phase decides within 50 nodes.
-    path = tmp_path / "p343.design"
-    assert cli_main(["build", "cartesian", "--ingredient", "7,3,1", "--ingredient", "7,3,1",
-                     "--ingredient", "7,3,1", "-o", str(path)]) == 0
-    assert cli_main(["partition", str(path), "--c", "49", "--budget", "50",
+    # All pairs of 10 at 9 classes: no witness is read off its structure,
+    # and neither phase decides within 44 nodes.
+    assert cli_main(["partition", _pairs10_path(tmp_path), "--c", "9", "--budget", "44",
                      "--format", fmt]) == 4
     assert capsys.readouterr() == ("", "budget exhausted: undecided\n")
 

@@ -449,7 +449,7 @@ def test_second_phase_alone_agrees_with_the_recorded_answers():
 
 
 # The searches phase 1 leaves undecided at 50000 nodes in some block order:
-# phase 2 decides the catalog ones, and the product witness the products.
+# phase 2 decides the catalog ones, and the digit-sum witness the products.
 LISTED_SEARCHES = {
     "halves of a Hadamard matrix of order 16": (3, 5),
     "complement of all pairs of 10": (9,),
@@ -470,7 +470,7 @@ def _listed_searches():
 
 def test_listed_searches_decide_in_every_block_order():
     from mpart.model import reorder_blocks
-    from mpart.verify import _product_witness
+    from mpart.verify import _digit_sums
 
     for d, c, product in _listed_searches():
         result = find_partition(d, c, budget=50_000)
@@ -479,7 +479,7 @@ def test_listed_searches_decide_in_every_block_order():
             order = random.Random(seed).sample(range(d.b), d.b) if seed else range(d.b)
             shuffled = reorder_blocks(d, order)
             if product:
-                witness = _product_witness(shuffled, c)
+                witness = _digit_sums(shuffled, c)
             else:
                 witness = second_phase(shuffled, c, budget=50_000)
             assert witness is not None and witness is not UNKNOWN, (d.b, c, seed)
@@ -488,22 +488,22 @@ def test_listed_searches_decide_in_every_block_order():
 
 def test_product_witness_needs_the_full_product_and_verifies():
     from mpart.constructions import cartesian_product
-    from mpart.verify import _product_witness
+    from mpart.verify import _digit_sums
 
     d = cartesian_product([get_bibd(7, 3, 1)] * 2)
-    assert verify_partition(d, _product_witness(d, 7))
+    assert verify_partition(d, _digit_sums(d, 7))
     # One block dropped and another repeated: b is still 7 x 7.
     repeated = MultipartDesign(v=d.v, blocks=d.blocks[:-1] + d.blocks[:1])
-    assert _product_witness(repeated, 7) is None
+    assert _digit_sums(repeated, 7) is None
     # Classes by index sum mod 3 hold 7 blocks each, but the 7 parts of
     # the first factor do not spread evenly over 3 classes.
     d = cartesian_product([get_bibd(7, 3, 1), get_bibd(3, 2, 1)])
-    assert _product_witness(d, 3) is None
+    assert _digit_sums(d, 3) is None
 
 
 def test_product_witness_indexes_equal_parts_once():
     from mpart.constructions import cartesian_product
-    from mpart.verify import _product_witness
+    from mpart.verify import _digit_sums
 
     d = cartesian_product([get_bibd(7, 3, 1)] * 3)
     # Every part a fresh tuple: the design checks 343 distinct objects per
@@ -519,7 +519,50 @@ def test_product_witness_indexes_equal_parts_once():
         classes[sum(parts.setdefault(part, len(parts))
                     for parts, part in zip(index, block)) % 7].append(t)
     expected = BlockPartition(tuple(map(tuple, classes)))
-    assert _product_witness(fresh, 7) == _product_witness(d, 7) == expected
+    assert _digit_sums(fresh, 7) == _digit_sums(d, 7) == expected
+
+
+def test_diagonal_cosets_decide_the_powers_of_the_fano_plane():
+    from mpart.constructions import cartesian_product
+    from mpart.verify import _diagonal_cosets, _digit_sums
+
+    for power, c in ((3, 49), (4, 49), (4, 343)):
+        d = cartesian_product([get_bibd(7, 3, 1)] * power)
+        assert _digit_sums(d, c) is None
+        # The default budget: phase 1's first slice, then the witness.
+        witness = find_partition(d, c)
+        assert witness == _diagonal_cosets(d, c) and verify_partition(d, witness), (power, c)
+    # Block t holds parts (x, y, z), t = 49 x + 7 y + z: its class is
+    # (y - x) + 7 (z - x), each difference mod 7.
+    d = cartesian_product([get_bibd(7, 3, 1)] * 3)
+    classes: list[list[int]] = [[] for _ in range(49)]
+    for t in range(d.b):
+        x, y, z = t // 49, t // 7 % 7, t % 7
+        classes[(y - x) % 7 + 7 * ((z - x) % 7)].append(t)
+    assert _diagonal_cosets(d, 49) == BlockPartition(tuple(map(tuple, classes)))
+    # Only factors with equal numbers of distinct parts form a coset.
+    assert _diagonal_cosets(cartesian_product([get_bibd(7, 3, 1), get_bibd(4, 2, 1)]), 7) is None
+
+
+def test_complement_pairs_are_a_hadamard_splits_row_pairs():
+    from mpart.constructions import hadamard_2part, row_pair_partition
+    from mpart.ingredients import hadamard_matrix
+    from mpart.verify import _complement_pairs
+
+    d = hadamard_2part(hadamard_matrix(16), 1)
+    pairs = row_pair_partition(d).classes
+    for c in (7, 14):
+        run = d.b // (2 * c)
+        expected = BlockPartition(tuple(sum(pairs[j * run:(j + 1) * run], ())
+                                        for j in range(c)))
+        assert _complement_pairs(d, c) == expected
+        # Decided with no phase-2 node: at any budget, however small.
+        for budget in (0, 1, 20):
+            assert find_partition(d, c, budget=budget) == expected, (c, budget)
+    # c must divide the 14 pairs; all pairs of 4 pair up, all pairs of 5 do not.
+    assert _complement_pairs(d, 4) is None
+    assert _complement_pairs(as_multipart(get_bibd(4, 2, 1)), 3) is not None
+    assert _complement_pairs(as_multipart(get_bibd(5, 2, 1)), 5) is None
 
 
 def _at_once(steps, budget: int):
@@ -575,7 +618,7 @@ def test_slicing_keeps_the_recorded_phase_2_counts():
 
     from mpart.constructions import cartesian_product
     from mpart.ingredients import catalog_entries
-    from mpart.verify import _product_witness, _quotas
+    from mpart.verify import _digit_sums, _quotas
 
     here = Path(__file__).resolve().parent
     inputs = json.loads((here / "undecided_searches.json").read_text())["searches"]
@@ -604,7 +647,7 @@ def test_slicing_keeps_the_recorded_phase_2_counts():
                 _quotas(d, c), 4 * FIRST_SLICE, 200 if product else 50_000)
             assert first is UNKNOWN, (name, seed)
             if product:
-                witness = _product_witness(d, c)
+                witness = _digit_sums(d, c)
                 assert verify_partition(d, witness), (name, seed)
                 assert find_partition(d, c, budget=50_000) == witness, (name, seed)
             else:
