@@ -35,6 +35,7 @@ from .model import (
     MultipartDesign,
     _blocks,
     _complement,
+    _index,
     _normalize_part,
     _offsets,
     unzip_design,
@@ -264,14 +265,14 @@ def orbit_design(v: Sequence[int], generators: Sequence[Sequence[int]],
     The orbit is deduplicated and sorted; validity is not guaranteed and
     is the verifier's job.
     """
-    sizes = tuple(int(x) for x in v)
+    sizes = tuple(_index(x, "factor size") for x in v)
     total = sum(sizes)
     offsets = _offsets(sizes)
     ranges = [set(range(off, off + s)) for off, s in zip(offsets, sizes)]
 
     perms = []
     for g, perm in enumerate(generators):
-        perm = tuple(int(x) for x in perm)
+        perm = tuple(_index(x, "generator entry") for x in perm)
         if sorted(perm) != list(range(total)):
             raise InvalidInputError(f"generator {g} is not a permutation of {total} points")
         for i, rng in enumerate(ranges):
@@ -310,7 +311,7 @@ def meet_filter(host: BlockDesign, special: Sequence[int], t: int) -> MultipartD
     factor) and the remainder (second factor); blocks that would leave
     either part empty are discarded.
     """
-    special_set = set(int(x) for x in special)
+    special_set = {_index(x, "special point") for x in special}
     if not special_set or not special_set <= set(range(host.v)):
         raise InvalidInputError("special set must be a non-empty subset of the points")
     blocks = [(meet, rest) for meet, rest in _split_by(host.v, host.blocks, special_set)

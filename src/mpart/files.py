@@ -284,15 +284,30 @@ def _json_blocks(design: MultipartDesign) -> str:
             + "\n      ]\n    ]\n  ]")
 
 
+def _json(value: Any, kind: type, what: str, *args) -> Any:
+    """``value`` when JSON read it as ``kind`` (true is no int here), else
+    a ParseError naming it as ``what.format(*args)``."""
+    if type(value) is not kind:
+        raise ParseError(f"{what.format(*args)} must be a JSON {kind.__name__}, got {value!r}")
+    return value
+
+
 def from_json_dict(data: dict[str, Any]) -> MultipartDesign:
-    if data.get("format") != "mpart" or data.get("version") != 1:
+    """The design of a version-1 document in :func:`to_json_dict`'s shape;
+    any other shape is a ParseError, any other fault the model's error."""
+    if type(data) is not dict or data.get("format") != "mpart" or data.get("version") != 1:
         raise ParseError("not a version-1 design document")
-    factors = data["factors"]
+    # A missing member reads as None, which is of no kind asked for.
+    factors = [_json(f, dict, "factor {}", i)
+               for i, f in enumerate(_json(data.get("factors"), list, "'factors'"))]
     return MultipartDesign(
-        v=tuple(f["levels"] for f in factors),
-        blocks=tuple(tuple(tuple(x - 1 for x in part) for part in block)
-                     for block in data["blocks"]),
-        factor_names=tuple(f["name"] for f in factors),
+        v=tuple(_json(f.get("levels"), int, "'levels' of factor {}", i) for i, f in enumerate(factors)),
+        blocks=tuple(tuple(tuple(_json(x, int, "a level of block {}, part {}", t, i) - 1
+                                 for x in _json(part, list, "part {} of block {}", i, t))
+                           for i, part in enumerate(_json(block, list, "block {}", t)))
+                     for t, block in enumerate(_json(data.get("blocks"), list, "'blocks'"))),
+        factor_names=tuple(_json(f.get("name"), str, "'name' of factor {}", i)
+                           for i, f in enumerate(factors)),
     )
 
 

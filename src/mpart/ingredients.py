@@ -25,7 +25,7 @@ from .errors import (
     NotConstructibleError,
     NotInCatalogError,
 )
-from .model import BlockDesign, as_multipart, complement_design, constant_count
+from .model import BlockDesign, _constant_count, _index, as_multipart, complement_design
 
 # --------------------------------------------------------------------------
 # balance checking
@@ -36,13 +36,16 @@ def check_t_design(design: BlockDesign, t: int) -> int | None:
 
     Requires uniform block sizes; a design whose blocks vary in size is
     reported as unbalanced.  The count may legitimately be 0 when the
-    blocks are smaller than t.
+    blocks are smaller than t.  The kernel of multi-part strength,
+    :func:`mpart.model._constant_count`, counts it with the points as one
+    factor and each block as its own part: Z is its own part matrix.
     """
+    t = _index(t, "t")
     if t < 1:
         raise InvalidInputError(f"t must be >= 1, got {t}")
     if len(set(map(len, design._parts))) != 1:
         return None
-    return constant_count(design.incidence, t)
+    return _constant_count([(design.incidence, design.incidence, np.arange(design.b), t)])
 
 
 # --------------------------------------------------------------------------
@@ -436,8 +439,8 @@ class OrthogonalArray:
     strength: int
 
     def __post_init__(self):
-        rows = tuple(tuple(int(x) for x in row) for row in self.rows)
-        symbols = tuple(int(s) for s in self.symbols)
+        rows = tuple(tuple(_index(x, "array entry") for x in row) for row in self.rows)
+        symbols = tuple(_index(s, "alphabet size") for s in self.symbols)
         m = len(symbols)
         if not rows or any(len(row) != m for row in rows):
             raise InvalidInputError("rows must all have one entry per column")
@@ -445,7 +448,7 @@ class OrthogonalArray:
             for x, s in zip(row, symbols):
                 if not 0 <= x < s:
                     raise InvalidInputError(f"symbol {x} out of range for alphabet {s}")
-        t = self.strength
+        t = _index(self.strength, "strength")
         if not 1 <= t <= m:
             raise InvalidInputError(f"strength must be in 1..{m}, got {t}")
         # A t-subset of columns is balanced iff every tuple of its symbols
@@ -472,7 +475,7 @@ class OrthogonalArray:
 
 def full_factorial_oa(symbols: Sequence[int]) -> OrthogonalArray:
     """All symbol combinations in lexicographic row order; strength = m."""
-    symbols = tuple(int(s) for s in symbols)
+    symbols = tuple(_index(s, "alphabet size") for s in symbols)
     rows = tuple(product(*(range(s) for s in symbols)))
     return OrthogonalArray(rows=rows, symbols=symbols, strength=len(symbols))
 
@@ -485,7 +488,8 @@ def orthogonal_array(symbols: Sequence[int], strength: int) -> OrthogonalArray:
     columns; strength-2 two-symbol arrays read off a normalized Hadamard
     matrix of the least built-in order above the column count.
     """
-    symbols = tuple(int(s) for s in symbols)
+    symbols = tuple(_index(s, "alphabet size") for s in symbols)
+    strength = _index(strength, "strength")
     m = len(symbols)
     if m < 1 or any(s < 2 for s in symbols):
         raise InvalidInputError(f"need at least one column of >= 2 symbols, got {symbols}")

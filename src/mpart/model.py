@@ -20,6 +20,7 @@ from collections import defaultdict
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import accumulate, chain, count
+from math import comb, prod
 from operator import index, is_, lt
 from typing import Iterable, Sequence
 
@@ -40,30 +41,16 @@ def default_factor_names(m: int) -> tuple[str, ...]:
 
 
 def _part_matrix(size: int, parts: Sequence[tuple[int, ...]]) -> np.ndarray:
-    """The size x len(parts) 0/1 matrix of levels against distinct parts;
-    the one function that builds incidence counts: Z is read from it, and
-    so are the strength counts of :mod:`mpart.verify`."""
-    P = np.zeros((size, len(parts)), dtype=np.int64)
-    P[list(chain.from_iterable(parts)), np.repeat(np.arange(len(parts)), list(map(len, parts)))] = 1
-    return P
-
-
-def _incidence(sizes: Sequence[int], parts: Sequence[Sequence[tuple[int, ...]]],
-               part_index: np.ndarray) -> np.ndarray:
-    """The read-only sum(sizes) x b 0/1 matrix of points against blocks.
-
-    Factor i's rows are the part matrix of its distinct parts ``parts[i]``,
-    with column ``part_index[i, t]`` taken for block t.
-    """
-    n = sum(sizes)
+    """The read-only size x len(parts) 0/1 matrix of levels against distinct
+    parts; the one function that builds incidence counts: Z is read from
+    it, and so are the meets of parts that :func:`_constant_count` counts."""
     try:
-        Z = np.empty((n, part_index.shape[1]), dtype=np.int64)
+        P = np.zeros((size, len(parts)), dtype=np.int64)
     except ValueError:  # more rows than an array can index
-        raise InvalidInputError(f"{n} levels are too many to count") from None
-    for rows, size, distinct, picks in zip(_spans(sizes), sizes, parts, part_index):
-        Z[rows] = _part_matrix(size, distinct)[:, picks]
-    Z.flags.writeable = False
-    return Z
+        raise InvalidInputError(f"{size} levels are too many to count") from None
+    P[list(chain.from_iterable(parts)), np.repeat(np.arange(len(parts)), list(map(len, parts)))] = 1
+    P.flags.writeable = False
+    return P
 
 
 def _index(value, what: str) -> int:
@@ -276,10 +263,17 @@ class MultipartDesign(_BlockMultiset):
                      for block in self.blocks)
 
     @cached_property
+    def _part_matrices(self) -> tuple[np.ndarray, ...]:
+        """Each factor's part matrix, its levels against its distinct parts."""
+        return tuple(map(_part_matrix, self.v, self._parts))
+
+    @cached_property
     def incidence(self) -> np.ndarray:
         """The read-only sum(v) x b 0/1 matrix Z of zipped points against
         blocks; every count of the design is read from Z or :attr:`gram`."""
-        return _incidence(self.v, self._parts, self._part_index)
+        Z = np.concatenate([P[:, picks] for P, picks in zip(self._part_matrices, self._part_index)])
+        Z.flags.writeable = False
+        return Z
 
     @cached_property
     def _part_sizes(self) -> np.ndarray:
@@ -329,7 +323,9 @@ class BlockDesign(_BlockMultiset):
     @cached_property
     def incidence(self) -> np.ndarray:
         """The read-only v x b 0/1 matrix of points against blocks."""
-        return _incidence((self.v,), (self._parts,), self._part_index[None])
+        Z = _part_matrix(self.v, self._parts)[:, self._part_index]
+        Z.flags.writeable = False
+        return Z
 
 
 @dataclass(frozen=True)
@@ -341,7 +337,7 @@ class BlockPartition:
     classes: tuple[tuple[int, ...], ...]
 
     def __post_init__(self):
-        classes = tuple(tuple(sorted(int(x) for x in cls)) for cls in self.classes)
+        classes = tuple(tuple(sorted(_index(x, "block index") for x in cls)) for cls in self.classes)
         if not classes:
             raise InvalidInputError("a partition needs at least one class")
         sizes = {len(cls) for cls in classes}
@@ -428,36 +424,80 @@ def derive_parameters(design: MultipartDesign) -> MultipartParams:
                            lam=tuple(tuple(row) for row in lam))
 
 
-def constant_count(Z: np.ndarray, t: int) -> int | None:
-    """The number of columns (blocks) of the incidence matrix ``Z`` that
-    contain rows x_1 < ... < x_t, when it is the same for every t-subset of
-    rows: the coverage count of a t-design.
+def _constant_count(factors: Sequence[tuple[np.ndarray, np.ndarray, np.ndarray, int]]) -> int | None:
+    """The number of blocks that hold a given t_i-subset of each factor i's
+    levels, when it is the same for every choice of subsets; else None.
 
-    None when the count varies or Z has fewer than t rows.  Each step keeps
-    only the blocks that contain the rows chosen so far, and the last two
-    rows are counted together as one product of incidence rows, so no
-    temporary outgrows Z or its Gram matrix.
+    Each factor is (its rows of Z, its part matrix P_i, each block's part,
+    t_i).  The E = prod C(v_i, t_i) counts are read in the first of three
+    ways whose temporaries fit in the size of Z or of its Gram matrix:
+    over combinations of parts, when they fit and so does each factor's
+    K_i = C(P_i^T P_i, t_i); level by level, when the E counts fit; else
+    over pairs of blocks, a slice of blocks at a time.  Level by level,
+    each level chosen keeps only the blocks that hold it, the last two are
+    counted together as one product of rows, and every count must equal
+    the first.  The other two ways read the counts' sum I, over blocks of
+    prod C(k_i, t_i), and the sum Q of their squares, over ordered pairs of
+    blocks of prod C(meet_i, t_i): E must divide I, and then the counts
+    are constant exactly when E Q = I^2 (Cauchy-Schwarz).  With N the
+    blocks of each combination of parts, Q = N (K_1 x ... x K_m) N.  Every
+    sum is at most b^2 prod C(largest k_i, t_i): exact in float64 (which
+    numpy hands to BLAS) below 2^53, and in Python ints past it.
     """
-    values: set[int] = set()
-
-    def record(counts: np.ndarray) -> bool:
-        if counts.size:
-            values.update((int(counts.min()), int(counts.max())))
-        return len(values) <= 1
-
-    def count(depth: int, start: int, blocks: np.ndarray) -> bool:
-        if depth == t - 1:
-            return record(Z[start:, blocks].sum(axis=1))
-        if depth == t - 2:
-            rows = Z[start:, blocks]
-            later = np.arange(len(rows))[:, None] < np.arange(len(rows))
-            return record(_count_product(rows, rows)[later])
-        return all(count(depth + 1, x + 1, blocks[Z[x, blocks] == 1])
-                   for x in range(start, Z.shape[0]))
-
-    if not count(0, 0, np.arange(Z.shape[1])) or not values:
+    Z, P, picks, t = zip(*factors)
+    v = [len(rows) for rows in Z]
+    b = len(picks[0])
+    entries = prod(map(comb, v, t))
+    size = sum(v) * b
+    shape = [A.shape[1] for A in P]
+    by_parts = max(prod(shape), max(shape) ** 2) <= size
+    if not entries:
         return None
-    return values.pop()
+    if not by_parts and entries <= size:
+        # The factor of each level chosen, each factor's in increasing order,
+        # and the count of the first t_i levels of every factor.
+        slots = [i for i, ti in enumerate(t) for _ in range(ti)]
+        value = int(prod(rows[:ti].prod(axis=0) for rows, ti in zip(Z, t)).sum())
+
+        def constant(s: int, start: int, blocks: np.ndarray) -> bool:
+            rows = Z[slots[s]][start:, blocks]
+            if s < len(slots) - 2:
+                same = slots[s + 1] == slots[s]
+                return all(constant(s + 1, (start + x + 1) * same, blocks[row == 1])
+                           for x, row in enumerate(rows))
+            if s == len(slots) - 1:
+                counts = rows.sum(axis=1)
+            elif slots[s + 1] == slots[s]:
+                later = np.arange(len(rows))
+                counts = _count_product(rows, rows)[later[:, None] < later]
+            else:
+                counts = _count_product(rows, Z[slots[s + 1]][:, blocks])
+            return bool((counts == value).all())
+
+        return value if constant(0, 0, np.arange(b)) else None
+    sizes = [A.sum(axis=0) for A in P]
+    largest = [int(k.max()) for k in sizes]
+    dtype = np.float64 if b * b * prod(map(comb, largest, t)) < 2 ** 53 else object
+    # C(x, t_i) for each x up to factor i's largest part, looked up by x
+    binomials = [np.array([comb(x, ti) for x in range(k + 1)], dtype) for k, ti in zip(largest, t)]
+    incidences = int(prod(C[k][q] for C, k, q in zip(binomials, sizes, picks)).sum())
+    if incidences % entries:
+        return None
+    if by_parts:
+        N = np.bincount(np.ravel_multi_index(picks, shape), minlength=prod(shape)).astype(dtype)
+        # Factor i's axis leads as the rows of S and comes back last, so
+        # after every factor the axes are in order again.
+        S = N
+        for C, A, n in zip(binomials, (A.T for A in P), shape):
+            S = (C[_count_product(A, A)] @ S.reshape(n, -1)).T
+        squares = int(np.dot(N, S.reshape(-1)))
+    else:
+        rows = [A.astype(np.float64) for A in Z]
+        step = max(1, size // b)
+        squares = sum(int(prod(C[(A[:, s:s + step].T @ A).astype(np.intp)]
+                               for C, A in zip(binomials, rows)).sum())
+                      for s in range(0, b, step))
+    return incidences // entries if entries * squares == incidences ** 2 else None
 
 
 def zip_design(design: MultipartDesign) -> BlockDesign:

@@ -23,7 +23,8 @@ from .model import (
     MultipartDesign,
     MultipartParams,
     _complement,
-    _part_matrix,
+    _constant_count,
+    _index,
     derive_parameters,
     factor_rows,
 )
@@ -52,84 +53,20 @@ def _level_tables(design: MultipartDesign,
                   params: MultipartParams) -> Iterator[dict[tuple[int, ...], int]]:
     """For t = 2, 3, ..., m, the constant count of every t-subset of factors,
     up to the first t at which some subset varies: pairs are the cross
-    counts of ``params``, larger subsets are counted once here from the
-    design's distinct parts (``_tuple_count``)."""
+    counts of ``params``, larger subsets are counted one level of each
+    factor by :func:`mpart.model._constant_count`."""
+    Z = design.incidence
+    factors = [(Z[span], P, picks, 1)
+               for span, P, picks in zip(design.spans, design._part_matrices, design._part_index)]
     for t in range(2, design.m + 1):
         table: dict[tuple[int, ...], int] = {}
-        for factors in combinations(range(design.m), t):
-            value = (params.lam[factors[0]][factors[1]] if t == 2 else
-                     _tuple_count(design, factors))
+        for chosen in combinations(range(design.m), t):
+            value = (params.lam[chosen[0]][chosen[1]] if t == 2 else
+                     _constant_count([factors[i] for i in chosen]))
             if value is None:
                 return
-            table[factors] = value
+            table[chosen] = value
         yield table
-
-
-def _tuple_count(design: MultipartDesign, factors: Sequence[int]) -> int | None:
-    """The number of blocks that hold one given level of each of
-    ``factors``, when it is the same for every tuple of levels; else None.
-
-    The sum I of the table C of these counts is the number of (block, level
-    tuple) incidences: each block adds its product of part sizes.  A
-    constant C holds I over its entry count in every entry, so a table
-    whose entry count does not divide I is refused first; so is one with
-    more entries than incidences, as ``OrthogonalArray`` refuses more
-    tuples than rows.  Otherwise C is constant iff its entry count times
-    its sum of squares is I^2 (Cauchy-Schwarz), and the sum of squares is
-    taken in one of three ways, each keeping every temporary within Z's
-    size:
-
-    - When the blocks' combinations of parts, times the largest v_i, fit:
-      N counts the blocks of each combination, each block's parts read as
-      one mixed-radix number by ``np.bincount``.  The sum of squares is
-      N (G_1 x ... x G_t) N, where G_i = P_i^T P_i counts the levels two
-      parts of factor i share (P_i its part matrix, as Z is built from),
-      and each G_i is applied along its axis as P_i, then P_i^T.
-    - Else, when C fits: C itself, the first factor's rows of Z times each
-      block's tuples of levels of the others, a slice of blocks at a time.
-    - Else: over pairs of blocks, a slice of rows at a time, each factor's
-      rows of Z giving the levels that two blocks share.
-    """
-    # Every count below is at most b I <= b^2 prod(largest part sizes); in
-    # float64, which numpy hands to BLAS, it is exact below 2^53, and past
-    # that it is counted in Python ints.
-    sizes = design._part_sizes[list(factors)]
-    dtype = np.float64 if design.b ** 2 * prod(int(k.max()) for k in sizes) < 2 ** 53 else object
-    incidences = int(prod(k.astype(dtype) for k in sizes).sum())
-    levels = [design.v[i] for i in factors]
-    entries = prod(levels)
-    if incidences % entries:
-        return None
-    Z = design.incidence
-    shape = [len(design._parts[i]) for i in factors]
-    if prod(shape) * max(levels) <= Z.size:
-        picks = design._part_index[list(factors)]
-        N = np.bincount(np.ravel_multi_index(picks, shape), minlength=prod(shape)).astype(dtype)
-        # Factor i's axis leads as the rows of S and comes back last, so
-        # after every factor the axes are in order again.
-        S = N
-        for i in factors:
-            P = _part_matrix(design.v[i], design._parts[i]).astype(dtype)
-            S = (P.T @ (P @ S.reshape(P.shape[1], -1))).T
-        squares = int(np.dot(N, S.reshape(-1)))
-    else:
-        rows = [Z[design.spans[i]].astype(dtype) for i in factors]
-        if entries <= Z.size:
-            first, *others = rows
-            step = max(1, Z.size // (entries // levels[0]))
-            table = 0
-            for start in range(0, design.b, step):
-                blocks = slice(start, start + step)
-                tuples = others[0][:, blocks]
-                for A in others[1:]:
-                    tuples = (tuples[:, None] * A[None, :, blocks]).reshape(-1, tuples.shape[1])
-                table = table + first[:, blocks] @ tuples.T
-            squares = int((table * table).sum())
-        else:
-            step = max(1, Z.size // design.b)
-            squares = sum(int(prod(A[:, start:start + step].T @ A for A in rows).sum())
-                          for start in range(0, design.b, step))
-    return incidences // entries if entries * squares == incidences ** 2 else None
 
 
 def check_strength(design: MultipartDesign, t: int) -> dict[tuple[int, ...], int] | None:
@@ -276,8 +213,10 @@ def check_admissible(b: int, v: Sequence[int], k: Sequence[int],
     checks b >= sum(v) - m + 1, plus c | b and b >= sum(v) + c - m when a
     class count is given.
     """
-    v = tuple(int(x) for x in v)
-    k = tuple(int(x) for x in k)
+    b = _index(b, "b")
+    v = tuple(_index(x, "v_i") for x in v)
+    k = tuple(_index(x, "k_i") for x in k)
+    c = None if c is None else _index(c, "c")
     if b < 1 or len(v) != len(k) or not v:
         raise InvalidInputError(f"bad shapes: b={b}, v={v}, k={k}")
     if any(x < 1 for x in v + k) or (c is not None and c < 1):

@@ -1,20 +1,51 @@
 import pytest
 
 from mpart.constructions import (
+    meet_filter,
     multipart_product,
     oa_compose,
+    orbit_design,
     subcartesian_product,
 )
+from mpart.errors import InvalidInputError
 from mpart.files import parse_concise, serialize_concise
 from mpart.fixtures import load_design
-from mpart.ingredients import get_bibd, orthogonal_array, resolvable_classes
+from mpart.ingredients import (
+    OrthogonalArray,
+    full_factorial_oa,
+    get_bibd,
+    orthogonal_array,
+    resolvable_classes,
+)
 from mpart.isomorphism import are_isomorphic, canonical_form
 from mpart.model import BlockPartition, MultipartDesign, as_multipart
-from mpart.verify import check_multipart
+from mpart.verify import check_admissible, check_multipart
 
 
 def _reordered(partition: BlockPartition, order) -> BlockPartition:
     return BlockPartition(tuple(partition.classes[j] for j in order))
+
+
+@pytest.mark.parametrize("call", [
+    lambda: check_admissible(7, [7.9], [3.2]),
+    lambda: check_admissible(7.5, [7], [3]),
+    lambda: check_admissible(7, [7], [3], c=1.0),
+    lambda: meet_filter(get_bibd(7, 3, 1), [0.5, 1.9, 2, 3, 4, 5], 2),
+    lambda: orbit_design([3.0], [(1, 2, 0)], [(0, 1)]),
+    lambda: orbit_design([3], [(1, 2, 0.0)], [(0, 1)]),
+    lambda: OrthogonalArray(rows=((0,), (1.5,)), symbols=(2,), strength=1),
+    lambda: OrthogonalArray(rows=((0,), (1,)), symbols=(2.5,), strength=1),
+    lambda: OrthogonalArray(rows=((0,), (1,)), symbols=(2,), strength=1.0),
+    lambda: full_factorial_oa([2.5]),
+    lambda: orthogonal_array([2.0, 2], 2),
+    lambda: BlockPartition(((0.9, 1), (2, 3))),
+], ids=["admissible-v-k", "admissible-b", "admissible-c", "meet-filter-special",
+        "orbit-size", "orbit-generator", "oa-entry", "oa-symbols", "oa-strength",
+        "full-factorial-symbols", "orthogonal-array-symbols", "partition-member"])
+def test_public_entry_points_refuse_non_integral_numbers(call):
+    # A float is refused, not truncated: 7.9 is not read as 7, nor 0.9 as 0.
+    with pytest.raises(InvalidInputError, match="must be an integer"):
+        call()
 
 
 def test_subcartesian_nonidentity_matching_still_valid():

@@ -215,6 +215,41 @@ def test_json_refuses_other_versions():
         from_json_dict(data)
 
 
+def _fig1_document(edit):
+    data = to_json_dict(load_design("fig1"))
+    edit(data)
+    return data
+
+
+@pytest.mark.parametrize("edit", [
+    lambda d: d.pop("factors"),
+    lambda d: d.pop("blocks"),
+    lambda d: d["factors"][0].pop("name"),
+    lambda d: d["factors"][1].pop("levels"),
+    lambda d: d.update(factors={"C": 6, "D": 5}),
+    lambda d: d.update(blocks={"1": []}),
+    lambda d: d["factors"].__setitem__(0, ["C", 6]),
+    lambda d: d["blocks"].__setitem__(0, 3),
+    lambda d: d["blocks"][0].__setitem__(1, 2),
+    lambda d: d["blocks"][0][0].__setitem__(0, True),
+    lambda d: d["blocks"][0][0].__setitem__(0, "1"),
+    lambda d: d["blocks"][0][0].__setitem__(0, 1.0),
+    lambda d: d["factors"][0].update(levels=True),
+    lambda d: d["factors"][0].update(levels=6.0),
+    lambda d: d["factors"][0].update(name=["C"]),
+], ids=["no-factors", "no-blocks", "no-name", "no-levels", "factors-object",
+        "blocks-object", "factor-array", "block-number", "part-number", "level-true",
+        "level-string", "level-float", "levels-true", "levels-float", "name-array"])
+def test_json_refuses_a_malformed_document_with_a_parse_error(edit):
+    with pytest.raises(ParseError):
+        from_json_dict(_fig1_document(edit))
+
+
+def test_json_refuses_a_document_that_is_no_object():
+    with pytest.raises(ParseError, match="not a version-1 design document"):
+        from_json_dict([to_json_dict(load_design("fig1"))])
+
+
 def test_json_carries_derived_parameters():
     d = load_design("fig1")
     data = to_json_dict(d)

@@ -2,7 +2,8 @@ import random
 import timeit
 import tracemalloc
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, product
+from math import comb, prod
 
 import numpy as np
 import pytest
@@ -10,7 +11,7 @@ import pytest
 from mpart.errors import UNKNOWN, InvalidInputError
 from mpart.fixtures import load_design
 from mpart.ingredients import get_bibd
-from mpart.model import BlockPartition, MultipartDesign, as_multipart
+from mpart.model import BlockDesign, BlockPartition, MultipartDesign, as_multipart, relabel_levels
 from mpart.verify import (
     FIRST_SLICE,
     _first_steps,
@@ -28,10 +29,12 @@ from mpart.verify import (
 
 from helpers import (
     first_phase,
+    oracle_constant,
     oracle_cross_counts,
     oracle_pair_counts,
     oracle_partition_exists,
     oracle_strength,
+    oracle_subset_counts,
     random_design,
     second_phase,
 )
@@ -176,7 +179,7 @@ def _box_partition() -> MultipartDesign:
 
 def test_strength_matches_the_oracle_when_part_combinations_outnumber_blocks():
     from mpart.constructions import cartesian_product, multipart_product
-    from mpart.verify import _tuple_count
+    from mpart.model import _constant_count
 
     # 8 blocks: the even-weight rows of length 4, an array of strength 3.
     # Each factor has 2 distinct parts, so 16 combinations could occur.
@@ -193,7 +196,8 @@ def test_strength_matches_the_oracle_when_part_combinations_outnumber_blocks():
     assert check_strength(boxes, 3) == {(0, 1, 2): 1}
 
     def tuple_count(d):
-        return _tuple_count(d, tuple(range(d.m)))
+        return _constant_count([(d.incidence[span], P, index, 1)
+                                for span, P, index in zip(d.spans, d._part_matrices, d._part_index)])
 
     # Each keeps its incidence count, but some triples lie in no block and
     # some in two: the last box repeats the one before it, and the first
@@ -202,6 +206,79 @@ def test_strength_matches_the_oracle_when_part_combinations_outnumber_blocks():
     assert tuple_count(MultipartDesign(v=boxes.v, blocks=overlap)) is None
     cube = cartesian_product([get_bibd(7, 3, 1)] * 3)
     assert tuple_count(MultipartDesign(v=cube.v, blocks=cube.blocks[1:2] + cube.blocks[1:])) is None
+
+
+def _route(factors) -> str:
+    """The way ``_constant_count`` counts ``factors``, by its rule: over
+    combinations of parts when they, and each factor's parts squared, fit
+    in Z's size; else level by level when the E counts fit; else over
+    pairs of blocks."""
+    v = [len(rows) for rows, _, _, _ in factors]
+    size = sum(v) * factors[0][0].shape[1]
+    shape = [P.shape[1] for _, P, _, _ in factors]
+    if max(prod(shape), max(shape) ** 2) <= size:
+        return "parts"
+    return "level" if prod(comb(x, t) for x, (*_, t) in zip(v, factors)) <= size else "pairs"
+
+
+def _relabeled_union(design: MultipartDesign, copies: int, seed: int) -> MultipartDesign:
+    """The blocks of ``copies`` random relabelings of ``design``: each
+    keeps its counts, so the union has every strength the design has."""
+    rng = random.Random(seed)
+    blocks = []
+    for _ in range(copies):
+        blocks += relabel_levels(design, [rng.sample(range(s), s) for s in design.v]).blocks
+    return MultipartDesign(v=design.v, blocks=tuple(blocks))
+
+
+def test_each_route_of_the_counting_kernel_matches_the_oracles():
+    from mpart.constructions import cartesian_product, multipart_product
+    from mpart.fixtures import steiner_4_23_7
+    from mpart.ingredients import check_t_design
+
+    fano = get_bibd(7, 3, 1)
+    triples = BlockDesign(12, tuple(combinations(range(12), 3)))
+    steiner = steiner_4_23_7()
+    # (design, t, route, count); each unbalanced input repeats one block
+    # in place of another.
+    t_designs = [
+        (fano, 2, "parts", 1),
+        (BlockDesign(7, fano.blocks[:-1] + fano.blocks[:1]), 2, "parts", None),
+        (triples, 3, "level", 1),
+        (BlockDesign(12, triples.blocks[:-1] + triples.blocks[:1]), 3, "level", None),
+        (steiner, 4, "pairs", 1),
+        (BlockDesign(23, steiner.blocks[:-1] + steiner.blocks[:1]), 4, "pairs", None),
+    ]
+    for d, t, route, count in t_designs:
+        # check_t_design takes each block as its own part
+        assert _route([(d.incidence, d.incidence, np.arange(d.b), t)]) == route
+        assert check_t_design(d, t) == count == oracle_constant(
+            oracle_subset_counts(d.blocks, t), combinations(range(d.v), t))
+
+    fig3_fig1 = multipart_product(load_design("fig3"), load_design("fig1"))
+    # 20 levels a factor, and 10 relabeled copies of 8 blocks (or 4) whose
+    # parts are halves: up to 20 distinct parts a factor, as many as levels.
+    cube = _halves(20, list(product((0, 1), repeat=3)))
+    square = _halves(20, OA_4_3_2_2)
+    # (design, route of all its factors, strength, count of all its factors)
+    strength_inputs = [
+        (cartesian_product([fano] * 3), "parts", 3, 27),
+        (_halves(4, OA_4_3_2_2), "parts", 2, None),
+        (_relabeled_union(fig3_fig1, 4, 0), "parts", 4, 16),
+        (fig3_fig1, "level", 4, 4),
+        (_relabeled_union(fig3_fig1, 2, 0), "level", 4, 8),
+        (_relabeled_union(cube, 10, 2), "pairs", 3, 10),
+        (_relabeled_union(square, 10, 3), "pairs", 2, None),
+    ]
+    for d, route, strength, count in strength_inputs:
+        factors = [(d.incidence[span], P, picks, 1)
+                   for span, P, picks in zip(d.spans, d._part_matrices, d._part_index)]
+        assert _route(factors) == route
+        for t in range(2, d.m + 1):
+            assert check_strength(d, t) == oracle_strength(d.blocks, d.v, t)
+        assert design_strength(d) == strength
+        full = check_strength(d, d.m)
+        assert (full and full[tuple(range(d.m))]) == count
 
 
 def test_a_strength_count_beyond_int64_is_exact():
