@@ -18,8 +18,8 @@ from __future__ import annotations
 
 import json
 import re
-from itertools import product
-from typing import Any, Iterator
+from itertools import chain, product
+from typing import Any, Iterable, Iterator
 
 from .errors import (
     DualRequiresTwoFactorsError,
@@ -28,7 +28,7 @@ from .errors import (
     ParseError,
     UnknownFactorError,
 )
-from .model import BlockDesign, MultipartDesign, _blocks, derive_parameters
+from .model import BlockDesign, MultipartDesign, _blocks, _normalize_part, derive_parameters
 
 _NAME_RE = re.compile(r"[A-Za-z][A-Za-z0-9_]*")
 _HEADER = "mpart v1"
@@ -108,15 +108,16 @@ def parse_concise(text: str) -> MultipartDesign:
         rf"\s*{re.escape(name)}\{{([0-9,\s]*)\}}" for name in names) + r"\s*(?:#.*)?")
     # Every line after the factors line is a block line, blank or a comment.
     # The lines are matched in one pass, and each factor's brace bodies are
-    # read as a column, each distinct text once.  Only a file with a fault
-    # is read again line by line, to find the first.
+    # read as a column: each distinct body is split once and each distinct
+    # token converted once.  The model then sorts each part and refuses an
+    # empty one or a repeated level.  Only a file with a fault is read again
+    # line by line, to find the first.
     rest = lines[n:]
     matches = list(map(pattern.fullmatch, rest))
     rows = list(filter(None, matches))
     columns = tuple(zip(*map(re.Match.groups, rows)))
     try:
-        known = [{body: _part_levels(body, name, size) for body in dict.fromkeys(column)}
-                 for column, name, size in zip(columns, names, sizes)]
+        known = list(map(_column_levels, columns, sizes))
     except ParseError:
         raise _first_fault(rest, n, names, sizes) from None
     if len(rows) != len(rest) and any(
@@ -124,8 +125,11 @@ def parse_concise(text: str) -> MultipartDesign:
         raise _first_fault(rest, n, names, sizes)
     if not rows:
         raise ParseError("no blocks", n, 1)
-    return MultipartDesign(v=tuple(sizes), blocks=tuple(_blocks(known, columns)),
-                           factor_names=tuple(names))
+    try:
+        return MultipartDesign(v=tuple(sizes), blocks=tuple(_blocks(known, columns)),
+                               factor_names=tuple(names))
+    except InvalidInputError:
+        raise _first_fault(rest, n, names, sizes) from None
 
 
 def _first_fault(lines: list[str], n: int, names: list[str], sizes: list[int]) -> ParseError:
@@ -138,29 +142,37 @@ def _first_fault(lines: list[str], n: int, names: list[str], sizes: list[int]) -
     raise AssertionError("no faulty block line")
 
 
-def _part_levels(body: str, name: str, size: int) -> tuple[int, ...]:
-    """The sorted 0-based levels of one part's brace body; the ParseError
-    for a bad part carries no position."""
-    items = body.replace(",", " ").split()
-    if not items:
-        raise ParseError(f"empty part for factor {name!r}")
+def _column_levels(bodies: Iterable[str], size: int) -> dict[str, tuple[int, ...]]:
+    """Each distinct brace body of ``bodies`` -> its 0-based levels in the
+    order written, each distinct token converted once; the ParseError for
+    a level out of range carries no position."""
+    split = {body: body.replace(",", " ").split() for body in dict.fromkeys(bodies)}
     width = len(str(size))
-    levels = []
-    for tok in items:
-        if len(tok) > width:
-            # Past its leading zeros, a level with more digits than the size
-            # is out of range; it is refused without int(), which may not
-            # read that many digits.
-            tok = tok.lstrip("0") or "0"
-            if len(tok) > width:
-                raise ParseError(f"level {tok} out of range 1..{size}")
-        x = int(tok)
+    level = {}
+    for token in dict.fromkeys(chain.from_iterable(split.values())):
+        # Past its leading zeros, a level with more digits than the size is
+        # out of range; it is refused without int(), which may not read
+        # that many digits.
+        digits = token if len(token) <= width else token.lstrip("0") or "0"
+        if len(digits) > width:
+            raise ParseError(f"level {digits} out of range 1..{size}")
+        x = int(digits)
         if not 1 <= x <= size:
             raise ParseError(f"level {x} out of range 1..{size}")
-        levels.append(x - 1)
-    if len(set(levels)) != len(levels):
-        raise DuplicateLevelInPartError(f"duplicate level in factor {name!r}")
-    return tuple(sorted(levels))
+        level[token] = x - 1
+    return {body: tuple(map(level.__getitem__, items)) for body, items in split.items()}
+
+
+def _check_part(body: str, name: str, size: int) -> None:
+    """Raise the ParseError, with no position, of a bad brace body of one
+    part; the model's check of a part tells a repeated level."""
+    levels = _column_levels((body,), size)[body]
+    if not levels:
+        raise ParseError(f"empty part for factor {name!r}")
+    try:
+        _normalize_part(levels, size, "")
+    except InvalidInputError:
+        raise DuplicateLevelInPartError(f"duplicate level in factor {name!r}") from None
 
 
 def _block_error(line: str, n: int, names: list[str], sizes: list[int]) -> ParseError | None:
@@ -189,7 +201,7 @@ def _block_error(line: str, n: int, names: list[str], sizes: list[int]) -> Parse
         if name in order:
             return ParseError(f"factor {name!r} repeated in block", n, col)
         try:
-            _part_levels(m.group(2), name, size_of[name])
+            _check_part(m.group(2), name, size_of[name])
         except ParseError as exc:
             return type(exc)(str(exc), n, col)
         order.append(name)
@@ -295,7 +307,10 @@ def _json(value: Any, kind: type, what: str, *args) -> Any:
 def from_json_dict(data: dict[str, Any]) -> MultipartDesign:
     """The design of a version-1 document in :func:`to_json_dict`'s shape;
     any other shape is a ParseError, any other fault the model's error."""
-    if type(data) is not dict or data.get("format") != "mpart" or data.get("version") != 1:
+    # The version, like every number in the document, is a JSON integer:
+    # true and 1.0 equal 1 in Python but are no version.
+    if (type(data) is not dict or data.get("format") != "mpart"
+            or type(data.get("version")) is not int or data["version"] != 1):
         raise ParseError("not a version-1 design document")
     # A missing member reads as None, which is of no kind asked for.
     factors = [_json(f, dict, "factor {}", i)

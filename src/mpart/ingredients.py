@@ -334,10 +334,14 @@ class HadamardMatrix:
     entries: tuple[tuple[int, ...], ...]
 
     def __post_init__(self):
-        H = np.asarray(self.entries, dtype=np.int64)
+        # Read as objects for the shape, then each entry through _index, so
+        # that a float is refused rather than truncated to a +-1.
+        H = np.asarray(self.entries, dtype=object)
         n = H.shape[0] if H.ndim == 2 else 0
-        if H.ndim != 2 or H.shape != (n, n) or not np.isin(H, (-1, 1)).all():
+        entries = [_index(x, "Hadamard entry") for x in H.flat] if H.ndim == 2 else ()
+        if H.shape != (n, n) or not {-1, 1}.issuperset(entries):
             raise InvalidInputError("entries must form a square +-1 matrix")
+        H = np.array(entries, dtype=np.int64).reshape(n, n)
         if not np.array_equal(H @ H.T, n * np.eye(n, dtype=np.int64)):
             raise InvalidInputError("rows are not pairwise orthogonal")
         object.__setattr__(self, "entries", tuple(tuple(int(x) for x in row) for row in H))

@@ -11,6 +11,7 @@ from mpart.errors import InvalidInputError
 from mpart.files import parse_concise, serialize_concise
 from mpart.fixtures import load_design
 from mpart.ingredients import (
+    HadamardMatrix,
     OrthogonalArray,
     full_factorial_oa,
     get_bibd,
@@ -39,13 +40,24 @@ def _reordered(partition: BlockPartition, order) -> BlockPartition:
     lambda: full_factorial_oa([2.5]),
     lambda: orthogonal_array([2.0, 2], 2),
     lambda: BlockPartition(((0.9, 1), (2, 3))),
+    lambda: HadamardMatrix(((1.9, 1), (1, -1.5))),
+    lambda: HadamardMatrix(((1, 1), (1.0, -1))),
+    lambda: HadamardMatrix((("1", "1"), ("1", "-1"))),
 ], ids=["admissible-v-k", "admissible-b", "admissible-c", "meet-filter-special",
         "orbit-size", "orbit-generator", "oa-entry", "oa-symbols", "oa-strength",
-        "full-factorial-symbols", "orthogonal-array-symbols", "partition-member"])
+        "full-factorial-symbols", "orthogonal-array-symbols", "partition-member",
+        "hadamard-entry", "hadamard-float-entry", "hadamard-string-entry"])
 def test_public_entry_points_refuse_non_integral_numbers(call):
     # A float is refused, not truncated: 7.9 is not read as 7, nor 0.9 as 0.
     with pytest.raises(InvalidInputError, match="must be an integer"):
         call()
+
+
+def test_hadamard_matrix_refuses_ragged_rows_with_its_own_error():
+    # The shape is read off an object array, so rows of two lengths are the
+    # package's input error, not numpy's.
+    with pytest.raises(InvalidInputError, match="square"):
+        HadamardMatrix(((1, 1), (1,)))
 
 
 def test_subcartesian_nonidentity_matching_still_valid():

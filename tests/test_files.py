@@ -215,6 +215,15 @@ def test_json_refuses_other_versions():
         from_json_dict(data)
 
 
+@pytest.mark.parametrize("version", [True, 1.0, "1"], ids=["true", "float", "string"])
+def test_json_refuses_a_version_that_is_no_json_integer(version):
+    # each equals 1 or reads as 1 somewhere, but only the JSON integer 1 is version 1
+    data = to_json_dict(load_design("fig1"))
+    data["version"] = version
+    with pytest.raises(ParseError, match="not a version-1 design document"):
+        from_json_dict(data)
+
+
 def _fig1_document(edit):
     data = to_json_dict(load_design("fig1"))
     edit(data)

@@ -2,8 +2,9 @@
 parser it replaced.
 
 The reference parses and range-checks every part of every block line,
-while the library reads each distinct part text once per factor and
-looks for stray text only between part matches.  On random valid files
+while the library converts each distinct level token once per factor,
+leaves sorting a part and refusing a repeat to the model, and looks for
+stray text only between part matches.  On random valid files
 and on single-character mutations of them, both must return the same
 design or raise the same error: type, message, line and column.
 
@@ -177,6 +178,37 @@ def random_file(rng: random.Random) -> str:
     return end.join(lines) + rng.choice((end, ""))
 
 
+def dense_file(rng: random.Random) -> str:
+    """A concise file of 30 to 64 blocks whose parts each miss one or two
+    of their factor's levels, as complements and near-complete designs
+    do: no two brace bodies need be equal, but they share nearly every
+    token.  Levels are shuffled, some zero-padded, and the separators
+    mix commas and spaces; in about one file in four, one part repeats a
+    level.
+    """
+    m = rng.randint(1, 3)
+    names = rng.sample(_NAMES, m)
+    sizes = [rng.randint(3, 40) for _ in names]
+
+    def part(name: str, size: int, repeat: bool) -> str:
+        missing = set(rng.sample(range(1, size + 1), rng.randint(1, 2)))
+        levels = [x for x in range(1, size + 1) if x not in missing]
+        rng.shuffle(levels)
+        if repeat:
+            levels.insert(rng.randrange(len(levels) + 1), rng.choice(levels))
+        items = [rng.choice(("", "", "", "0", "00")) + str(x) for x in levels]
+        seps = [rng.choice((",", ",", " ", ", ", "\t", " , ")) for _ in items[1:]]
+        return f"{name}{{{items[0]}{''.join(s + item for s, item in zip(seps, items[1:]))}}}"
+
+    lines = [_HEADER, "factors: " + " ".join(f"{name}={size}" for name, size in zip(names, sizes))]
+    b = rng.randint(30, 64)
+    repeat = rng.randrange(b * m) if rng.random() < 0.25 else None
+    lines += ["block: " + " ".join(part(name, size, t * m + i == repeat)
+                                   for i, (name, size) in enumerate(zip(names, sizes)))
+              for t in range(b)]
+    return "\n".join(lines) + "\n"
+
+
 def mutate(rng: random.Random, text: str) -> str:
     """Delete, replace or insert one character."""
     pos = rng.randrange(len(text) + 1)
@@ -222,6 +254,25 @@ def test_parse_matches_the_reference_on_random_files():
     assert {ParseError, UnknownFactorError, DuplicateLevelInPartError} <= errors
     assert {"unrecognized", "expected", "level", "block", "factor", "factors", "unknown",
             "bad", "duplicate", "empty"} <= messages
+
+
+def test_parse_matches_the_reference_on_dense_files():
+    # Each distinct token of a column is converted once and the model sorts
+    # each part and refuses a repeat: a repeated level, and a token mutated
+    # out of range or into a level its part already holds, must each be
+    # told at its line.
+    rng = random.Random(0x9A460)
+    results = []
+    for _ in range(40):
+        results += check_file_and_mutations(rng, dense_file(rng), 8)
+    designs = [r for r in results if r[0] == "design"]
+    errors = {r[1] for r in results if r[0] == "error"}
+    messages = {r[2].split(": ", 1)[-1].split(" ", 1)[0] for r in results if r[0] == "error"}
+    # most mutations of a dense line hit a level, so fewer stay designs
+    assert len(designs) >= len(results) // 8
+    assert min(len(d[3]) for d in designs) >= 30
+    assert {ParseError, DuplicateLevelInPartError} <= errors
+    assert {"duplicate", "level"} <= messages
 
 
 def test_parse_matches_the_reference_on_mutated_fixtures():
