@@ -144,6 +144,7 @@ def hadamard_2part(H, second_row: int = 1) -> MultipartDesign:
     consecutive block pairs form the (4n-2) partition classes.  ``H`` is
     a :class:`HadamardMatrix` or any array that forms one.
     """
+    second_row = _index(second_row, "splitting row")
     if not isinstance(H, HadamardMatrix):
         try:
             H = HadamardMatrix(H)
@@ -181,6 +182,7 @@ def symmetric_block_split(bd: BlockDesign, gamma: int) -> MultipartDesign:
     first; every other block splits into its part outside gamma and its
     meet with gamma.  Yields b = v - 1 blocks with k = (k - lam, lam).
     """
+    gamma = _index(gamma, "block index")
     lam = check_t_design(bd, 2)
     if lam is None or bd.b != bd.v:
         raise NotSymmetricDesignError(
@@ -213,6 +215,7 @@ def augment(design: MultipartDesign, factor: int) -> MultipartDesign:
     level, the other takes the complement of the original part within
     the old level set.
     """
+    factor = _index(factor, "factor")
     if not 0 <= factor < design.m:
         raise InvalidInputError(f"factor {factor} out of range")
     sizes = set(design._part_sizes[factor].tolist())
@@ -240,6 +243,7 @@ def part_swap(design: MultipartDesign, factor: int) -> MultipartDesign:
     the parameters transform as k -> v - k, within-concurrence ->
     b - 2r + lambda, and cross counts -> r_other - lambda.
     """
+    factor = _index(factor, "factor")
     if not 0 <= factor < design.m:
         raise InvalidInputError(f"factor {factor} out of range")
     parts = list(design._parts)

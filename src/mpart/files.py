@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import json
 import re
+import sys
 from itertools import chain, product
 from typing import Any, Iterable, Iterator
 
@@ -116,30 +117,28 @@ def parse_concise(text: str) -> MultipartDesign:
     matches = list(map(pattern.fullmatch, rest))
     rows = list(filter(None, matches))
     columns = tuple(zip(*map(re.Match.groups, rows)))
+    stray = len(rows) != len(rest) and any(
+        _strip_comment(line).strip() for line, match in zip(rest, matches) if not match)
     try:
         known = list(map(_column_levels, columns, sizes))
-    except ParseError:
-        raise _first_fault(rest, n, names, sizes) from None
-    if len(rows) != len(rest) and any(
-            _strip_comment(line).strip() for line, match in zip(rest, matches) if not match):
-        raise _first_fault(rest, n, names, sizes)
-    if not rows:
+        if rows and not stray:
+            return MultipartDesign(v=tuple(sizes), blocks=tuple(_blocks(known, columns)),
+                                   factor_names=tuple(names))
+    except (ParseError, InvalidInputError):
+        pass
+    if not (rows or stray):
         raise ParseError("no blocks", n, 1)
-    try:
-        return MultipartDesign(v=tuple(sizes), blocks=tuple(_blocks(known, columns)),
-                               factor_names=tuple(names))
-    except InvalidInputError:
-        raise _first_fault(rest, n, names, sizes) from None
+    raise _first_fault(rest, n, _block_error, names, sizes)
 
 
-def _first_fault(lines: list[str], n: int, names: list[str], sizes: list[int]) -> ParseError:
-    """The error of the first faulty block line of ``lines``, which follow
-    line ``n``."""
+def _first_fault(lines: list[str], n: int, line_error, *args) -> ParseError:
+    """The first error ``line_error(line, n, *args)`` of ``lines``, which
+    follow line ``n``, each with its comment stripped."""
     for n, line in enumerate(map(_strip_comment, lines), n + 1):
-        error = _block_error(line, n, names, sizes) if line.strip() else None
+        error = line_error(line, n, *args) if line.strip() else None
         if error is not None:
             return error
-    raise AssertionError("no faulty block line")
+    raise AssertionError("no faulty line")
 
 
 def _column_levels(bodies: Iterable[str], size: int) -> dict[str, tuple[int, ...]]:
@@ -214,27 +213,47 @@ def _block_error(line: str, n: int, names: list[str], sizes: list[int]) -> Parse
 # --------------------------------------------------------------------------
 # plain block lists (ingredient fixtures): 1-based points, one block per line
 
+# A block-list line holds ASCII digits and whitespace only.
+_POINTS_RE = re.compile(r"[0-9\s]*")
+
 
 def parse_blocks(text: str) -> BlockDesign:
-    """Fixture format: space-separated 1-based point labels, '#' comments;
-    the points are 1 to the largest label."""
-    blocks = []
-    top = 0
-    for n, raw in enumerate(text.splitlines(), start=1):
-        line = _strip_comment(raw).strip()
-        if not line:
-            continue
-        try:
-            points = [int(token) for token in line.split()]
-        except ValueError as exc:
-            raise ParseError(str(exc), n, 1) from None
-        if any(p < 1 for p in points):
-            raise ParseError("points are 1-based", n, 1)
-        top = max(top, max(points))
-        blocks.append(tuple(x - 1 for x in points))
-    if not blocks:
+    """Plain block list: one block per line of 1-based point labels
+    separated by whitespace, '#' comments; the points are 1 to the largest
+    label.  Labels follow the concise format's level rule, bounded by the
+    largest index numpy takes, ``sys.maxsize``; any fault is a ParseError
+    at its line and column."""
+    lines = text.splitlines()
+    rows = [line for line in map(_strip_comment, lines) if line.strip()]
+    if not rows:
         raise ParseError("no blocks", 1, 1)
-    return BlockDesign(v=top, blocks=tuple(blocks))
+    # As in a concise column: each distinct label is converted once, the
+    # model refuses a repeated point, and only a faulty file is read again.
+    try:
+        if all(map(_POINTS_RE.fullmatch, rows)):
+            points = _column_levels(rows, sys.maxsize)
+            return BlockDesign(v=max(map(max, points.values())) + 1,
+                               blocks=tuple(map(points.__getitem__, rows)))
+    except (ParseError, InvalidInputError):
+        pass
+    raise _first_fault(lines, 0, _points_error)
+
+
+def _points_error(line: str, n: int) -> ParseError | None:
+    """The error, at line ``n`` and its label's column, of a block-list
+    line's first bad or repeated label; None for a good line."""
+    seen: set[int] = set()
+    for m in re.finditer(r"\S+", line):
+        try:
+            if not _POINTS_RE.fullmatch(m[0]):
+                raise ParseError(f"point label {m[0]!r} is not ASCII digits")
+            (x,) = _column_levels((m[0],), sys.maxsize)[m[0]]
+        except ParseError as exc:
+            return ParseError(str(exc), n, m.start() + 1)
+        if x in seen:
+            return DuplicateLevelInPartError(f"repeated point {x + 1}", n, m.start() + 1)
+        seen.add(x)
+    return None
 
 
 def serialize_blocks(bd: BlockDesign) -> str:
@@ -242,7 +261,7 @@ def serialize_blocks(bd: BlockDesign) -> str:
 
 
 # --------------------------------------------------------------------------
-# JSON mirror
+# JSON mirror: written, never read
 
 
 def to_json_dict(design: MultipartDesign) -> dict[str, Any]:
@@ -294,36 +313,6 @@ def _json_blocks(design: MultipartDesign) -> str:
             + "\n      ]\n    ],\n    [\n      [\n        ".join(
                 map("\n      ],\n      [\n        ".join, rows))
             + "\n      ]\n    ]\n  ]")
-
-
-def _json(value: Any, kind: type, what: str, *args) -> Any:
-    """``value`` when JSON read it as ``kind`` (true is no int here), else
-    a ParseError naming it as ``what.format(*args)``."""
-    if type(value) is not kind:
-        raise ParseError(f"{what.format(*args)} must be a JSON {kind.__name__}, got {value!r}")
-    return value
-
-
-def from_json_dict(data: dict[str, Any]) -> MultipartDesign:
-    """The design of a version-1 document in :func:`to_json_dict`'s shape;
-    any other shape is a ParseError, any other fault the model's error."""
-    # The version, like every number in the document, is a JSON integer:
-    # true and 1.0 equal 1 in Python but are no version.
-    if (type(data) is not dict or data.get("format") != "mpart"
-            or type(data.get("version")) is not int or data["version"] != 1):
-        raise ParseError("not a version-1 design document")
-    # A missing member reads as None, which is of no kind asked for.
-    factors = [_json(f, dict, "factor {}", i)
-               for i, f in enumerate(_json(data.get("factors"), list, "'factors'"))]
-    return MultipartDesign(
-        v=tuple(_json(f.get("levels"), int, "'levels' of factor {}", i) for i, f in enumerate(factors)),
-        blocks=tuple(tuple(tuple(_json(x, int, "a level of block {}, part {}", t, i) - 1
-                                 for x in _json(part, list, "part {} of block {}", i, t))
-                           for i, part in enumerate(_json(block, list, "block {}", t)))
-                     for t, block in enumerate(_json(data.get("blocks"), list, "'blocks'"))),
-        factor_names=tuple(_json(f.get("name"), str, "'name' of factor {}", i)
-                           for i, f in enumerate(factors)),
-    )
 
 
 # --------------------------------------------------------------------------

@@ -119,14 +119,7 @@ def kirkman_15() -> BlockDesign:
 # 2-(16,6,2): developed from the difference set {0,1,2,4,8,15} in the
 # elementary abelian group of order 16 (XOR on 0..15); no difference set
 # with these parameters exists in Z16.
-_BLOCKS_16_6_2 = (
-    (0, 1, 2, 4, 8, 15), (0, 1, 3, 5, 9, 14), (0, 2, 3, 6, 10, 13),
-    (1, 2, 3, 7, 11, 12), (0, 4, 5, 6, 11, 12), (1, 4, 5, 7, 10, 13),
-    (2, 4, 6, 7, 9, 14), (3, 5, 6, 7, 8, 15), (0, 7, 8, 9, 10, 12),
-    (1, 6, 8, 9, 11, 13), (2, 5, 8, 10, 11, 14), (3, 4, 9, 10, 11, 15),
-    (3, 4, 8, 12, 13, 14), (2, 5, 9, 12, 13, 15), (1, 6, 10, 12, 14, 15),
-    (0, 7, 11, 13, 14, 15),
-)
+_BLOCKS_16_6_2 = tuple(tuple(sorted(x ^ d for d in (0, 1, 2, 4, 8, 15))) for x in range(16))
 
 # 2-(25,9,3): no difference set with these parameters exists in either
 # group of order 25, so the design cannot be developed; this one was
@@ -243,6 +236,7 @@ def catalog_entries(max_blocks: int = 64,
     to the block bound; complements are included unless they collide
     with an existing parameter triple.
     """
+    max_blocks = _index(max_blocks, "max_blocks")
     entries = list(_fixed_entries())
     v = 3
     while v * (v - 1) // 2 <= max_blocks:
@@ -292,6 +286,7 @@ def get_bibd(v: int, k: int, lam: int) -> BlockDesign:
     covered (which is weaker than nonexistence), InvalidInputError when
     they are inadmissible.
     """
+    v, k, lam = map(_index, (v, k, lam), ("v", "k", "lambda"))
     if v < 2 or not 2 <= k < v or lam < 1:
         raise InvalidInputError(f"inadmissible parameters ({v},{k},{lam})")
     if (lam * (v - 1)) % (k - 1) or (lam * v * (v - 1)) % (k * (k - 1)):
@@ -317,6 +312,7 @@ def resolvable_classes(design: BlockDesign, budget: int = DEFAULT_BUDGET):
     # Imported here, so that get_bibd does not load the search module.
     from .verify import find_partition
 
+    budget = _index(budget, "budget")
     r = check_t_design(design, 1)
     if r is None:
         return None
@@ -404,7 +400,7 @@ _BUILTIN_H12 = (
 )
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)  # typed: 8.0 is refused, not served 8's matrix
 def hadamard_matrix(order: int) -> HadamardMatrix:
     """A verified Hadamard matrix of the given order.
 
@@ -413,6 +409,7 @@ def hadamard_matrix(order: int) -> HadamardMatrix:
     of two, then doubling of a constructible half-order, which reaches a
     power of two from order 1 as Sylvester's construction does.
     """
+    order = _index(order, "order")
     if order < 1 or (order > 2 and order % 4):
         raise InvalidInputError(f"no Hadamard matrix of order {order} exists")
     if order == 1:
@@ -539,6 +536,7 @@ def brute_force_bibd(v: int, k: int, lam: int, b: int,
     budget ran out before the search was decided.  The search keeps its
     own stack, so any number of blocks cannot overflow Python's.
     """
+    v, k, lam, b, budget = map(_index, (v, k, lam, b, budget), ("v", "k", "lambda", "b", "budget"))
     if v < 2 or not 2 <= k < v or lam < 1 or b < 1:
         raise InvalidInputError(f"inadmissible parameters ({v},{k},{lam};{b})")
     if (b * k) % v or b * k * (k - 1) != lam * v * (v - 1):

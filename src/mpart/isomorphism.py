@@ -22,7 +22,7 @@ from operator import add, itemgetter, sub
 import numpy as np
 
 from .errors import DEFAULT_BUDGET, BudgetExceededError
-from .model import MultipartDesign, _blocks, _count_product, permute_factors
+from .model import MultipartDesign, _blocks, _count_product, _index, permute_factors
 
 
 class CanonicalForm:
@@ -318,7 +318,7 @@ def canonical_form(design: MultipartDesign, budget: int = DEFAULT_BUDGET) -> Can
     permutation.  Raises BudgetExceededError if the search does not
     finish within ``budget`` nodes.
     """
-    blocks = _Canonicalizer(design, budget).run()
+    blocks = _Canonicalizer(design, _index(budget, "budget")).run()
     return CanonicalForm(MultipartDesign(v=design.v, blocks=tuple(blocks),
                                          factor_names=design.factor_names))
 
@@ -353,6 +353,7 @@ def are_isomorphic(d1: MultipartDesign, d2: MultipartDesign,
     Shape mismatches and fingerprint mismatches decide quickly; only
     designs that agree on every cheap invariant reach the search.
     """
+    budget = _index(budget, "budget")
     return d1.v == d2.v and _matches(d1, [d2], budget)
 
 
@@ -363,6 +364,7 @@ def are_weakly_isomorphic(d1: MultipartDesign, d2: MultipartDesign,
     Only the exchanges that keep every factor's level count and multiset
     of part sizes are tried.
     """
+    budget = _index(budget, "budget")
     shape1, shape2 = ([(v, sorted(sizes)) for v, sizes in zip(d.v, d._part_sizes.tolist())]
                       for d in (d1, d2))
     exchanged = (permute_factors(d2, sigma) for sigma in permutations(range(d2.m))

@@ -600,6 +600,7 @@ def select_factors(design: MultipartDesign, factors: Sequence[int]) -> Multipart
 
 def reorder_blocks(design: MultipartDesign, order: Sequence[int]) -> MultipartDesign:
     """Permute the stored block order (the design stays equal as a multiset)."""
+    order = [_index(t, "block index") for t in order]
     if sorted(order) != list(range(design.b)):
         raise InvalidInputError(f"not a permutation of blocks: {order}")
     return MultipartDesign(v=design.v,

@@ -28,7 +28,7 @@ from .errors import (
     NotConstructibleError,
 )
 from .ingredients import catalog_entries, get_bibd, hadamard_matrix
-from .model import MultipartDesign, as_multipart
+from .model import MultipartDesign, _index, as_multipart
 from .verify import check_admissible, check_multipart, find_partition
 
 # Catalog designs of at most this many blocks are the tables' ingredients.
@@ -193,6 +193,7 @@ def enumerate_reachable(max_b: int,
     a constructed design that fails ``check_multipart`` raises
     AssertionError: no row is dropped.
     """
+    max_b, partition_budget = _index(max_b, "max_b"), _index(partition_budget, "partition budget")
     constructions = frozenset(constructions)
     exclude = frozenset(exclude)
     if constructions & exclude:

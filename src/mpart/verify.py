@@ -75,6 +75,7 @@ def check_strength(design: MultipartDesign, t: int) -> dict[tuple[int, ...], int
     Strength t includes all lower strengths: the table for the t-subsets
     is only returned when every t'-subset with 2 <= t' <= t is balanced.
     """
+    t = _index(t, "t")
     if not 2 <= t <= design.m:
         raise InvalidInputError(f"t must be in 2..{design.m}, got {t}")
     return next(islice(_level_tables(design, derive_parameters(design)), t - 2, None), None)
@@ -290,6 +291,7 @@ def find_partition(design: MultipartDesign, c: int,
     Both phases keep their own stacks, so a design of any size cannot
     overflow Python's.
     """
+    c, budget = _index(c, "class count"), _index(budget, "budget")
     if c < 1:
         raise InvalidInputError(f"class count must be positive, got {c}")
     if c == 1:

@@ -1,11 +1,15 @@
 import pytest
 
 from mpart.constructions import (
+    augment,
+    hadamard_2part,
     meet_filter,
     multipart_product,
     oa_compose,
     orbit_design,
+    part_swap,
     subcartesian_product,
+    symmetric_block_split,
 )
 from mpart.errors import InvalidInputError
 from mpart.files import parse_concise, serialize_concise
@@ -13,14 +17,18 @@ from mpart.fixtures import load_design
 from mpart.ingredients import (
     HadamardMatrix,
     OrthogonalArray,
+    brute_force_bibd,
+    catalog_entries,
     full_factorial_oa,
     get_bibd,
+    hadamard_matrix,
     orthogonal_array,
     resolvable_classes,
 )
-from mpart.isomorphism import are_isomorphic, canonical_form
-from mpart.model import BlockPartition, MultipartDesign, as_multipart
-from mpart.verify import check_admissible, check_multipart
+from mpart.isomorphism import are_isomorphic, are_weakly_isomorphic, canonical_form
+from mpart.model import BlockPartition, MultipartDesign, as_multipart, reorder_blocks
+from mpart.tables import enumerate_reachable
+from mpart.verify import check_admissible, check_multipart, check_strength, find_partition
 
 
 def _reordered(partition: BlockPartition, order) -> BlockPartition:
@@ -43,10 +51,34 @@ def _reordered(partition: BlockPartition, order) -> BlockPartition:
     lambda: HadamardMatrix(((1.9, 1), (1, -1.5))),
     lambda: HadamardMatrix(((1, 1), (1.0, -1))),
     lambda: HadamardMatrix((("1", "1"), ("1", "-1"))),
+    lambda: get_bibd(7.0, 3, 1),
+    lambda: brute_force_bibd(6, 3, 2, 10.0),
+    lambda: brute_force_bibd(6, 3, 2, 10, budget=2.5),
+    lambda: find_partition(load_design("fig1"), 5, budget=2.5),
+    lambda: find_partition(load_design("fig1"), 3.0),
+    lambda: canonical_form(load_design("fig1"), budget=2.5),
+    lambda: are_isomorphic(load_design("fig1"), load_design("fig1"), budget=2.5),
+    lambda: are_weakly_isomorphic(load_design("fig1"), load_design("fig1"), budget=2.5),
+    lambda: resolvable_classes(get_bibd(9, 3, 1), budget=2.5),
+    lambda: enumerate_reachable(12, partition_budget=2.5),
+    lambda: enumerate_reachable(12.5),
+    lambda: hadamard_matrix(8.0),
+    lambda: check_strength(load_design("fig1"), 2.0),
+    lambda: augment(load_design("fig1"), 0.0),
+    lambda: part_swap(load_design("fig1"), 0.0),
+    lambda: symmetric_block_split(get_bibd(11, 5, 2), 0.0),
+    lambda: hadamard_2part(hadamard_matrix(8), 1.0),
+    lambda: reorder_blocks(load_design("fig1"), [0.0, *range(1, 10)]),
+    lambda: catalog_entries(64.5),
 ], ids=["admissible-v-k", "admissible-b", "admissible-c", "meet-filter-special",
         "orbit-size", "orbit-generator", "oa-entry", "oa-symbols", "oa-strength",
         "full-factorial-symbols", "orthogonal-array-symbols", "partition-member",
-        "hadamard-entry", "hadamard-float-entry", "hadamard-string-entry"])
+        "hadamard-entry", "hadamard-float-entry", "hadamard-string-entry",
+        "get-bibd", "brute-force-b", "brute-force-budget", "partition-budget",
+        "partition-classes", "canon-budget", "iso-budget", "weak-iso-budget",
+        "resolvable-budget", "tables-budget", "tables-max-b", "hadamard-order",
+        "strength-t", "augment-factor", "part-swap-factor", "symmetric-split-block",
+        "hadamard-split-row", "reorder-order", "catalog-max-blocks"])
 def test_public_entry_points_refuse_non_integral_numbers(call):
     # A float is refused, not truncated: 7.9 is not read as 7, nor 0.9 as 0.
     with pytest.raises(InvalidInputError, match="must be an integer"):

@@ -1,11 +1,15 @@
-"""Property tests of the concise and JSON formats on generated designs.
+"""Property tests of the concise, JSON and block-list formats on
+generated designs.
 
-Round trip: both formats give back the design itself, with its block
-order and factor names.  Error positions: one fault injected at a known
-line and column of a serialized design is reported there, whether in a
-block line, the header or the factors line, or as a block line whose
-factors are out of order.  The tests compute each position from the text
-they build, not from a parser.
+Round trip: the concise format and block lists give back the design
+itself, with its block order and factor names; the JSON document, which
+is output only, holds its factors, its 1-based blocks and its parameters.
+Error positions: one fault injected at a known line and column of a
+serialized design is reported there, whether in a block line, the header
+or the factors line, or as a block line whose factors are out of order;
+a block list with one character changed either reads or is refused at
+the changed line.  The tests compute each position from the text they
+build, not from a parser.
 """
 
 from __future__ import annotations
@@ -22,8 +26,14 @@ from mpart.errors import (  # noqa: E402
     ParseError,
     UnknownFactorError,
 )
-from mpart.files import from_json_dict, parse_concise, serialize_concise, serialize_json  # noqa: E402
-from mpart.model import MultipartDesign  # noqa: E402
+from mpart.files import (  # noqa: E402
+    parse_blocks,
+    parse_concise,
+    serialize_blocks,
+    serialize_concise,
+    serialize_json,
+)
+from mpart.model import BlockDesign, MultipartDesign, derive_parameters  # noqa: E402
 
 _NAMES = st.from_regex(r"[A-Za-z][A-Za-z0-9_]{0,4}", fullmatch=True)
 
@@ -48,10 +58,56 @@ def _same(got: MultipartDesign, design: MultipartDesign) -> None:
     assert got.factor_names == design.factor_names
 
 
+def _check_document(text: str, design: MultipartDesign) -> None:
+    document = json.loads(text)
+    assert document["factors"] == [{"name": name, "levels": size}
+                                   for name, size in zip(design.factor_names, design.v)]
+    assert document["blocks"] == [[[x + 1 for x in part] for part in block]
+                                  for block in design.blocks]
+    params = derive_parameters(design)
+    assert document["params"] == {"b": design.b, "k": list(params.k), "r": list(params.r),
+                                  "lambda": [list(row) for row in params.lam],
+                                  "uniform": params.uniform}
+
+
 @hypothesis.given(designs())
 def test_concise_and_json_round_trip_keep_order_and_names(design):
     _same(parse_concise(serialize_concise(design)), design)
-    _same(from_json_dict(json.loads(serialize_json(design))), design)
+    _check_document(serialize_json(design), design)
+
+
+@st.composite
+def block_designs(draw) -> BlockDesign:
+    """Up to 12 points, blocks of any size, some repeated."""
+    v = draw(st.integers(1, 12))
+    block = st.sets(st.integers(0, v - 1), min_size=1, max_size=v).map(sorted).map(tuple)
+    blocks = draw(st.lists(block, min_size=1, max_size=8))
+    return BlockDesign(v=v, blocks=tuple(draw(st.permutations(blocks))))
+
+
+@hypothesis.given(block_designs())
+def test_a_block_list_round_trip_keeps_the_blocks_and_their_order(bd):
+    got = parse_blocks(serialize_blocks(bd))
+    assert got.blocks == bd.blocks
+    assert got.v == max(map(max, bd.blocks)) + 1
+
+
+# one character that no line break is: a digit, a separator, a comment or
+# any other character
+_CHANGES = st.one_of(st.sampled_from("0123456789 \t#,_+-x\u0663"), st.characters()).filter(
+    lambda c: len(f"a{c}b".splitlines()) == 1)
+
+
+@hypothesis.given(block_designs(), st.data())
+def test_a_changed_character_reads_or_is_refused_at_its_line(bd, data):
+    text = serialize_blocks(bd)
+    pos = data.draw(st.integers(0, len(text) - 1), label="position")
+    changed = text[:pos] + data.draw(_CHANGES, label="character") + text[pos + 1:]
+    # any other exception, InvalidInputError or ValueError among them, fails
+    try:
+        parse_blocks(changed)
+    except ParseError as exc:
+        assert exc.line == text.count("\n", 0, pos) + 1
 
 
 def _part_text(name: str, levels) -> str:
