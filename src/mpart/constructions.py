@@ -316,6 +316,7 @@ def meet_filter(host: BlockDesign, special: Sequence[int], t: int) -> MultipartD
     either part empty are discarded.
     """
     special_set = {_index(x, "special point") for x in special}
+    t = _index(t, "t")
     if not special_set or not special_set <= set(range(host.v)):
         raise InvalidInputError("special set must be a non-empty subset of the points")
     blocks = [(meet, rest) for meet, rest in _split_by(host.v, host.blocks, special_set)

@@ -141,6 +141,10 @@ def _first_fault(lines: list[str], n: int, line_error, *args) -> ParseError:
     raise AssertionError("no faulty line")
 
 
+# The number of digits of sys.maxsize, the largest index numpy takes.
+_MAX_DIGITS = len(str(sys.maxsize))
+
+
 def _column_levels(bodies: Iterable[str], size: int) -> dict[str, tuple[int, ...]]:
     """Each distinct brace body of ``bodies`` -> its 0-based levels in the
     order written, each distinct token converted once; the ParseError for
@@ -154,7 +158,9 @@ def _column_levels(bodies: Iterable[str], size: int) -> dict[str, tuple[int, ...
         # that many digits.
         digits = token if len(token) <= width else token.lstrip("0") or "0"
         if len(digits) > width:
-            raise ParseError(f"level {digits} out of range 1..{size}")
+            # A level longer than any index numpy takes is named by its length.
+            shown = digits if len(digits) <= _MAX_DIGITS else f"of {len(digits)} digits"
+            raise ParseError(f"level {shown} out of range 1..{size}")
         x = int(digits)
         if not 1 <= x <= size:
             raise ParseError(f"level {x} out of range 1..{size}")

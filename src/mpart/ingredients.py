@@ -69,6 +69,7 @@ def near_complete_design(v: int) -> BlockDesign:
 
 def cyclic_development(v: int, base_blocks: Sequence[Sequence[int]]) -> BlockDesign:
     """Develop base blocks under x -> x+1 (mod v), deduplicating short orbits."""
+    v = _index(v, "v")
     seen = set()
     out = []
     for base in base_blocks:
@@ -86,6 +87,7 @@ def affine_plane(q: int) -> BlockDesign:
     Lines come out grouped by direction: q parallel classes of slope
     0..q-1 followed by the vertical class.
     """
+    q = _index(q, "q")
     if not _is_prime(q):
         raise InvalidInputError(f"affine_plane needs a prime, got {q}")
     lines = []

@@ -15,7 +15,7 @@ looking for the second design's first leaf among the first design's leaves.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from itertools import permutations
 from operator import add, itemgetter, sub
 
@@ -58,6 +58,28 @@ def _fingerprint(design: MultipartDesign) -> tuple:
     reps = tuple(tuple(sorted(replication[span])) for span in design.spans)
     return (design.v, tuple(sorted(zip(*design._part_sizes.tolist()))), reps,
             tuple(map(tuple, meets.tolist())))
+
+
+def _pairs_fixed(design: MultipartDesign) -> bool:
+    """True when the points' factors fix every pair count of two points
+    and every replication, as in every balanced design."""
+    gram = design.gram
+    rows, columns = _first_pair(design.v)
+    expected = gram[rows[:, None], columns]
+    np.fill_diagonal(expected, gram[rows, rows])
+    return np.array_equal(gram, expected)
+
+
+@lru_cache(maxsize=256)
+def _first_pair(v: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
+    """For each point, the first point of its factor, and the second (the
+    first again in a factor of one level); read-only, as they are shared."""
+    factor = np.repeat(np.arange(len(v)), v)
+    first = np.cumsum((0,) + v[:-1])
+    pair = first[factor], (first + (np.asarray(v) > 1))[factor]
+    for points in pair:
+        points.flags.writeable = False
+    return pair
 
 
 @dataclass(frozen=True)
@@ -106,8 +128,10 @@ class _Canonicalizer:
         self.block_getters = [_getter(points) for points in design.zipped_blocks]
         self.point_getters = [_getter(np.flatnonzero(row).tolist())
                               for row in design.incidence]
-        self.pair = design.gram.tolist()
         # The pair profile key of color c and pair count w is c * base + w.
+        # Where the points' factors fix every pair count and replication,
+        # all points of a cell have one profile, and it is left out.
+        self.pair = None if _pairs_fixed(design) else design.gram.tolist()
         self.base = int(design.gram.max()) + 1
         self.part_getters = [[_getter([offset + x for x in part]) for part in parts]
                              for offset, parts in zip(offsets, design._parts)]
@@ -117,8 +141,12 @@ class _Canonicalizer:
         self.best: _Leaf | None = None
         self.autos: list[tuple[int, ...]] = []
         self.targets: set[tuple] = set()
+        # The refinement traces of the paths a leaf search compares its
+        # nodes with, its own first path first; None when none is kept.
+        self.paths: list[list[list]] | None = None
 
-    def _refine(self, colors: tuple[int, ...]) -> tuple[int, ...]:
+    def _refine(self, colors: tuple[int, ...], trace: list | None = None,
+                paths: list[list] | None = None) -> tuple[int, ...] | None:
         """Split the cells of ``colors`` until no cell splits.
 
         The colors are the dense ranks 0, 1, ... of the cells.  A round
@@ -129,6 +157,12 @@ class _Canonicalizer:
         Since the old color leads that key, each cell keeps its place and
         splits by the rest of the key, in order: a singleton keeps its
         rank unsigned, and a round signs only the points of tied cells.
+
+        With ``trace``, each round appends its record: the new color and
+        key of each piece of every cell that splits.  Colors are ranks of
+        keys that name no label, so isomorphic nodes have equal traces.
+        With ``paths``, other nodes' traces, refinement stops and returns
+        None at the first round that leaves the trace a prefix of none.
         """
         cells = _cells(colors)
         pair, base = self.pair, self.base
@@ -144,16 +178,22 @@ class _Canonicalizer:
                 if block_sigs[t] != block_sigs[previous]:
                     rank += 1
                 block_colors[t] = rank
-            keys = [color * base for color in colors]
+            if pair is not None:
+                keys = [color * base for color in colors]
             split = []
+            record = []
             for cell in cells:
                 if len(cell) == 1:
                     split.append(cell)
                     continue
-                sigs = {p: (sorted(map(add, keys, pair[p])),
-                            sorted(self.point_getters[p](block_colors)))
-                        for p in cell}
+                if pair is None:
+                    sigs = {p: sorted(self.point_getters[p](block_colors)) for p in cell}
+                else:
+                    sigs = {p: (sorted(map(add, keys, pair[p])),
+                                sorted(self.point_getters[p](block_colors)))
+                            for p in cell}
                 cell.sort(key=sigs.__getitem__)
+                start = len(split)
                 piece = [cell[0]]
                 for previous, p in zip(cell, cell[1:]):
                     if sigs[p] != sigs[previous]:
@@ -161,6 +201,15 @@ class _Canonicalizer:
                         piece = []
                     piece.append(p)
                 split.append(piece)
+                if trace is not None and len(split) > start + 1:
+                    record += [(c, sigs[split[c][0]]) for c in range(start, len(split))]
+            if trace is not None:
+                trace.append(record)
+                if paths is not None:
+                    paths = [path for path in paths
+                             if len(path) >= len(trace) and path[len(trace) - 1] == record]
+                    if not paths:
+                        return None
             if len(split) == len(cells):
                 return colors
             cells = split
@@ -217,7 +266,7 @@ class _Canonicalizer:
     def _search(self, colors: tuple[int, ...], fixed: tuple[int, ...]) -> int | None:
         """Explore the subtree below ``fixed``; return the depth to jump back
         to when an automorphism leaf ends it early, or ``_MATCH``."""
-        colors, target = self._node(colors)
+        colors, target = self._node(colors, len(fixed))
         if target is None:
             return self._leaf(colors, fixed)
         depth = len(fixed)
@@ -242,13 +291,28 @@ class _Canonicalizer:
                 return jump
         return None
 
-    def _node(self, colors: tuple[int, ...]) -> tuple[tuple[int, ...], list[int] | None]:
+    def _node(self, colors: tuple[int, ...],
+              depth: int) -> tuple[tuple[int, ...] | None, list[int] | None]:
         """Count a node against the budget and refine its coloring; return
-        the refined colors and the first tied cell, None at a leaf."""
+        the refined colors and the first tied cell, None at a leaf.
+
+        With traces kept, a node on the first path adds its trace to the
+        first path's, and any later node is cut where its trace leaves
+        every kept path's at its depth: it has no tied cell to branch on.
+        """
         self.nodes += 1
         if self.nodes > self.budget:
             raise BudgetExceededError(f"canonical labeling exceeded {self.budget} nodes")
-        colors = self._refine(colors)
+        if self.paths is None:
+            colors = self._refine(colors)
+        elif self.first is None:
+            self.paths[0].append([])
+            colors = self._refine(colors, self.paths[0][-1])
+        else:
+            colors = self._refine(colors, [], [path[depth] for path in self.paths
+                                               if len(path) > depth])
+            if colors is None:
+                return None, []
         return colors, next((cell for cell in _cells(colors) if len(cell) > 1), None)
 
     def run(self) -> list:
@@ -256,18 +320,30 @@ class _Canonicalizer:
         assert self.best is not None
         return self.best.candidate
 
-    def first_leaf(self) -> tuple:
+    def first_leaf(self) -> tuple[tuple, list[list]]:
         """The candidate at the end of the search's first path, which
-        individualizes the first point of the first tied cell at every node."""
-        colors, target = self._node(tuple(self.factor_of))
+        individualizes the first point of the first tied cell at every node,
+        and the trace of every node on that path."""
+        self.paths = [[]]
+        path = self.paths[0]
+        colors, target = self._node(tuple(self.factor_of), 0)
         while target is not None:
-            colors, target = self._node(_individualize(colors, target[0]))
-        return tuple(self._candidate(colors))
+            colors, target = self._node(_individualize(colors, target[0]), len(path))
+        return tuple(self._candidate(colors)), path
 
-    def meets(self, targets: set[tuple]) -> bool:
-        """Search until a leaf whose candidate is in ``targets``; False
-        when the search ends without one."""
-        self.targets = targets
+    def meets(self, leaves: list[tuple[tuple, list[list]]]) -> bool:
+        """Search until a leaf whose candidate is one of ``leaves``' (each
+        a :meth:`first_leaf` of another design); False when the search ends
+        without one.
+
+        The search's first path is refined in full and its trace kept.  A
+        leaf meeting a target has the trace of that target's path, and a
+        leaf equal to the first leaf has the first path's, so every later
+        node whose trace leaves all of these paths' is cut: it still
+        counts as one node, and the leaves below it are never reached.
+        """
+        self.targets = {candidate for candidate, _ in leaves}
+        self.paths = [[]] + [path for _, path in leaves]
         return self._search(tuple(self.factor_of), ()) == _MATCH
 
 
@@ -334,16 +410,17 @@ def _matches(d1: MultipartDesign, designs, budget: int) -> bool:
     isomorphism the other design's tree is the image of ``d1``'s, and
     pruning skips only automorphic images, which have the same
     candidates, so a search that ends without a match proves there is
-    none.  ``budget`` bounds each path and the search.
+    none; the trace cut (:meth:`_Canonicalizer.meets`) skips only nodes
+    with no match below.  ``budget`` bounds each path and the search.
     """
     fingerprint1 = None
-    targets = set()
+    leaves = []
     for d2 in designs:
         if fingerprint1 is None:
             fingerprint1 = _fingerprint(d1)
         if _fingerprint(d2) == fingerprint1:
-            targets.add(_Canonicalizer(d2, budget).first_leaf())
-    return bool(targets) and _Canonicalizer(d1, budget).meets(targets)
+            leaves.append(_Canonicalizer(d2, budget).first_leaf())
+    return bool(leaves) and _Canonicalizer(d1, budget).meets(leaves)
 
 
 def are_isomorphic(d1: MultipartDesign, d2: MultipartDesign,

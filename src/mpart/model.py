@@ -579,6 +579,7 @@ def relabel_levels(design: MultipartDesign,
 
 def permute_factors(design: MultipartDesign, order: Sequence[int]) -> MultipartDesign:
     """Reorder factors so new position j holds old factor ``order[j]``."""
+    order = [_index(i, "factor") for i in order]
     if sorted(order) != list(range(design.m)):
         raise InvalidInputError(f"not a permutation of factors: {order}")
     return select_factors(design, order)
@@ -586,6 +587,7 @@ def permute_factors(design: MultipartDesign, order: Sequence[int]) -> MultipartD
 
 def select_factors(design: MultipartDesign, factors: Sequence[int]) -> MultipartDesign:
     """Restrict the design to a subset of factors, in the given order."""
+    factors = [_index(i, "factor") for i in factors]
     if not factors or len(set(factors)) != len(factors):
         raise InvalidInputError(f"factor selection must be non-empty and distinct: {factors}")
     for i in factors:

@@ -194,8 +194,8 @@ def enumerate_reachable(max_b: int,
     AssertionError: no row is dropped.
     """
     max_b, partition_budget = _index(max_b, "max_b"), _index(partition_budget, "partition budget")
-    constructions = frozenset(constructions)
-    exclude = frozenset(exclude)
+    constructions = frozenset(_index(c, "construction") for c in constructions)
+    exclude = frozenset(_index(c, "construction") for c in exclude)
     if constructions & exclude:
         raise InvalidInputError("a construction cannot be both included and excluded")
     unknown = (constructions | exclude) - _GENERATORS.keys()

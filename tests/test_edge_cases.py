@@ -17,8 +17,10 @@ from mpart.fixtures import load_design
 from mpart.ingredients import (
     HadamardMatrix,
     OrthogonalArray,
+    affine_plane,
     brute_force_bibd,
     catalog_entries,
+    cyclic_development,
     full_factorial_oa,
     get_bibd,
     hadamard_matrix,
@@ -26,7 +28,14 @@ from mpart.ingredients import (
     resolvable_classes,
 )
 from mpart.isomorphism import are_isomorphic, are_weakly_isomorphic, canonical_form
-from mpart.model import BlockPartition, MultipartDesign, as_multipart, reorder_blocks
+from mpart.model import (
+    BlockPartition,
+    MultipartDesign,
+    as_multipart,
+    permute_factors,
+    reorder_blocks,
+    select_factors,
+)
 from mpart.tables import enumerate_reachable
 from mpart.verify import check_admissible, check_multipart, check_strength, find_partition
 
@@ -70,6 +79,13 @@ def _reordered(partition: BlockPartition, order) -> BlockPartition:
     lambda: hadamard_2part(hadamard_matrix(8), 1.0),
     lambda: reorder_blocks(load_design("fig1"), [0.0, *range(1, 10)]),
     lambda: catalog_entries(64.5),
+    lambda: meet_filter(get_bibd(7, 3, 1), [0, 1, 2], t=2.0),
+    lambda: enumerate_reachable(12, constructions=[1.0]),
+    lambda: enumerate_reachable(12, exclude=[4.0]),
+    lambda: select_factors(load_design("fig1"), [0.0]),
+    lambda: permute_factors(load_design("fig1"), [1.0, 0]),
+    lambda: affine_plane(3.0),
+    lambda: cyclic_development(7.0, [(0, 1, 3)]),
 ], ids=["admissible-v-k", "admissible-b", "admissible-c", "meet-filter-special",
         "orbit-size", "orbit-generator", "oa-entry", "oa-symbols", "oa-strength",
         "full-factorial-symbols", "orthogonal-array-symbols", "partition-member",
@@ -78,7 +94,9 @@ def _reordered(partition: BlockPartition, order) -> BlockPartition:
         "partition-classes", "canon-budget", "iso-budget", "weak-iso-budget",
         "resolvable-budget", "tables-budget", "tables-max-b", "hadamard-order",
         "strength-t", "augment-factor", "part-swap-factor", "symmetric-split-block",
-        "hadamard-split-row", "reorder-order", "catalog-max-blocks"])
+        "hadamard-split-row", "reorder-order", "catalog-max-blocks", "meet-filter-t",
+        "tables-construction", "tables-exclude", "select-factors", "permute-factors",
+        "affine-plane", "cyclic-development"])
 def test_public_entry_points_refuse_non_integral_numbers(call):
     # A float is refused, not truncated: 7.9 is not read as 7, nor 0.9 as 0.
     with pytest.raises(InvalidInputError, match="must be an integer"):

@@ -12,7 +12,7 @@ their point-block incidence graphs.
 import hashlib
 import random
 from collections import Counter
-from itertools import combinations, permutations
+from itertools import combinations, permutations, product
 
 import numpy as np
 import pytest
@@ -24,6 +24,7 @@ from mpart.ingredients import get_bibd, hadamard_matrix
 from mpart.isomorphism import (
     _Canonicalizer,
     _fingerprint,
+    _pairs_fixed,
     are_isomorphic,
     are_weakly_isomorphic,
     canonical_form,
@@ -49,8 +50,6 @@ def brute_force_isomorphic(d1: MultipartDesign, d2: MultipartDesign) -> bool:
 
 
 def _all_perm_tuples(v):
-    from itertools import product
-
     spaces = [list(permutations(range(size))) for size in v]
     return product(*spaces)
 
@@ -91,8 +90,9 @@ class _NoPruning(_Canonicalizer):
 
 
 class _ReferenceRefinement(_Canonicalizer):
-    """Checks every refinement and every leaf candidate against a verbatim
-    copy of the versions that signed every point in every round."""
+    """Checks every refinement that runs to the end, and every leaf
+    candidate, against a verbatim copy of the versions that signed every
+    point in every round by the full key, its pair profile included."""
 
     def __init__(self, design: MultipartDesign, budget: int):
         super().__init__(design, budget)
@@ -106,12 +106,14 @@ class _ReferenceRefinement(_Canonicalizer):
                               for parts in self.parts]
         self.point_blocks = [tuple(np.flatnonzero(row).tolist())
                              for row in design.incidence]
+        self.full_pair = design.gram.tolist()
         self.refined = self.candidates = 0
 
-    def _refine(self, colors):
-        got = super()._refine(colors)
-        assert got == self._reference_refine(colors), colors
-        self.refined += 1
+    def _refine(self, colors, *trace_and_paths):
+        got = super()._refine(colors, *trace_and_paths)
+        if got is not None:
+            assert got == self._reference_refine(colors), colors
+            self.refined += 1
         return got
 
     def _candidate(self, position):
@@ -133,7 +135,7 @@ class _ReferenceRefinement(_Canonicalizer):
             for p in range(self.total):
                 sigs.append((
                     colors[p],
-                    tuple(sorted(zip(colors, self.pair[p]))),
+                    tuple(sorted(zip(colors, self.full_pair[p]))),
                     tuple(sorted(block_colors[t] for t in self.point_blocks[p])),
                 ))
             rank = {sig: i for i, sig in enumerate(sorted(set(sigs)))}
@@ -218,6 +220,93 @@ def test_refinement_matches_the_reference():
         seen.update(unused=0 in replication, r1=1 in replication,
                     single=1 in design.v, repeated=len(set(design.blocks)) < design.b)
     assert min(seen[key] for key in ("unused", "r1", "single", "repeated")) >= 50
+
+
+def _iso_pairs(rng: random.Random) -> list[tuple[MultipartDesign, MultipartDesign]]:
+    """Each named design against each of its ``_variants``, random and
+    awkward designs against a variant or another design, and degree twins."""
+    names = DESIGN_FIXTURES + ("fig4b|CD", "had12")
+    pairs = [(design, variant) for design in map(_design, names)
+             for variant in _variants(rng, design)]
+    for _ in range(40):
+        for design in (random_design(rng, max_m=3, max_v=5, max_b=8), _awkward_design(rng)):
+            pairs.append((design, rng.choice(_variants(rng, design) + [
+                random_design(rng, max_m=3, max_v=5, max_b=8), _awkward_design(rng)])))
+    return pairs + [_degree_twins(rng) for _ in range(40)]
+
+
+def test_iso_searches_refine_as_the_reference(monkeypatch):
+    import mpart.isomorphism as iso
+
+    searches = []
+
+    class Checked(_ReferenceRefinement):
+        def __init__(self, design, budget):
+            super().__init__(design, budget)
+            searches.append(self)
+
+    monkeypatch.setattr(iso, "_Canonicalizer", Checked)
+    for d1, d2 in _iso_pairs(random.Random(0x1602)):
+        are_isomorphic(d1, d2)
+        are_weakly_isomorphic(d1, d2)
+    # every refinement that ran to the end was checked; the others were cut
+    # by the trace, each still counted as a node
+    assert len(searches) >= 400
+    assert sum(search.refined for search in searches) >= 1500
+    assert sum(search.nodes - search.refined for search in searches) >= 50
+
+
+# Refinement splits fig4b's root cells [6, 6, 5] only to [1, 5, 6, 5].  A
+# search that refined every node to the end met 22 to 26 of its leaves before
+# the copy's first leaf at these seeds, at these node counts; the trace cut
+# stops every other branch's refinement short of a leaf.
+@pytest.mark.parametrize("kind, seed, nodes", [
+    ("iso", 3, 33), ("iso", 5, 31), ("iso", 7, 28), ("weak-iso", 2, 29)])
+def test_fig4b_copies_are_met_at_their_second_leaf(monkeypatch, kind, seed, nodes):
+    import mpart.isomorphism as iso
+
+    searches = []
+
+    class Counting(_Canonicalizer):
+        def __init__(self, design, budget):
+            super().__init__(design, budget)
+            self.leaves = 0
+            searches.append(self)
+
+        def _leaf(self, colors, path):
+            self.leaves += 1
+            return super()._leaf(colors, path)
+
+    monkeypatch.setattr(iso, "_Canonicalizer", Counting)
+    fig4b = load_design("fig4b")
+    if kind == "iso":
+        assert are_isomorphic(fig4b, random_relabeled(random.Random(seed), fig4b))
+    else:
+        swapped = permute_factors(fig4b, (1, 0, 2))
+        assert are_weakly_isomorphic(fig4b, random_relabeled(random.Random(seed), swapped))
+    search = searches[-1]
+    assert search.design is fig4b
+    assert search.leaves <= 2 and search.nodes <= nodes
+
+
+def test_pairs_fixed_by_factors_agrees_with_every_pair():
+    rng = random.Random(0x1603)
+    designs = [_design(name) for name in DESIGN_FIXTURES + ("had12", "7,3,1x7,3,1")]
+    designs += [_awkward_design(rng) for _ in range(50)]
+    designs += [random_design(rng, max_m=3, max_v=4, max_b=6) for _ in range(50)]
+    designs += [MultipartDesign(v=(1, 3), blocks=(((0,), (x, (x + 1) % 3)),))
+                for x in range(3)]
+    designs += [MultipartDesign(v=(1, 3), blocks=tuple(((0,), (x, (x + 1) % 3)) for x in range(3)))]
+    fixed = Counter()
+    for design in designs:
+        gram, factor = design.gram.tolist(), [i for i, n in enumerate(design.v) for _ in range(n)]
+        counts = {}
+        for p, q in product(range(len(factor)), repeat=2):
+            counts.setdefault((factor[p], factor[q], p == q), set()).add(gram[p][q])
+        expected = all(len(values) == 1 for values in counts.values())
+        assert _pairs_fixed(design) == expected, design
+        fixed[expected] += 1
+    assert min(fixed[True], fixed[False]) >= 10, fixed
 
 
 # SHA-256 of canonical_form(design).certificate, recorded with the search
